@@ -33,14 +33,6 @@ class OdinParams:
     t: int | None = None
 
 
-def _knn_table(ps: PointSet, idx: NeighborIndex, kmax: int):
-    ids = np.empty((ps.n, kmax), dtype=np.int64)
-    dists = np.empty((ps.n, kmax), dtype=np.float64)
-    for i in range(ps.n):
-        ids[i], dists[i] = idx.knn(i, kmax)
-    return ids, dists
-
-
 def lof(
     ps: PointSet, idx: NeighborIndex, params: LofParams = LofParams()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +45,7 @@ def lof(
         raise BadKError(f"bad k range [{params.k_min}, {params.k_max}]")
     if ps.n <= params.k_max:
         raise BadKError(f"need n > {params.k_max}, got n={ps.n}")
-    nbr_ids, nbr_dists = _knn_table(ps, idx, params.k_max)
+    nbr_ids, nbr_dists = idx.knn_table(params.k_max)
     best = np.full(ps.n, -np.inf)
     for k in range(params.k_min, params.k_max + 1):
         ids_k = nbr_ids[:, :k]
@@ -79,8 +71,5 @@ def odin(
     t = params.t if params.t is not None else int(round(n**0.33))
     if not 1 <= k <= n - 1:
         raise BadKError(f"k={k} out of range for n={n}")
-    indeg = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        ids, _ = idx.knn(i, k)
-        indeg[ids] += 1
+    indeg = np.bincount(idx.knn_table(k)[0].ravel(), minlength=n)
     return indeg, indeg <= t

@@ -7,6 +7,7 @@ sees the same distance arithmetic and the same deterministic tie rules.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -216,21 +217,64 @@ def _distances_to(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+# Batched work is cut into pieces of about this many float64 elements, so a
+# gather of rows x neighbors x dimensions never holds more than a few MB.
+GATHER_CHUNK = 1 << 18
+
+
+def row_chunks(n_rows: int, width: int):
+    """Slices over n_rows rows, each holding about GATHER_CHUNK / width rows."""
+    step = max(1, GATHER_CHUNK // max(1, width))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _row_distances(points: np.ndarray, centers: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Distances from points[centers[r]] to points[cand[r, c]], shape of cand.
+
+    Every row goes through the _distances_to arithmetic on a reshaped
+    block, so each value equals the per-point call to the last bit.
+    """
+    d = points.shape[1]
+    diff = (points[cand] - points[centers][:, None, :]).reshape(-1, d)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(cand.shape)
+
+
+def pair_distance_blocks(points: np.ndarray, rows: np.ndarray, targets: np.ndarray):
+    """Yield (slice into rows, block) with block[a, b] the distance from
+    points[rows[a]] to points[targets[b]], in blocks of about GATHER_CHUNK
+    elements, by the same arithmetic as the per-point distances.
+    """
+    d = points.shape[1]
+    for sl in row_chunks(rows.size, targets.size * d):
+        cand = np.broadcast_to(targets, (sl.stop - sl.start, targets.size))
+        yield sl, _row_distances(points, rows[sl], cand)
+
+
 @dataclass
 class NeighborIndex:
     """Neighbor queries over a PointSet with deterministic tie handling.
 
     Both backends answer through the same distance arithmetic, so query
-    results are identical regardless of backend.
+    results are identical regardless of backend. The index keeps the last
+    table knn_table built, so radii and the digraph share one query.
     """
 
     ps: PointSet
     backend: str = "kdtree"
     _tree: cKDTree | None = field(default=None, repr=False)
+    _table: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.backend not in ("kdtree", "brute"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        with np.errstate(over="ignore"):
+            spread = float(np.sum(np.ptp(self.ps.points, axis=0) ** 2))
+        if not np.isfinite(spread):
+            raise DegenerateDataError(
+                "coordinate spread overflows float64 when squared; "
+                "rescale the points before building a neighbor index"
+            )
         if self.backend == "kdtree":
             self._tree = cKDTree(self.ps.points)
 
@@ -269,6 +313,67 @@ class NeighborIndex:
         order = np.lexsort((cand, dists))[:k]
         return cand[order], dists[order]
 
+    def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and distances of every point's k nearest neighbors, (n, k) each.
+
+        Row i equals knn(i, k) to the last bit. On the kdtree backend one
+        batched tree query fetches k+2 candidates per point: the point
+        itself, k neighbors and one slack column. Distances are recomputed
+        by the package's formula and each row is sorted by (distance, id).
+        A row goes to the per-point knn instead when its slack candidate
+        lies within the margin knn itself uses around the (k+1)-th tree
+        distance (a tie that a point outside the row could win), or when
+        the point is missing from its own candidates (more than k+1 exact
+        duplicates). The brute backend fills every row through knn.
+
+        The result is read-only and cached until a table for another k is
+        asked for; last_table exposes it together with the rows whose
+        candidate set was proven complete.
+        """
+        n = self.n
+        if not 1 <= k <= n - 1:
+            raise BadKError(f"k={k} must be in [1, {n - 1}]")
+        if self._table is not None and self._table[0] == k:
+            return self._table[1], self._table[2]
+        points = self.ps.points
+        ids = np.empty((n, k), dtype=np.int64)
+        dists = np.empty((n, k), dtype=np.float64)
+        complete = np.zeros(n, dtype=bool)
+        if self.backend == "kdtree":
+            qd, qi = self._tree.query(points, k=min(k + 2, n))
+            cand = qi[:, : k + 1]
+            rows = np.arange(n)
+            if qd.shape[1] > k + 1:
+                complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
+            else:
+                complete[:] = True  # every point is a candidate
+            complete &= (cand == rows[:, None]).any(axis=1)
+            good = np.flatnonzero(complete)
+            for sl in row_chunks(good.size, (k + 1) * self.ps.d):
+                r = good[sl]
+                c = cand[r]
+                dd = _row_distances(points, r, c)
+                dd[c == r[:, None]] = -1.0  # the point itself sorts first
+                order = np.lexsort((c, dd), axis=1)[:, 1:]
+                ids[r] = np.take_along_axis(c, order, axis=1)
+                dists[r] = np.take_along_axis(dd, order, axis=1)
+        for i in np.flatnonzero(~complete):
+            ids[i], dists[i] = self.knn(int(i), k)
+        for arr in (ids, dists, complete):
+            arr.setflags(write=False)
+        self._table = (k, ids, dists, complete)
+        return ids, dists
+
+    @property
+    def last_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(ids, dists, complete) of the last knn_table, or None.
+
+        complete[i] is True when no point outside row i lies within
+        dists[i, -1], so any ball around i of at most that radius holds
+        exactly a prefix of the row.
+        """
+        return None if self._table is None else self._table[1:]
+
     def range_query(self, center, r: float) -> np.ndarray:
         """Sorted ids of all points within the closed ball B(center, r).
 
@@ -293,26 +398,54 @@ class NeighborIndex:
         dists = _distances_to(self.ps.points[cand], x)
         return np.sort(cand[dists <= r])
 
+    def balls(self, rows: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members of the closed balls B(x_i, radii[a]) for i = rows[a].
+
+        Returns (owner, member) edge arrays: owner holds positions into
+        rows, members ascend within each owner and include the center.
+        Each ball equals range_query(rows[a], radii[a]); the kdtree backend
+        answers all of them with row-chunked batched ball queries.
+        """
+        points = self.ps.points
+        owners, members = [], []
+        if self.backend == "brute":
+            everyone = np.arange(self.n)
+            for sl, block in pair_distance_blocks(points, rows, everyone):
+                a, j = np.nonzero(block <= radii[sl, None])
+                owners.append(a + sl.start)
+                members.append(j)
+        else:
+            for sl in row_chunks(rows.size, self.n):
+                found = self._tree.query_ball_point(
+                    points[rows[sl]], radii[sl] * (1.0 + 1e-9) + 1e-300,
+                    return_sorted=True,
+                )
+                counts = np.fromiter(map(len, found), dtype=np.int64, count=found.size)
+                cand = np.fromiter(
+                    itertools.chain.from_iterable(found), dtype=np.int64,
+                    count=int(counts.sum()),
+                )
+                owner = np.repeat(np.arange(sl.start, sl.stop), counts)
+                inside = np.empty(cand.size, dtype=bool)
+                for part in row_chunks(cand.size, self.ps.d):
+                    o = owner[part]
+                    dd = _row_distances(points, rows[o], cand[part, None])[:, 0]
+                    inside[part] = dd <= radii[o]
+                owners.append(owner[inside])
+                members.append(cand[inside])
+        if not owners:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(owners), np.concatenate(members)
+
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded).
 
-        Distances come from the same arithmetic on both backends so the
-        values agree to the last bit.
+        Read off knn_table(k), so both backends agree to the last bit.
         """
         n = self.n
         if not 1 <= k <= n - 1:
             raise BadKError(f"k={k} must be in [1, {n - 1}]")
-        if self.backend == "kdtree":
-            out = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                out[i] = self.knn(i, k)[1][k - 1]
-            return out
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            d = _distances_to(self.ps.points, self.ps.points[i])
-            d[i] = np.inf
-            out[i] = np.partition(d, k - 1)[k - 1]
-        return out
+        return self.knn_table(k)[1][:, k - 1].copy()
 
 
 def build_index(ps: PointSet, backend: str = "kdtree") -> NeighborIndex:

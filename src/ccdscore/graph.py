@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
-from .dataset import NeighborIndex, PointSet, _distances_to
+from .dataset import NeighborIndex, PointSet, pair_distance_blocks, row_chunks
 from .errors import ConfigError, DegenerateDataError
 
 FIXED_K = "fixed-k"
@@ -81,12 +81,13 @@ def _positive_floor(ps: PointSet, radii: np.ndarray) -> np.ndarray:
     if (radii > 0).all():
         return radii
     out = radii.copy()
-    for i in np.flatnonzero(radii == 0):
-        d = _distances_to(ps.points, ps.points[i])
-        pos = d[d > 0]
-        if pos.size == 0:
+    zero = np.flatnonzero(radii == 0)
+    for sl, block in pair_distance_blocks(ps.points, zero, np.arange(ps.n)):
+        block[block <= 0] = np.inf
+        low = block.min(axis=1)
+        if np.isinf(low).any():
             raise DegenerateDataError("all points coincide; radii are undefined")
-        out[i] = pos.min()
+        out[zero[sl]] = low
     return out
 
 
@@ -104,11 +105,11 @@ def estimate_radii(
         radii = idx.kth_distances(k)
     elif strategy.kind == UN_APPROX:
         nnd = idx.kth_distances(1)
+        ids, _ = idx.knn_table(k)
         radii = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            ids, _ = idx.knn(i, k)
-            radii[i] = strategy.multiplier * float(
-                np.quantile(nnd[ids], strategy.quantile)
+        for sl in row_chunks(n, k):
+            radii[sl] = strategy.multiplier * np.quantile(
+                nnd[ids[sl]], strategy.quantile, axis=1
             )
     else:
         radii = _rk_radii(ps, idx, k, strategy.significance)
@@ -129,24 +130,24 @@ def _rk_radii(
     volume = float(np.prod(sides))
     vball = unit_ball_volume(d)
     z = float(norm.ppf(1.0 - significance))
-    radii = np.empty(n, dtype=np.float64)
-    log_lam_ball = (
-        math.log(n) - math.log(volume) + math.log(vball) if volume > 0 else None
-    )
-    for i in range(n):
-        _, cand = idx.knn(i, k)
-        fallback = cand[0]
-        if log_lam_ball is None:
-            radii[i] = fallback
-            continue
+    _, cand = idx.knn_table(k)
+    radii = cand[:, 0].copy()
+    if volume <= 0:
+        return radii
+    log_lam_ball = math.log(n) - math.log(volume) + math.log(vball)
+    observed = np.arange(2, k + 2, dtype=np.float64)
+    for sl in row_chunks(n, k):
+        c = cand[sl]
         with np.errstate(divide="ignore", over="ignore"):
-            log_expected = log_lam_ball + d * np.log(cand)
+            log_expected = log_lam_ball + d * np.log(c)
             expected = np.exp(log_expected)
-        observed = np.arange(2, cand.size + 2, dtype=np.float64)
         p = np.clip(expected / n, 0.0, 1.0)
         envelope = z * np.sqrt(n * p * (1.0 - p))
         passing = observed >= expected - envelope
-        radii[i] = cand[np.flatnonzero(passing)[-1]] if passing.any() else fallback
+        last = k - 1 - np.argmax(passing[:, ::-1], axis=1)
+        radii[sl] = np.where(
+            passing.any(axis=1), c[np.arange(c.shape[0]), last], c[:, 0]
+        )
     return radii
 
 
@@ -170,27 +171,57 @@ class CatchDigraph:
         return len(self.covers)
 
 
+def flatten_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Id lists laid end to end, and the length of each."""
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return np.concatenate(rows).astype(np.int64, copy=False), counts
+
+
+def _split_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
 def build_catch_digraph(
     ps: PointSet, idx: NeighborIndex, radii: np.ndarray
 ) -> CatchDigraph:
+    """The coverage digraph of the closed balls B(x_i, radii[i]).
+
+    Where the index holds a neighbor table whose row i is proven complete
+    and radii[i] does not pass the row's last distance, i's ball is a
+    prefix of that row. Every other ball comes from one batched ball query.
+    """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.shape != (ps.n,):
         raise ValueError("radii must have one entry per point")
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
-    covers: list[np.ndarray] = []
-    sources: list[list[int]] = [[] for _ in range(ps.n)]
-    for i in range(ps.n):
-        members = idx.range_query(i, float(radii[i]))
-        members = members[members != i]
-        covers.append(members)
-        for j in members:
-            sources[j].append(i)
-    covered_by = [np.asarray(s, dtype=np.int64) for s in sources]
-    counts = np.asarray([len(c) + 1 for c in covers], dtype=np.int64)
+    n = ps.n
+    src, dst = [], []
+    prefix = np.zeros(n, dtype=bool)
+    if idx.last_table is not None:
+        ids, dists, complete = idx.last_table
+        prefix = complete & (radii <= dists[:, -1])
+        rows = np.flatnonzero(prefix)
+        for sl in row_chunks(rows.size, ids.shape[1]):
+            r = rows[sl]
+            a, c = np.nonzero(dists[r] <= radii[r, None])
+            src.append(r[a])
+            dst.append(ids[r[a], c])
+    rest = np.flatnonzero(~prefix)
+    owner, member = idx.balls(rest, radii[rest])
+    keep = rest[owner] != member
+    src.append(rest[owner][keep])
+    dst.append(member[keep])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    out_counts = np.bincount(src, minlength=n)
+    in_counts = np.bincount(dst, minlength=n)
+    covers = _split_rows(np.sort(src * n + dst) % n, out_counts)
+    covered_by = _split_rows(np.sort(dst * n + src) % n, in_counts)
     return CatchDigraph(
-        radii=radii, covers=covers, covered_by=covered_by, covered_count=counts,
-        dim=ps.d,
+        radii=radii, covers=covers, covered_by=covered_by,
+        covered_count=out_counts + 1, dim=ps.d,
     )
 
 
@@ -229,40 +260,39 @@ def cluster_digraph(
     attach_factor times their own radius; otherwise they stay singletons.
     """
     n = dg.n
-    cover_sets = [set(c.tolist()) for c in dg.covers]
-    rows, cols = [], []
-    for i in range(n):
-        for j in dg.covers[i]:
-            if j > i and i in cover_sets[j]:
-                rows.append(i)
-                cols.append(j)
-    adj = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+    targets, counts = flatten_rows(dg.covers)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    adj = sparse.csr_matrix(
+        (np.ones(targets.size, dtype=np.int8), targets, indptr), shape=(n, n)
     )
-    n_comp, comp = connected_components(adj, directed=False)
+    n_comp, comp = connected_components(adj.multiply(adj.T), directed=False)
     comp_sizes = np.bincount(comp, minlength=n_comp)
 
     labels = comp.copy()
     anchored = np.flatnonzero(comp_sizes[comp] >= 2)
     isolated = np.flatnonzero(comp_sizes[comp] == 1)
-    next_label = n_comp
-    for v in isolated:
-        if anchored.size:
-            d = _distances_to(ps.points[anchored], ps.points[v])
-            best = int(np.argmin(d))  # argmin takes the first, so smallest id on ties
-            if d[best] <= attach_factor * dg.radii[v]:
-                labels[v] = comp[anchored[best]]
-                continue
-        labels[v] = next_label
-        next_label += 1
+    alone = isolated
+    if anchored.size and isolated.size:
+        attached = np.zeros(isolated.size, dtype=bool)
+        for sl, block in pair_distance_blocks(ps.points, isolated, anchored):
+            # argmin takes the first, so the smallest id on ties
+            best = np.argmin(block, axis=1)
+            near = block[np.arange(best.size), best]
+            ok = near <= attach_factor * dg.radii[isolated[sl]]
+            labels[isolated[sl][ok]] = comp[anchored[best[ok]]]
+            attached[sl] = ok
+        alone = isolated[~attached]
+    labels[alone] = n_comp + np.arange(alone.size)
 
-    used = np.unique(labels)
-    groups = [np.flatnonzero(labels == u) for u in used]
-    order = sorted(range(len(groups)), key=lambda g: (-groups[g].size, groups[g][0]))
-    members = [groups[g] for g in order]
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    groups = _split_rows(order, sizes)
+    rank = np.lexsort((order[starts], -sizes))
+    members = [groups[g] for g in rank.tolist()]
+    cid = np.empty(rank.size, dtype=np.int64)
+    cid[rank] = np.arange(rank.size)
     cluster_of = np.empty(n, dtype=np.int64)
-    for cid, mem in enumerate(members):
-        cluster_of[mem] = cid
+    cluster_of[order] = np.repeat(cid, sizes)
     return Clustering(cluster_of=cluster_of, members=members)
 
 

@@ -21,6 +21,7 @@ from .dataset import (
     NeighborIndex,
     PointSet,
     build_index,
+    row_chunks,
 )
 from .errors import ConfigError
 from .graph import (
@@ -32,6 +33,7 @@ from .graph import (
     cluster_digraph,
     estimate_radii,
     fixed_k,
+    flatten_rows,
 )
 
 RATIO_ROOT = "ratio-root"
@@ -53,31 +55,61 @@ def vicinity_density(dg: CatchDigraph, mode: str = RATIO_ROOT) -> np.ndarray:
     raise ConfigError(f"unknown density mode {mode!r}")
 
 
+def _row_reduce(reduce, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """reduce(run, axis=1) for each run of values, the runs laid end to end
+    with lengths counts; 0.0 for an empty run.
+
+    Runs of equal length are gathered into one (rows, length) block and
+    reduced along axis 1. numpy reduces each contiguous row with the same
+    pairwise summation as a 1-D call, so every result equals np.sum or
+    np.mean of that run alone to the last bit. Segmented sums (np.add.reduceat,
+    a CSR matrix product) add left to right instead and differ in the last
+    bits, which would break the bitwise ties ios_raw promises.
+    """
+    out = np.zeros(counts.size, dtype=np.float64)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(counts, kind="stable")
+    lengths, first = np.unique(counts[order], return_index=True)
+    bounds = np.append(first, counts.size).tolist()
+    for g, length in enumerate(lengths.tolist()):
+        if length == 0:
+            continue
+        rows = order[bounds[g] : bounds[g + 1]]
+        for sl in row_chunks(rows.size, length):
+            r = rows[sl]
+            out[r] = reduce(values[starts[r, None] + np.arange(length)], axis=1)
+    return out
+
+
 def oos(dg: CatchDigraph, rho: np.ndarray) -> np.ndarray:
     """Outbound outlyingness: mean density over the points a ball covers,
     divided by the ball's own density. Empty balls score +inf.
     """
-    out = np.empty(dg.n, dtype=np.float64)
-    for i in range(dg.n):
-        nbrs = dg.covers[i]
-        if nbrs.size == 0:
-            out[i] = np.inf
-        else:
-            out[i] = float(np.mean(rho[nbrs])) / rho[i]
+    targets, counts = flatten_rows(dg.covers)
+    means = _row_reduce(np.mean, rho[targets], counts)
+    out = np.full(dg.n, np.inf)
+    covered = counts > 0
+    out[covered] = means[covered] / rho[covered]
     return out
+
+
+def _same_cluster_sources(
+    dg: CatchDigraph, cl: Clustering
+) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of every edge that stays inside one cluster,
+    grouped by target in covered_by order."""
+    src, counts = flatten_rows(dg.covered_by)
+    dst = np.repeat(np.arange(dg.n), counts)
+    same = cl.cluster_of[src] == cl.cluster_of[dst]
+    return src[same], dst[same]
 
 
 def cumulative_influence(
     dg: CatchDigraph, cl: Clustering, rho: np.ndarray
 ) -> np.ndarray:
     """Summed density of the same-cluster points whose balls reach each point."""
-    out = np.zeros(dg.n, dtype=np.float64)
-    for i in range(dg.n):
-        src = dg.covered_by[i]
-        same = src[cl.cluster_of[src] == cl.cluster_of[i]]
-        if same.size:
-            out[i] = float(np.sum(rho[same]))
-    return out
+    src, dst = _same_cluster_sources(dg, cl)
+    return _row_reduce(np.sum, rho[src], np.bincount(dst, minlength=dg.n))
 
 
 def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
@@ -88,13 +120,11 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     bitwise-identical values, not merely equal-up-to-rounding ones; the
     tie-break pass depends on that.
     """
-    out = np.empty(dg.n, dtype=np.float64)
-    for i in range(dg.n):
-        src = dg.covered_by[i]
-        same = src[cl.cluster_of[src] == cl.cluster_of[i]]
-        ids = np.sort(np.append(same, i))
-        out[i] = 1.0 / float(np.sum(rho[ids]))
-    return out
+    n = dg.n
+    src, dst = _same_cluster_sources(dg, cl)
+    keys = np.sort(np.concatenate((dst * n + src, np.arange(n) * (n + 1))))
+    counts = np.bincount(dst, minlength=n) + 1
+    return 1.0 / _row_reduce(np.sum, rho[keys % n], counts)
 
 
 def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:

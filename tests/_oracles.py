@@ -1,10 +1,17 @@
 """Independent brute-force reference implementations used across the tests.
 
-Everything here is written straight from the definitions with plain loops,
-deliberately sharing no code with the package, so agreement is meaningful.
+The brute_* functions are written straight from the definitions with plain
+loops, deliberately sharing no code with the package, so agreement is
+meaningful. The loop_* functions at the end are the per-point reference
+loops for the package's batched neighbor-table code.
 """
 
+import math
+
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.stats import norm
 
 
 def dist(a, b):
@@ -136,3 +143,167 @@ def brute_indegree(points, k):
         for j in ids:
             deg[j] += 1
     return deg
+
+
+# Per-point loop versions of the package's neighbor-table code, kept as the
+# references the batched implementations must equal bit for bit. They go
+# through the package's own per-point queries (NeighborIndex.knn and
+# range_query) and its distance formula, one point at a time, exactly as the
+# package computed these layers before it switched to one neighbor table.
+
+
+def loop_distances_to(points, x):
+    diff = points - x
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def loop_knn_table(idx, k):
+    n = idx.n
+    ids = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k), dtype=np.float64)
+    for i in range(n):
+        ids[i], dists[i] = idx.knn(i, k)
+    return ids, dists
+
+
+def loop_positive_floor(points, radii):
+    if (radii > 0).all():
+        return radii
+    out = radii.copy()
+    for i in np.flatnonzero(radii == 0):
+        d = loop_distances_to(points, points[i])
+        pos = d[d > 0]
+        out[i] = pos.min()
+    return out
+
+
+def loop_radii(ps, idx, strategy):
+    """estimate_radii for all three strategies, one point at a time."""
+    from ccdscore.graph import default_k, unit_ball_volume
+
+    n, d = ps.n, ps.d
+    k = min(strategy.k if strategy.k is not None else default_k(n), n - 1)
+    radii = np.empty(n, dtype=np.float64)
+    if strategy.kind == "fixed-k":
+        for i in range(n):
+            radii[i] = idx.knn(i, k)[1][k - 1]
+    elif strategy.kind == "un-approx":
+        nnd = np.array([idx.knn(i, 1)[1][0] for i in range(n)])
+        for i in range(n):
+            ids, _ = idx.knn(i, k)
+            radii[i] = strategy.multiplier * float(
+                np.quantile(nnd[ids], strategy.quantile)
+            )
+    else:
+        sides = ps.points.max(axis=0) - ps.points.min(axis=0)
+        volume = float(np.prod(sides))
+        z = float(norm.ppf(1.0 - strategy.significance))
+        log_lam_ball = (
+            math.log(n) - math.log(volume) + math.log(unit_ball_volume(d))
+            if volume > 0 else None
+        )
+        for i in range(n):
+            _, cand = idx.knn(i, k)
+            if log_lam_ball is None:
+                radii[i] = cand[0]
+                continue
+            with np.errstate(divide="ignore", over="ignore"):
+                expected = np.exp(log_lam_ball + d * np.log(cand))
+            observed = np.arange(2, cand.size + 2, dtype=np.float64)
+            p = np.clip(expected / n, 0.0, 1.0)
+            envelope = z * np.sqrt(n * p * (1.0 - p))
+            passing = observed >= expected - envelope
+            radii[i] = cand[np.flatnonzero(passing)[-1]] if passing.any() else cand[0]
+    return loop_positive_floor(ps.points, radii)
+
+
+def loop_digraph(ps, idx, radii):
+    """(covers, covered_by) from one range query per point."""
+    covers = []
+    sources = [[] for _ in range(ps.n)]
+    for i in range(ps.n):
+        members = idx.range_query(i, float(radii[i]))
+        members = members[members != i]
+        covers.append(members)
+        for j in members:
+            sources[j].append(i)
+    return covers, [np.asarray(s, dtype=np.int64) for s in sources]
+
+
+def loop_clusters(points, radii, covers, attach_factor=3.0):
+    """cluster_of from the mutual-edge set loop and the per-point attach loop."""
+    n = len(covers)
+    cover_sets = [set(c.tolist()) for c in covers]
+    rows, cols = [], []
+    for i in range(n):
+        for j in covers[i]:
+            if j > i and i in cover_sets[j]:
+                rows.append(i)
+                cols.append(j)
+    adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_comp, comp = connected_components(adj, directed=False)
+    comp_sizes = np.bincount(comp, minlength=n_comp)
+    labels = comp.copy()
+    anchored = np.flatnonzero(comp_sizes[comp] >= 2)
+    next_label = n_comp
+    for v in np.flatnonzero(comp_sizes[comp] == 1):
+        if anchored.size:
+            d = loop_distances_to(points[anchored], points[v])
+            best = int(np.argmin(d))
+            if d[best] <= attach_factor * radii[v]:
+                labels[v] = comp[anchored[best]]
+                continue
+        labels[v] = next_label
+        next_label += 1
+    groups = [np.flatnonzero(labels == u) for u in np.unique(labels)]
+    groups.sort(key=lambda g: (-g.size, g[0]))
+    cluster_of = np.empty(n, dtype=np.int64)
+    for cid, mem in enumerate(groups):
+        cluster_of[mem] = cid
+    return cluster_of
+
+
+def loop_oos(covers, rho):
+    out = np.empty(len(covers), dtype=np.float64)
+    for i, nbrs in enumerate(covers):
+        out[i] = np.inf if nbrs.size == 0 else float(np.mean(rho[nbrs])) / rho[i]
+    return out
+
+
+def loop_cumulative_influence(covered_by, cluster_of, rho):
+    out = np.zeros(len(covered_by), dtype=np.float64)
+    for i, src in enumerate(covered_by):
+        same = src[cluster_of[src] == cluster_of[i]]
+        if same.size:
+            out[i] = float(np.sum(rho[same]))
+    return out
+
+
+def loop_ios_raw(covered_by, cluster_of, rho):
+    out = np.empty(len(covered_by), dtype=np.float64)
+    for i, src in enumerate(covered_by):
+        same = src[cluster_of[src] == cluster_of[i]]
+        ids = np.sort(np.append(same, i))
+        out[i] = 1.0 / float(np.sum(rho[ids]))
+    return out
+
+
+def loop_lof(idx, k_min=11, k_max=30):
+    nbr_ids, nbr_dists = loop_knn_table(idx, k_max)
+    best = np.full(idx.n, -np.inf)
+    for k in range(k_min, k_max + 1):
+        ids_k = nbr_ids[:, :k]
+        kdist = nbr_dists[:, k - 1]
+        reach = np.maximum(kdist[ids_k], nbr_dists[:, :k])
+        with np.errstate(divide="ignore"):
+            lrd = 1.0 / np.mean(reach, axis=1)
+        best = np.maximum(best, np.mean(lrd[ids_k], axis=1) / lrd)
+    return best
+
+
+def loop_odin(idx, k):
+    indeg = np.zeros(idx.n, dtype=np.int64)
+    for i in range(idx.n):
+        ids, _ = idx.knn(i, k)
+        indeg[ids] += 1
+    return indeg

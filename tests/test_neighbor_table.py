@@ -1,0 +1,219 @@
+"""The batched neighbor table and everything built on it, checked against
+the per-point reference loops in _oracles: every value must be equal to
+the last bit, not merely close."""
+
+import numpy as np
+import pytest
+
+from ccdscore.baselines import LofParams, OdinParams, lof, odin
+from ccdscore.dataset import PointSet, build_index
+from ccdscore.errors import BadKError
+from ccdscore.graph import Clustering, build_catch_digraph, fixed_k, rk_approx, un_approx
+from ccdscore.scores import (
+    break_ties,
+    cumulative_influence,
+    default_threshold,
+    flag_outliers,
+    score_point_set,
+    standardize_ios,
+    standardize_naive,
+)
+from ccdscore.simgen import REGIMES, SimConfig, generate
+
+from _oracles import (
+    loop_clusters,
+    loop_cumulative_influence,
+    loop_digraph,
+    loop_ios_raw,
+    loop_lof,
+    loop_odin,
+    loop_oos,
+    loop_radii,
+)
+
+STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
+BACKENDS = ("kdtree", "brute")
+
+
+def scenario(regime, d, seed=4):
+    cfg = SimConfig(regime=regime, d=d, n=300, seed=seed, outlier_fraction=0.05,
+                    gaussian_scale=0.05, outlier_min_separation=1.5)
+    return generate(cfg)
+
+
+def same_rows(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def descending_ranks(scores):
+    ranks = np.empty(scores.size, dtype=np.int64)
+    ranks[np.lexsort((np.arange(scores.size), -scores))] = np.arange(1, scores.size + 1)
+    return ranks
+
+
+def reference_report(ps, strategy):
+    """Every array score_point_set reports, from the per-point loops."""
+    idx = build_index(ps)
+    radii = loop_radii(ps, idx, strategy)
+    covers, covered_by = loop_digraph(ps, idx, radii)
+    cluster_of = loop_clusters(ps.points, radii, covers)
+    counts = np.array([c.size + 1 for c in covers], dtype=np.int64)
+    rho = (counts / radii) ** (1.0 / ps.d)
+    # the standardization and tie passes loop per cluster, not per point
+    cl = Clustering(
+        cluster_of=cluster_of,
+        members=[np.flatnonzero(cluster_of == c) for c in range(cluster_of.max() + 1)],
+    )
+    ios = loop_ios_raw(covered_by, cluster_of, rho)
+    oos = loop_oos(covers, rho)
+    ios_std = break_ties(cl, standardize_ios(cl, ios), rho)
+    thr = {kind: default_threshold(kind, strategy.kind, "uniform", ps.d)
+           for kind in ("oos", "ios")}
+    return {
+        "radii": radii,
+        "covers": covers,
+        "covered_by": covered_by,
+        "cluster_of": cluster_of,
+        "rho": rho,
+        "oos": oos,
+        "ci": loop_cumulative_influence(covered_by, cluster_of, rho),
+        "ios_raw": ios,
+        "ios_std": ios_std,
+        "ios_std_naive": standardize_naive(cl, ios),
+        "oos_flag": flag_outliers(oos, thr["oos"]),
+        "ios_flag": flag_outliers(ios_std, thr["ios"], clustering=cl),
+        "oos_rank": descending_ranks(oos),
+        "ios_rank": descending_ranks(ios_std),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_pipeline_equals_reference_loops(regime, d):
+    ps = scenario(regime, d)
+    for name, make in STRATEGIES.items():
+        ref = reference_report(ps, make())
+        for backend in BACKENDS:
+            rep = score_point_set(ps, make(), backend=backend)
+            dg, cl = rep.digraph, rep.clustering
+            where = (regime, d, name, backend)
+            assert np.array_equal(dg.radii, ref["radii"]), where
+            assert same_rows(dg.covers, ref["covers"]), where
+            assert same_rows(dg.covered_by, ref["covered_by"]), where
+            assert np.array_equal(rep.cluster_of, ref["cluster_of"]), where
+            assert np.array_equal(cumulative_influence(dg, cl, rep.rho), ref["ci"]), where
+            for key in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive",
+                        "oos_flag", "ios_flag", "oos_rank", "ios_rank"):
+                assert np.array_equal(getattr(rep, key), ref[key]), (key, *where)
+
+
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_baselines_equal_reference_loops(regime, d):
+    ps = scenario(regime, d)
+    ref_idx = build_index(ps)
+    ref_lof = loop_lof(ref_idx)
+    ref_odin = loop_odin(ref_idx, int(round(ps.n**0.5)))
+    for backend in BACKENDS:
+        got_lof, _ = lof(ps, build_index(ps, backend=backend), LofParams())
+        got_odin, _ = odin(ps, build_index(ps, backend=backend), OdinParams())
+        assert np.array_equal(got_lof, ref_lof, equal_nan=True), backend
+        assert np.array_equal(got_odin, ref_odin), backend
+
+
+def grid_points():
+    xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def duplicate_points():
+    rng = np.random.default_rng(8)
+    base = rng.random((5, 3))
+    return np.vstack([np.repeat(base, 9, axis=0), rng.random((40, 3))])
+
+
+def assert_table_matches_knn(idx, k):
+    ids, dists = idx.knn_table(k)
+    assert ids.shape == dists.shape == (idx.n, k)
+    for i in range(idx.n):
+        want_ids, want_dists = idx.knn(i, k)
+        assert np.array_equal(ids[i], want_ids), (k, i)
+        assert np.array_equal(dists[i], want_dists), (k, i)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_table_on_integer_grid_ties(backend):
+    # exact ties at the k-th distance everywhere: rows must fall back
+    idx = build_index(PointSet(grid_points()), backend=backend)
+    for k in (1, 4, 8, 12):
+        assert_table_matches_knn(idx, k)
+        assert not idx.last_table[2].all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_table_with_more_duplicates_than_k(backend):
+    # nine copies of each base point: with k < 8 a point can miss its own
+    # candidate list
+    idx = build_index(PointSet(duplicate_points()), backend=backend)
+    for k in (3, 7, 8, 12):
+        assert_table_matches_knn(idx, k)
+    idx.knn_table(3)
+    assert not idx.last_table[2][:45].any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("points", [grid_points, duplicate_points])
+def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points, backend):
+    # fixed-k radii of the duplicated points are zero and get floored
+    ps = PointSet(points())
+    ref_idx = build_index(ps)
+    for strategy in (fixed_k(k=4), rk_approx(k=4), un_approx(k=4), fixed_k()):
+        radii = loop_radii(ps, ref_idx, strategy)
+        rep = score_point_set(ps, strategy, backend=backend)
+        assert np.array_equal(rep.digraph.radii, radii)
+        covers, covered_by = loop_digraph(ps, ref_idx, radii)
+        assert same_rows(rep.digraph.covers, covers)
+        assert same_rows(rep.digraph.covered_by, covered_by)
+        cluster_of = loop_clusters(ps.points, radii, covers)
+        assert np.array_equal(rep.cluster_of, cluster_of)
+        assert np.array_equal(rep.oos, loop_oos(covers, rep.rho))
+        assert np.array_equal(rep.ios_raw, loop_ios_raw(covered_by, cluster_of, rep.rho))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_table_without_slack_column(backend):
+    pts = np.random.default_rng(9).random((9, 2))
+    idx = build_index(PointSet(pts), backend=backend)
+    assert_table_matches_knn(idx, 8)
+
+
+def test_table_rejects_the_same_k_as_kth_distances():
+    idx = build_index(PointSet(np.random.default_rng(1).random((6, 2))))
+    for k in (-1, 0, 6, 7):
+        with pytest.raises(BadKError):
+            idx.knn_table(k)
+        with pytest.raises(BadKError):
+            idx.kth_distances(k)
+    for k in (1, 5):
+        assert np.array_equal(idx.kth_distances(k), idx.knn_table(k)[1][:, k - 1])
+
+
+def test_table_is_cached_and_read_only():
+    idx = build_index(PointSet(np.random.default_rng(2).random((50, 3))))
+    ids, dists = idx.knn_table(5)
+    assert idx.knn_table(5)[0] is ids
+    assert not ids.flags.writeable and not dists.flags.writeable
+    assert idx.last_table[0] is ids
+    idx.knn_table(6)
+    assert idx.last_table[0].shape == (50, 6)
+
+
+def test_digraph_without_a_table_uses_ball_queries():
+    ps = scenario("uniform", 5)
+    radii = loop_radii(ps, build_index(ps), fixed_k())
+    fresh = build_index(ps)
+    assert fresh.last_table is None
+    dg = build_catch_digraph(ps, fresh, radii)
+    covers, covered_by = loop_digraph(ps, build_index(ps), radii)
+    assert same_rows(dg.covers, covers)
+    assert same_rows(dg.covered_by, covered_by)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from _oracles import brute_scores
 
-from ccdscore.errors import ConfigError
+from ccdscore.dataset import PointSet
+from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import CatchDigraph, Clustering, fixed_k
 from ccdscore.scores import (
     COUNT_OVER_RD,
@@ -408,3 +409,12 @@ def test_report_ranks_descend_with_ties_by_id():
     vals = rep.oos[order]
     assert np.all(np.diff(vals) <= 0)
     assert sorted(rep.ios_rank.tolist()) == list(range(1, 26))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_extreme_scale_is_a_data_error(scale):
+    # squared distances overflow float64; the tree would raise a bare ValueError
+    pts = np.random.default_rng(0).random((40, 3)) * scale
+    for backend in ("kdtree", "brute"):
+        with pytest.raises(DegenerateDataError, match="overflows"):
+            score_point_set(PointSet(pts), fixed_k(), backend=backend)
