@@ -40,7 +40,7 @@ from .errors import (
     DegenerateLabelsError,
 )
 from .graph import fixed_k, rk_approx, un_approx
-from .scores import REPORT_COLUMNS, score_point_set
+from .scores import REPORT_COLUMNS, _json_float, score_point_set
 from .simgen import SimConfig, generate, masking_fixture
 
 _STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
@@ -207,7 +207,7 @@ def cmd_score(args) -> int:
                     "n": ps.n,
                     "method": args.method,
                     "points": {
-                        "score": scores.tolist(),
+                        "score": [_json_float(v) for v in scores],
                         "flag": flags.astype(int).tolist(),
                         "rank": ranks.tolist(),
                     },

@@ -217,6 +217,10 @@ def _distances_to(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+# The generous constant of the dense screen's rounding band; see
+# NeighborIndex._screen_candidates.
+_SCREEN_C = 8.0
+
 # Batched work is cut into pieces of about this many float64 elements, so a
 # gather of rows x neighbors x dimensions never holds more than a few MB.
 GATHER_CHUNK = 1 << 18
@@ -268,12 +272,19 @@ class NeighborIndex:
     def __post_init__(self):
         if self.backend not in ("kdtree", "brute"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        ptp = np.ptp(self.ps.points, axis=0)
         with np.errstate(over="ignore"):
-            spread = float(np.sum(np.ptp(self.ps.points, axis=0) ** 2))
+            spread = float(np.sum(ptp**2))
         if not np.isfinite(spread):
             raise DegenerateDataError(
                 "coordinate spread overflows float64 when squared; "
                 "rescale the points before building a neighbor index"
+            )
+        if spread == 0.0 and ptp.any():
+            raise DegenerateDataError(
+                "coordinate spread underflows float64 when squared, so every "
+                "distance reads zero; rescale the points before building a "
+                "neighbor index"
             )
         if self.backend == "kdtree":
             self._tree = cKDTree(self.ps.points)
@@ -403,8 +414,12 @@ class NeighborIndex:
 
         Returns (owner, member) edge arrays: owner holds positions into
         rows, members ascend within each owner and include the center.
-        Each ball equals range_query(rows[a], radii[a]); the kdtree backend
-        answers all of them with row-chunked batched ball queries.
+        Each ball equals range_query(rows[a], radii[a]). The kdtree backend
+        gathers candidates per block of rows, from batched tree queries
+        when 2**d < n and from a dense screen otherwise (with 2**d >= n a
+        balanced k-d tree splits each coordinate at most once, so it prunes
+        next to nothing), and rechecks every candidate with the package's
+        distance formula.
         """
         points = self.ps.points
         owners, members = [], []
@@ -415,17 +430,9 @@ class NeighborIndex:
                 owners.append(a + sl.start)
                 members.append(j)
         else:
-            for sl in row_chunks(rows.size, self.n):
-                found = self._tree.query_ball_point(
-                    points[rows[sl]], radii[sl] * (1.0 + 1e-9) + 1e-300,
-                    return_sorted=True,
-                )
-                counts = np.fromiter(map(len, found), dtype=np.int64, count=found.size)
-                cand = np.fromiter(
-                    itertools.chain.from_iterable(found), dtype=np.int64,
-                    count=int(counts.sum()),
-                )
-                owner = np.repeat(np.arange(sl.start, sl.stop), counts)
+            dense = 2**self.ps.d >= self.n
+            candidates = self._screen_candidates if dense else self._tree_candidates
+            for owner, cand in candidates(rows, radii):
                 inside = np.empty(cand.size, dtype=bool)
                 for part in row_chunks(cand.size, self.ps.d):
                     o = owner[part]
@@ -436,6 +443,58 @@ class NeighborIndex:
         if not owners:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(owners), np.concatenate(members)
+
+    def _tree_candidates(self, rows: np.ndarray, radii: np.ndarray):
+        """(owner, candidate) arrays per block of rows, from batched ball
+        queries widened by the margin range_query uses."""
+        for sl in row_chunks(rows.size, self.n):
+            found = self._tree.query_ball_point(
+                self.ps.points[rows[sl]], radii[sl] * (1.0 + 1e-9) + 1e-300,
+                return_sorted=True,
+            )
+            counts = np.fromiter(map(len, found), dtype=np.int64, count=found.size)
+            cand = np.fromiter(
+                itertools.chain.from_iterable(found), dtype=np.int64,
+                count=int(counts.sum()),
+            )
+            yield np.repeat(np.arange(sl.start, sl.stop), counts), cand
+
+    def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
+        """(owner, candidate) arrays per block of rows, from one matrix
+        product per block: j is a candidate of row a when
+        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, with x = points[rows[a]],
+        y = points[j] and r = radii[a], all after shifting the points by
+        their column minima.
+
+        The band bounds the rounding, so every pair the distance formula
+        accepts is a candidate. With u = 2**-53 and D2 the exact squared
+        distance: the shift moves D2 by at most 4u(|x|^2 + |y|^2); the norms
+        and the BLAS product, in any summation order, put g within
+        2(d + 2)u(|x|^2 + |y|^2) of the shifted D2; the formula's sum is
+        within (d + 2)u D2 of D2, and its square root rounds to at most r
+        only if that sum is at most (1 + 2u) r^2. With the rounding of the
+        test itself, an accepted pair has g <= r^2 + (2d + 9)u(|x|^2 + |y|^2
+        + r^2) to first order. The band C (d + 2) eps (|x|^2 + |y|^2 + r^2),
+        with eps = 2u and C = 8, is several times that; its floor, C (d + 2)
+        times the smallest normal float, dwarfs the absolute errors of
+        subnormal terms. The band's norm terms move to the left side as a
+        factor 1 - C (d + 2) eps on the squared norms. After the shift no
+        squared norm exceeds the squared spread that __post_init__ found
+        finite, so nothing overflows.
+        """
+        d = self.ps.d
+        fi = np.finfo(np.float64)
+        x = self.ps.points - self.ps.points.min(axis=0)
+        slack = _SCREEN_C * (d + 2) * fi.eps
+        sq = (1.0 - slack) * np.einsum("ij,ij->i", x, x)
+        limit = (1.0 + slack) * radii**2 + _SCREEN_C * (d + 2) * fi.tiny
+        for sl in row_chunks(rows.size, self.n):
+            block = rows[sl]
+            g = x[block] @ x.T
+            g *= -2.0
+            g += sq
+            a, j = np.nonzero(g <= (limit[sl] - sq[block])[:, None])
+            yield a + sl.start, j
 
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded).

@@ -104,8 +104,8 @@ def estimate_radii(
     if strategy.kind == FIXED_K:
         radii = idx.kth_distances(k)
     elif strategy.kind == UN_APPROX:
-        nnd = idx.kth_distances(1)
-        ids, _ = idx.knn_table(k)
+        ids, dists = idx.knn_table(k)
+        nnd = dists[:, 0]
         radii = np.empty(n, dtype=np.float64)
         for sl in row_chunks(n, k):
             radii[sl] = strategy.multiplier * np.quantile(

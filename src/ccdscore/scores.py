@@ -391,8 +391,8 @@ REPORT_COLUMNS = [
 
 
 def _json_float(v: float):
-    """A float for JSON; +inf and -inf, which JSON cannot hold, as strings."""
-    return repr(float(v)) if np.isinf(v) else float(v)
+    """A float for JSON; inf, -inf and nan, which JSON cannot hold, as strings."""
+    return float(v) if np.isfinite(v) else repr(float(v))
 
 
 def score_point_set(

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,22 @@ def test_writers_are_deterministic(tmp_path):
     raw_head = (tmp_path / "raw.csv").read_text().splitlines()[0]
     assert "wall_time" not in raw_head
     assert "wall_time" in (tmp_path / "timings.csv").read_text().splitlines()[0]
+
+
+def test_timings_give_each_shared_report_its_own_row(tmp_path):
+    methods = ["oos-fixed", "ios-fixed", "ios-rk", "odin"]
+    rows = run_monte_carlo([CFG_A], methods, replicates=2, master_seed=9)
+    write_timings_csv(rows, tmp_path / "timings.csv")
+    with open(tmp_path / "timings.csv", newline="") as fh:
+        timed = list(csv.DictReader(fh))
+    per_cell = ["report-fixed", "oos-fixed", "ios-fixed", "report-rk", "ios-rk", "odin"]
+    assert [(int(t["replicate"]), t["method"]) for t in timed] == [
+        (ri, m) for ri in range(2) for m in per_cell
+    ]
+    assert all(float(t["wall_time"]) >= 0.0 for t in timed)
+    write_raw_csv(rows, tmp_path / "raw.csv")
+    with open(tmp_path / "raw.csv", newline="") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == methods * 2
 
 
 def test_results_json_layout(tmp_path):

@@ -189,6 +189,35 @@ def test_score_extreme_scale_without_normalization_exits_3(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_score_tiny_scale_without_normalization_exits_3(tmp_path, capsys):
+    pts = np.random.default_rng(0).random((60, 3)) * 1e-300
+    write_csv(PointSet(pts), tmp_path / "tiny.csv")
+    rc = run(["score", "--input", tmp_path / "tiny.csv", "--no-normalize",
+              "--out", tmp_path / "s"])
+    assert rc == 3
+    assert "underflows" in capsys.readouterr().err
+
+
+def test_baseline_scores_json_is_strict(tmp_path):
+    # 40 copies of one point give LOF infinite and undefined scores
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.random((60, 2)), np.repeat(rng.random((1, 2)), 40, axis=0)])
+    write_csv(PointSet(pts), tmp_path / "dup.csv")
+    with np.errstate(invalid="ignore"):
+        assert run(["score", "--input", tmp_path / "dup.csv", "--method", "lof",
+                    "--out", tmp_path / "s"]) == 0
+
+    def reject(name):
+        raise ValueError(f"bare {name} in scores.json")
+
+    doc = json.loads((tmp_path / "s.scores.json").read_text(), parse_constant=reject)
+    scores = doc["points"]["score"]
+    text = {v for v in scores if isinstance(v, str)}
+    assert text and text <= {"inf", "-inf", "nan"}
+    csv_scores = [row["score"] for row in read_rows(tmp_path / "s.scores.csv")]
+    assert [str(v) if isinstance(v, str) else repr(v) for v in scores] == csv_scores
+
+
 def test_module_entry_point_smoke():
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccdscore.baselines import LofParams, OdinParams, lof, odin
-from ccdscore.dataset import PointSet, build_index
+from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
 from ccdscore.graph import Clustering, build_catch_digraph, fixed_k, rk_approx, un_approx
 from ccdscore.scores import (
@@ -217,3 +217,67 @@ def test_digraph_without_a_table_uses_ball_queries():
     covers, covered_by = loop_digraph(ps, build_index(ps), radii)
     assert same_rows(dg.covers, covers)
     assert same_rows(dg.covered_by, covered_by)
+
+
+def lattice_points(d=8, n=200, seed=5):
+    """n distinct points of the integer lattice {0, 1, 2, 3}^d (2**d >= n),
+    plus copies of a few nudged along the first axis by 1e-13, so some
+    pairs sit about 1e-13 outside a sphere of radius 2.0."""
+    rng = np.random.default_rng(seed)
+    cube = np.unique(rng.integers(0, 4, size=(3 * n, d)).astype(np.float64), axis=0)
+    pts = cube[rng.permutation(cube.shape[0])[:n]]
+    nudged = pts[:20].copy()
+    nudged[:, 0] += 1e-13
+    return np.vstack([pts, nudged])
+
+
+def dense_duplicates(d=8):
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((5, d))
+    return np.vstack([np.repeat(base, 20, axis=0), rng.standard_normal((40, d))])
+
+
+def assert_balls_equal_reference(ps, radii, dense, monkeypatch):
+    """The digraph from a fresh index (every row a ball query) against the
+    per-point range queries; the other candidate path is made to fail, so
+    the 2**d >= n rule is checked too."""
+    assert (2**ps.d >= ps.n) == dense
+    fresh = build_index(ps)
+    if dense:
+        monkeypatch.setattr(fresh, "_tree", None)
+    else:
+        monkeypatch.setattr(fresh, "_screen_candidates", None)
+    dg = build_catch_digraph(ps, fresh, radii)
+    covers, covered_by = loop_digraph(ps, build_index(ps), radii)
+    assert same_rows(dg.covers, covers)
+    assert same_rows(dg.covered_by, covered_by)
+    return covers
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_screen_on_lattice_sphere(offset, monkeypatch):
+    ps = PointSet(lattice_points() + offset)
+    radii = np.full(ps.n, 2.0)
+    covers = assert_balls_equal_reference(ps, radii, True, monkeypatch)
+    everyone = np.arange(ps.n)
+    dist = _row_distances(ps.points, everyone, np.broadcast_to(everyone, (ps.n, ps.n)))
+    # members lie exactly on the sphere, and without the offset some pairs
+    # sit just outside it
+    assert any((dist[i, c] == 2.0).any() for i, c in enumerate(covers))
+    if offset == 0.0:
+        assert ((dist > 2.0) & (dist < 2.0 + 1e-12)).any()
+
+
+def test_screen_with_heavy_duplicates(monkeypatch):
+    ps = PointSet(dense_duplicates())
+    for strategy in (fixed_k(k=4), un_approx(k=4)):
+        radii = loop_radii(ps, build_index(ps), strategy)
+        assert_balls_equal_reference(ps, radii, True, monkeypatch)
+
+
+@pytest.mark.parametrize("d, n", [(2, 300), (8, 300), (9, 300), (5, 32), (5, 33), (30, 400)])
+def test_ball_path_on_both_sides_of_the_dimension_rule(d, n, monkeypatch):
+    # fixed-k radii put each point's k-th neighbor exactly on its sphere
+    ps = PointSet(np.random.default_rng(d * 1000 + n).standard_normal((n, d)))
+    radii = loop_radii(ps, build_index(ps), fixed_k())
+    assert_balls_equal_reference(ps, radii, 2**d >= n, monkeypatch)

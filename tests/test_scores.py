@@ -497,3 +497,12 @@ def test_extreme_scale_is_a_data_error(scale):
     for backend in ("kdtree", "brute"):
         with pytest.raises(DegenerateDataError, match="overflows"):
             score_point_set(PointSet(pts), fixed_k(), backend=backend)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_tiny_scale_is_a_data_error(scale):
+    # squared distances underflow to zero, so the points would read as one
+    pts = np.random.default_rng(0).random((40, 3)) * scale
+    for backend in ("kdtree", "brute"):
+        with pytest.raises(DegenerateDataError, match="underflows"):
+            score_point_set(PointSet(pts), fixed_k(), backend=backend)
