@@ -7,7 +7,6 @@ sees the same distance arithmetic and the same deterministic tie rules.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -415,11 +414,8 @@ class NeighborIndex:
         Returns (owner, member) edge arrays: owner holds positions into
         rows, members ascend within each owner and include the center.
         Each ball equals range_query(rows[a], radii[a]). The kdtree backend
-        gathers candidates per block of rows, from batched tree queries
-        when 2**d < n and from a dense screen otherwise (with 2**d >= n a
-        balanced k-d tree splits each coordinate at most once, so it prunes
-        next to nothing), and rechecks every candidate with the package's
-        distance formula.
+        gathers candidates per block of rows from a dense screen and
+        rechecks every candidate with the package's distance formula.
         """
         points = self.ps.points
         owners, members = [], []
@@ -430,9 +426,7 @@ class NeighborIndex:
                 owners.append(a + sl.start)
                 members.append(j)
         else:
-            dense = 2**self.ps.d >= self.n
-            candidates = self._screen_candidates if dense else self._tree_candidates
-            for owner, cand in candidates(rows, radii):
+            for owner, cand in self._screen_candidates(rows, radii):
                 inside = np.empty(cand.size, dtype=bool)
                 for part in row_chunks(cand.size, self.ps.d):
                     o = owner[part]
@@ -443,21 +437,6 @@ class NeighborIndex:
         if not owners:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(owners), np.concatenate(members)
-
-    def _tree_candidates(self, rows: np.ndarray, radii: np.ndarray):
-        """(owner, candidate) arrays per block of rows, from batched ball
-        queries widened by the margin range_query uses."""
-        for sl in row_chunks(rows.size, self.n):
-            found = self._tree.query_ball_point(
-                self.ps.points[rows[sl]], radii[sl] * (1.0 + 1e-9) + 1e-300,
-                return_sorted=True,
-            )
-            counts = np.fromiter(map(len, found), dtype=np.int64, count=found.size)
-            cand = np.fromiter(
-                itertools.chain.from_iterable(found), dtype=np.int64,
-                count=int(counts.sum()),
-            )
-            yield np.repeat(np.arange(sl.start, sl.stop), counts), cand
 
     def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
         """(owner, candidate) arrays per block of rows, from one matrix
@@ -478,22 +457,31 @@ class NeighborIndex:
         with eps = 2u and C = 8, is several times that; its floor, C (d + 2)
         times the smallest normal float, dwarfs the absolute errors of
         subnormal terms. The band's norm terms move to the left side as a
-        factor 1 - C (d + 2) eps on the squared norms. After the shift no
-        squared norm exceeds the squared spread that __post_init__ found
-        finite, so nothing overflows.
+        factor 1 - C (d + 2) eps on the squared norms.
+
+        After the shift every squared norm is at most about the squared
+        spread that __post_init__ found finite, and it is clipped to the
+        largest float in case rounding carries it over. The product and the
+        limit can still overflow once the squared spread passes about half
+        the largest float: -2 x.y then reads -inf and (1 + slack) r^2 reads
+        +inf. The first lowers g and the second raises its limit, as does
+        the clipping, so an overflow only adds candidates, which the recheck
+        rejects. No term is NaN, so overflow warnings are silenced.
         """
         d = self.ps.d
         fi = np.finfo(np.float64)
         x = self.ps.points - self.ps.points.min(axis=0)
         slack = _SCREEN_C * (d + 2) * fi.eps
-        sq = (1.0 - slack) * np.einsum("ij,ij->i", x, x)
-        limit = (1.0 + slack) * radii**2 + _SCREEN_C * (d + 2) * fi.tiny
+        with np.errstate(over="ignore"):
+            sq = np.minimum((1.0 - slack) * np.einsum("ij,ij->i", x, x), fi.max)
+            limit = (1.0 + slack) * radii**2 + _SCREEN_C * (d + 2) * fi.tiny
         for sl in row_chunks(rows.size, self.n):
             block = rows[sl]
-            g = x[block] @ x.T
-            g *= -2.0
-            g += sq
-            a, j = np.nonzero(g <= (limit[sl] - sq[block])[:, None])
+            with np.errstate(over="ignore"):
+                g = x[block] @ x.T
+                g *= -2.0
+                g += sq
+                a, j = np.nonzero(g <= (limit[sl] - sq[block])[:, None])
             yield a + sl.start, j
 
     def kth_distances(self, k: int) -> np.ndarray:

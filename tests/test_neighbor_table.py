@@ -220,9 +220,9 @@ def test_digraph_without_a_table_uses_ball_queries():
 
 
 def lattice_points(d=8, n=200, seed=5):
-    """n distinct points of the integer lattice {0, 1, 2, 3}^d (2**d >= n),
-    plus copies of a few nudged along the first axis by 1e-13, so some
-    pairs sit about 1e-13 outside a sphere of radius 2.0."""
+    """n distinct points of the integer lattice {0, 1, 2, 3}^d, plus copies
+    of a few nudged along the first axis by 1e-13, so some pairs sit about
+    1e-13 outside a sphere of radius 2.0."""
     rng = np.random.default_rng(seed)
     cube = np.unique(rng.integers(0, 4, size=(3 * n, d)).astype(np.float64), axis=0)
     pts = cube[rng.permutation(cube.shape[0])[:n]]
@@ -237,16 +237,12 @@ def dense_duplicates(d=8):
     return np.vstack([np.repeat(base, 20, axis=0), rng.standard_normal((40, d))])
 
 
-def assert_balls_equal_reference(ps, radii, dense, monkeypatch):
+def assert_screen_equals_range_queries(ps, radii, monkeypatch):
     """The digraph from a fresh index (every row a ball query) against the
-    per-point range queries; the other candidate path is made to fail, so
-    the 2**d >= n rule is checked too."""
-    assert (2**ps.d >= ps.n) == dense
+    per-point range queries; the fresh index has no tree, so the balls come
+    from the screen alone."""
     fresh = build_index(ps)
-    if dense:
-        monkeypatch.setattr(fresh, "_tree", None)
-    else:
-        monkeypatch.setattr(fresh, "_screen_candidates", None)
+    monkeypatch.setattr(fresh, "_tree", None)
     dg = build_catch_digraph(ps, fresh, radii)
     covers, covered_by = loop_digraph(ps, build_index(ps), radii)
     assert same_rows(dg.covers, covers)
@@ -258,7 +254,7 @@ def assert_balls_equal_reference(ps, radii, dense, monkeypatch):
 def test_screen_on_lattice_sphere(offset, monkeypatch):
     ps = PointSet(lattice_points() + offset)
     radii = np.full(ps.n, 2.0)
-    covers = assert_balls_equal_reference(ps, radii, True, monkeypatch)
+    covers = assert_screen_equals_range_queries(ps, radii, monkeypatch)
     everyone = np.arange(ps.n)
     dist = _row_distances(ps.points, everyone, np.broadcast_to(everyone, (ps.n, ps.n)))
     # members lie exactly on the sphere, and without the offset some pairs
@@ -272,12 +268,26 @@ def test_screen_with_heavy_duplicates(monkeypatch):
     ps = PointSet(dense_duplicates())
     for strategy in (fixed_k(k=4), un_approx(k=4)):
         radii = loop_radii(ps, build_index(ps), strategy)
-        assert_balls_equal_reference(ps, radii, True, monkeypatch)
+        assert_screen_equals_range_queries(ps, radii, monkeypatch)
 
 
 @pytest.mark.parametrize("d, n", [(2, 300), (8, 300), (9, 300), (5, 32), (5, 33), (30, 400)])
-def test_ball_path_on_both_sides_of_the_dimension_rule(d, n, monkeypatch):
+def test_screen_equals_range_queries(d, n, monkeypatch):
     # fixed-k radii put each point's k-th neighbor exactly on its sphere
     ps = PointSet(np.random.default_rng(d * 1000 + n).standard_normal((n, d)))
     radii = loop_radii(ps, build_index(ps), fixed_k())
-    assert_balls_equal_reference(ps, radii, 2**d >= n, monkeypatch)
+    assert_screen_equals_range_queries(ps, radii, monkeypatch)
+
+
+def test_screen_where_the_product_overflows(monkeypatch):
+    # a squared spread of about 1.3e308 is finite, but -2 x.y for two points
+    # near the far corner is not, so those pairs reach the recheck as
+    # candidates whatever their distance
+    rng = np.random.default_rng(3)
+    corner = 4e153 * (1.0 - 0.05 * rng.random((60, 8)))
+    ps = PointSet(np.vstack([np.zeros((1, 8)), corner]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(-2.0 * (ps.points @ ps.points.T)).any()
+    radii = loop_radii(ps, build_index(ps), fixed_k())
+    assert np.isfinite(radii).all()
+    assert_screen_equals_range_queries(ps, radii, monkeypatch)
