@@ -36,7 +36,6 @@ from .graph import (
     estimate_radii,
     fixed_k,
     inbound_neighbors,
-    outbound_neighbors,
     rk_approx,
     un_approx,
 )

@@ -54,7 +54,10 @@ def lof(
         reach = np.maximum(kdist[ids_k], d_k)
         with np.errstate(divide="ignore"):
             lrd = 1.0 / np.mean(reach, axis=1)
-        lof_k = np.mean(lrd[ids_k], axis=1) / lrd
+        nbr_lrd = np.mean(lrd[ids_k], axis=1)
+        both_inf = np.isinf(lrd) & np.isinf(nbr_lrd)
+        # a copy among copies has its neighbors' (infinite) density: not outlying
+        lof_k = np.divide(nbr_lrd, lrd, out=np.ones(ps.n), where=~both_inf)
         best = np.maximum(best, lof_k)
     return best, best > params.threshold
 

@@ -170,7 +170,6 @@ def cmd_score(args) -> int:
         report = score_point_set(
             ps,
             strategy,
-            backend=args.backend,
             density_mode=args.density_mode,
             cluster_shape=args.shape,
             oos_threshold=args.threshold,
@@ -190,7 +189,7 @@ def cmd_score(args) -> int:
         if args.plot_data:
             _write_plot_data(out, report)
     else:
-        idx = build_index(ps, backend=args.backend)
+        idx = build_index(ps)
         if args.method == "lof":
             scores, flags = lof(ps, idx)
             order = np.lexsort((np.arange(ps.n), -scores))
@@ -257,14 +256,17 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"cannot open grid file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid file is not valid JSON: {exc}") from exc
-    if "configs" not in grid or not isinstance(grid["configs"], list):
+    if not isinstance(grid, dict) or not isinstance(grid.get("configs"), list):
         raise ConfigError('grid file needs a "configs" list')
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
     methods = args.methods.split(",") if args.methods else grid.get("methods")
-    replicates = args.replicates or int(grid.get("replicates", 10))
-    s_min = args.s_min if args.s_min is not None else float(
-        grid.get("s_min", DEFAULT_S_MIN)
-    )
+    try:
+        replicates = args.replicates or int(grid.get("replicates", 10))
+        s_min = args.s_min if args.s_min is not None else float(
+            grid.get("s_min", DEFAULT_S_MIN)
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid file has a bad replicates or s_min: {exc}") from exc
     rows = run_monte_carlo(
         configs,
         methods=methods,
@@ -303,6 +305,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _flag_cell(report_path, line: int, cell) -> int:
+    try:
+        return int(cell)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{report_path} line {line}: flag {cell!r} is not an integer"
+        ) from None
+
+
 def cmd_eval(args) -> int:
     ps = load_csv(
         args.data,
@@ -318,7 +329,11 @@ def cmd_eval(args) -> int:
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None or "flag" not in reader.fieldnames:
                     raise ConfigError(f"{report_path} has no 'flag' column")
-                flags = np.asarray([int(row["flag"]) for row in reader], dtype=bool)
+                flags = np.asarray(
+                    [_flag_cell(report_path, reader.line_num, row["flag"])
+                     for row in reader],
+                    dtype=bool,
+                )
         except OSError as exc:
             raise ConfigError(f"cannot open report: {exc}") from exc
         if flags.shape[0] != ps.n:
@@ -393,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--density-mode", default="ratio-root",
                    choices=["ratio-root", "count-over-rd"])
-    s.add_argument("--backend", default="kdtree", choices=["kdtree", "brute"])
     s.add_argument("--no-normalize", action="store_true")
     s.add_argument("--plot-data", action="store_true",
                    help="also write histogram and per-cluster CSVs")

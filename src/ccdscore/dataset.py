@@ -258,19 +258,17 @@ def pair_distance_blocks(points: np.ndarray, rows: np.ndarray, targets: np.ndarr
 class NeighborIndex:
     """Neighbor queries over a PointSet with deterministic tie handling.
 
-    Both backends answer through the same distance arithmetic, so query
-    results are identical regardless of backend. The index keeps the last
-    table knn_table built, so radii and the digraph share one query.
+    A k-d tree only gathers candidates; every distance an answer reports
+    or decides on comes from the package's one formula. The index keeps
+    the last table knn_table built, so radii and the digraph share one
+    query.
     """
 
     ps: PointSet
-    backend: str = "kdtree"
-    _tree: cKDTree | None = field(default=None, repr=False)
+    _tree: cKDTree = field(init=False, repr=False)
     _table: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.backend not in ("kdtree", "brute"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         ptp = np.ptp(self.ps.points, axis=0)
         with np.errstate(over="ignore"):
             spread = float(np.sum(ptp**2))
@@ -279,14 +277,13 @@ class NeighborIndex:
                 "coordinate spread overflows float64 when squared; "
                 "rescale the points before building a neighbor index"
             )
-        if spread == 0.0 and ptp.any():
+        if spread < np.finfo(np.float64).tiny and ptp.any():
             raise DegenerateDataError(
-                "coordinate spread underflows float64 when squared, so every "
-                "distance reads zero; rescale the points before building a "
-                "neighbor index"
+                "coordinate spread underflows float64 when squared, so "
+                "distances lose their precision or read zero; rescale the "
+                "points before building a neighbor index"
             )
-        if self.backend == "kdtree":
-            self._tree = cKDTree(self.ps.points)
+        self._tree = cKDTree(self.ps.points)
 
     @property
     def n(self) -> int:
@@ -309,14 +306,10 @@ class NeighborIndex:
             empty = np.array([], dtype=np.int64)
             return empty, np.array([], dtype=np.float64)
         x = self.ps.points[i]
-        if self.backend == "brute":
-            cand = np.arange(n)
-            dists = _distances_to(self.ps.points, x)
-        else:
-            qd, _ = self._tree.query(x, k=k + 1)
-            radius = float(np.max(qd)) * (1.0 + 1e-9) + 1e-300
-            cand = np.asarray(self._tree.query_ball_point(x, radius), dtype=np.int64)
-            dists = _distances_to(self.ps.points[cand], x)
+        qd, _ = self._tree.query(x, k=k + 1)
+        radius = float(np.max(qd)) * (1.0 + 1e-9) + 1e-300
+        cand = np.asarray(self._tree.query_ball_point(x, radius), dtype=np.int64)
+        dists = _distances_to(self.ps.points[cand], x)
         keep = cand != i
         cand = cand[keep]
         dists = dists[keep]
@@ -326,15 +319,14 @@ class NeighborIndex:
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of every point's k nearest neighbors, (n, k) each.
 
-        Row i equals knn(i, k) to the last bit. On the kdtree backend one
-        batched tree query fetches k+2 candidates per point: the point
-        itself, k neighbors and one slack column. Distances are recomputed
-        by the package's formula and each row is sorted by (distance, id).
-        A row goes to the per-point knn instead when its slack candidate
-        lies within the margin knn itself uses around the (k+1)-th tree
-        distance (a tie that a point outside the row could win), or when
-        the point is missing from its own candidates (more than k+1 exact
-        duplicates). The brute backend fills every row through knn.
+        Row i equals knn(i, k) to the last bit. One batched tree query
+        fetches k+2 candidates per point: the point itself, k neighbors and
+        one slack column. Distances are recomputed by the package's formula
+        and each row is sorted by (distance, id). A row goes to the
+        per-point knn instead when its slack candidate lies within the
+        margin knn itself uses around the (k+1)-th tree distance (a tie
+        that a point outside the row could win), or when the point is
+        missing from its own candidates (more than k+1 exact duplicates).
 
         The result is read-only and cached until a table for another k is
         asked for; last_table exposes it together with the rows whose
@@ -348,25 +340,23 @@ class NeighborIndex:
         points = self.ps.points
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.float64)
-        complete = np.zeros(n, dtype=bool)
-        if self.backend == "kdtree":
-            qd, qi = self._tree.query(points, k=min(k + 2, n))
-            cand = qi[:, : k + 1]
-            rows = np.arange(n)
-            if qd.shape[1] > k + 1:
-                complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
-            else:
-                complete[:] = True  # every point is a candidate
-            complete &= (cand == rows[:, None]).any(axis=1)
-            good = np.flatnonzero(complete)
-            for sl in row_chunks(good.size, (k + 1) * self.ps.d):
-                r = good[sl]
-                c = cand[r]
-                dd = _row_distances(points, r, c)
-                dd[c == r[:, None]] = -1.0  # the point itself sorts first
-                order = np.lexsort((c, dd), axis=1)[:, 1:]
-                ids[r] = np.take_along_axis(c, order, axis=1)
-                dists[r] = np.take_along_axis(dd, order, axis=1)
+        qd, qi = self._tree.query(points, k=min(k + 2, n))
+        cand = qi[:, : k + 1]
+        rows = np.arange(n)
+        if qd.shape[1] > k + 1:
+            complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
+        else:
+            complete = np.ones(n, dtype=bool)  # every point is a candidate
+        complete &= (cand == rows[:, None]).any(axis=1)
+        good = np.flatnonzero(complete)
+        for sl in row_chunks(good.size, (k + 1) * self.ps.d):
+            r = good[sl]
+            c = cand[r]
+            dd = _row_distances(points, r, c)
+            dd[c == r[:, None]] = -1.0  # the point itself sorts first
+            order = np.lexsort((c, dd), axis=1)[:, 1:]
+            ids[r] = np.take_along_axis(c, order, axis=1)
+            dists[r] = np.take_along_axis(dd, order, axis=1)
         for i in np.flatnonzero(~complete):
             ids[i], dists[i] = self.knn(int(i), k)
         for arr in (ids, dists, complete):
@@ -396,15 +386,12 @@ class NeighborIndex:
             x = self.ps.points[int(center)]
         else:
             x = np.asarray(center, dtype=np.float64)
-        if self.backend == "brute":
-            cand = np.arange(self.n)
-        else:
-            cand = np.asarray(
-                self._tree.query_ball_point(x, r * (1.0 + 1e-9) + 1e-300),
-                dtype=np.int64,
-            )
-            if cand.size == 0:
-                return cand
+        cand = np.asarray(
+            self._tree.query_ball_point(x, r * (1.0 + 1e-9) + 1e-300),
+            dtype=np.int64,
+        )
+        if cand.size == 0:
+            return cand
         dists = _distances_to(self.ps.points[cand], x)
         return np.sort(cand[dists <= r])
 
@@ -413,27 +400,20 @@ class NeighborIndex:
 
         Returns (owner, member) edge arrays: owner holds positions into
         rows, members ascend within each owner and include the center.
-        Each ball equals range_query(rows[a], radii[a]). The kdtree backend
-        gathers candidates per block of rows from a dense screen and
-        rechecks every candidate with the package's distance formula.
+        Each ball equals range_query(rows[a], radii[a]). Candidates come
+        per block of rows from a dense screen, and every candidate is
+        rechecked with the package's distance formula.
         """
         points = self.ps.points
         owners, members = [], []
-        if self.backend == "brute":
-            everyone = np.arange(self.n)
-            for sl, block in pair_distance_blocks(points, rows, everyone):
-                a, j = np.nonzero(block <= radii[sl, None])
-                owners.append(a + sl.start)
-                members.append(j)
-        else:
-            for owner, cand in self._screen_candidates(rows, radii):
-                inside = np.empty(cand.size, dtype=bool)
-                for part in row_chunks(cand.size, self.ps.d):
-                    o = owner[part]
-                    dd = _row_distances(points, rows[o], cand[part, None])[:, 0]
-                    inside[part] = dd <= radii[o]
-                owners.append(owner[inside])
-                members.append(cand[inside])
+        for owner, cand in self._screen_candidates(rows, radii):
+            inside = np.empty(cand.size, dtype=bool)
+            for part in row_chunks(cand.size, self.ps.d):
+                o = owner[part]
+                dd = _row_distances(points, rows[o], cand[part, None])[:, 0]
+                inside[part] = dd <= radii[o]
+            owners.append(owner[inside])
+            members.append(cand[inside])
         if not owners:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(owners), np.concatenate(members)
@@ -487,7 +467,8 @@ class NeighborIndex:
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded).
 
-        Read off knn_table(k), so both backends agree to the last bit.
+        Read off knn_table(k), so it equals the table's last column to the
+        last bit.
         """
         n = self.n
         if not 1 <= k <= n - 1:
@@ -495,6 +476,6 @@ class NeighborIndex:
         return self.knn_table(k)[1][:, k - 1].copy()
 
 
-def build_index(ps: PointSet, backend: str = "kdtree") -> NeighborIndex:
-    """Build a NeighborIndex over ps with the chosen backend."""
-    return NeighborIndex(ps=ps, backend=backend)
+def build_index(ps: PointSet) -> NeighborIndex:
+    """Build a NeighborIndex over ps."""
+    return NeighborIndex(ps=ps)

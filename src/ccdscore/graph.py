@@ -225,11 +225,6 @@ def build_catch_digraph(
     )
 
 
-def outbound_neighbors(dg: CatchDigraph, i: int) -> np.ndarray:
-    """Points inside i's own ball, i excluded."""
-    return dg.covers[i]
-
-
 @dataclass
 class Clustering:
     """Partition of the points: cluster_of[i] gives the cluster id of i.

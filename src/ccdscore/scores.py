@@ -18,7 +18,6 @@ import numpy as np
 
 from .dataset import (
     MADN_CONSTANT,
-    NeighborIndex,
     PointSet,
     build_index,
     row_chunks,
@@ -399,14 +398,12 @@ def score_point_set(
     ps: PointSet,
     strategy: RadiusStrategy | None = None,
     *,
-    backend: str = "kdtree",
     density_mode: str = RATIO_ROOT,
     attach_factor: float = ATTACH_FACTOR,
     cluster_shape: str = "uniform",
     oos_threshold: float | None = None,
     ios_threshold: float | None = None,
     s_min: float = 0.0,
-    idx: NeighborIndex | None = None,
 ) -> ScoreReport:
     """Run the whole scoring pipeline on one point set.
 
@@ -414,8 +411,7 @@ def score_point_set(
     separation, threshold resolution, and flags, in one pass.
     """
     strategy = strategy or fixed_k()
-    if idx is None:
-        idx = build_index(ps, backend=backend)
+    idx = build_index(ps)
     radii = estimate_radii(ps, idx, strategy)
     dg = build_catch_digraph(ps, idx, radii)
     cl = cluster_digraph(dg, ps, attach_factor=attach_factor)
@@ -445,7 +441,6 @@ def score_point_set(
             "density_mode": density_mode,
             "cluster_shape": cluster_shape,
             "attach_factor": attach_factor,
-            "backend": backend,
         },
         digraph=dg,
         clustering=cl,

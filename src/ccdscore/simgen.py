@@ -87,6 +87,8 @@ class SimConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "SimConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = set(SimConfig.__dataclass_fields__)
         extra = set(raw) - known
         if extra:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from _oracles import brute_indegree, brute_lof
@@ -7,9 +9,9 @@ from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import BadKError
 
 
-def make(points, backend="kdtree"):
+def make(points):
     ps = PointSet(np.asarray(points, dtype=np.float64))
-    return ps, build_index(ps, backend=backend)
+    return ps, build_index(ps)
 
 
 def test_lof_interior_of_uniform_grid_near_one():
@@ -35,11 +37,25 @@ def test_lof_far_point_scores_highest_and_flags():
 def test_lof_matches_brute_single_k():
     rng = np.random.default_rng(9)
     pts = rng.uniform(size=(40, 3))
-    want5 = brute_lof(pts, 5)
-    for backend in ("kdtree", "brute"):
-        ps, idx = make(pts, backend)
-        got, _ = lof(ps, idx, LofParams(k_min=5, k_max=5))
-        assert np.allclose(got, want5, rtol=1e-9)
+    ps, idx = make(pts)
+    got, _ = lof(ps, idx, LofParams(k_min=5, k_max=5))
+    assert np.allclose(got, brute_lof(pts, 5), rtol=1e-9)
+
+
+def test_lof_copies_among_copies_score_one():
+    # 40 copies of one point: each copy and its whole neighborhood have
+    # infinite reachability density, which is equal density, not an outlier
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.random((60, 2)), np.repeat(rng.random((1, 2)), 40, axis=0)])
+    ps, idx = make(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, flags = lof(ps, idx)
+    assert not np.isnan(scores).any()
+    assert (scores[60:] == 1.0).all()
+    assert not flags[60:].any()
+    # points whose neighborhoods reach the copies stay infinitely outlying
+    assert np.isinf(scores[:60]).any()
 
 
 def test_lof_range_is_max_over_single_k():
@@ -90,11 +106,9 @@ def test_odin_indegree_mass_is_n_times_k():
 def test_odin_matches_brute():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(50, 3))
-    want = brute_indegree(pts, 7)
-    for backend in ("kdtree", "brute"):
-        ps, idx = make(pts, backend)
-        got, _ = odin(ps, idx, OdinParams(k=7, t=2))
-        assert np.array_equal(got, want)
+    ps, idx = make(pts)
+    got, _ = odin(ps, idx, OdinParams(k=7, t=2))
+    assert np.array_equal(got, brute_indegree(pts, 7))
 
 
 def test_odin_default_parameters_follow_n():

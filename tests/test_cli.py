@@ -167,6 +167,24 @@ def test_bench_unknown_method_exits_2(tmp_path, capsys):
     assert "error [bench]" in capsys.readouterr().err
 
 
+def test_bench_grid_with_non_objects_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    for doc in ({"configs": [5]}, None):
+        grid.write_text(json.dumps(doc))
+        rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+        assert rc == 2, doc
+        assert "error [bench]" in capsys.readouterr().err
+
+
+def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], "abc")
+    rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "replicates" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_scores_saved_flags(tmp_path):
     run(["fixture", "--out", tmp_path / "fx"])
     run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
@@ -180,6 +198,31 @@ def test_eval_scores_saved_flags(tmp_path):
     assert 0.0 <= float(rows[0]["f2"]) <= 1.0
 
 
+def test_eval_malformed_flag_cell_exits_2(tmp_path, capsys):
+    run(["fixture", "--out", tmp_path / "fx"])
+    run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
+         "--out", tmp_path / "s"])
+    report = tmp_path / "s.scores.csv"
+    rows = report.read_text().splitlines()
+    head = rows[0].split(",")
+    cells = rows[3].split(",")
+    cells[head.index("flag")] = "yes"
+    rows[3] = ",".join(cells)
+    report.write_text("\n".join(rows) + "\n")
+    rc = run(["eval", "--data", tmp_path / "fx.csv", "--out", tmp_path / "m", report])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [eval]" in err and "s.scores.csv line 4" in err and "'yes'" in err
+    assert not (tmp_path / "m.metrics.csv").exists()
+
+
+def test_score_rejects_the_removed_backend_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["score", "--input", tmp_path / "x.csv", "--backend", "kdtree",
+             "--out", tmp_path / "s"])
+    assert exc.value.code == 2
+
+
 def test_score_extreme_scale_without_normalization_exits_3(tmp_path, capsys):
     pts = np.random.default_rng(0).random((60, 3)) * 1e300
     write_csv(PointSet(pts), tmp_path / "huge.csv")
@@ -190,12 +233,14 @@ def test_score_extreme_scale_without_normalization_exits_3(tmp_path, capsys):
 
 
 def test_score_tiny_scale_without_normalization_exits_3(tmp_path, capsys):
-    pts = np.random.default_rng(0).random((60, 3)) * 1e-300
-    write_csv(PointSet(pts), tmp_path / "tiny.csv")
-    rc = run(["score", "--input", tmp_path / "tiny.csv", "--no-normalize",
-              "--out", tmp_path / "s"])
-    assert rc == 3
-    assert "underflows" in capsys.readouterr().err
+    # 1e-300: the squared spread is 0; 1e-160 and 1e-155: it is subnormal
+    for scale in (1e-300, 1e-160, 1e-155):
+        pts = np.random.default_rng(0).random((60, 3)) * scale
+        write_csv(PointSet(pts), tmp_path / "tiny.csv")
+        rc = run(["score", "--input", tmp_path / "tiny.csv", "--no-normalize",
+                  "--out", tmp_path / "s"])
+        assert rc == 3, scale
+        assert "underflows" in capsys.readouterr().err
 
 
 def test_baseline_scores_json_is_strict(tmp_path):

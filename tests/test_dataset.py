@@ -151,19 +151,14 @@ def test_normalize_permutation_equivariant():
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def test_backends_agree_on_range_probes():
+def test_range_query_at_coordinates_matches_brute():
     rng = np.random.default_rng(5)
     pts = rng.random((100, 2))
-    ps = PointSet(pts, None)
-    tree = build_index(ps, backend="kdtree")
-    brute = build_index(ps, backend="brute")
+    idx = build_index(PointSet(pts, None))
     for _ in range(50):
         c = rng.random(2)
         r = rng.random() * 0.5
-        a = tree.range_query(c, r)
-        b = brute.range_query(c, r)
-        np.testing.assert_array_equal(a, b)
-        assert a.tolist() == brute_range(pts, c, r)
+        assert idx.range_query(c, r).tolist() == brute_range(pts, c, r)
 
 
 def test_knn_line_and_tie_rule():
@@ -187,16 +182,14 @@ def test_knn_line_and_tie_rule():
 def test_knn_matches_brute():
     rng = np.random.default_rng(6)
     pts = rng.random((60, 3))
-    ps = PointSet(pts, None)
-    for backend in ("kdtree", "brute"):
-        idx = build_index(ps, backend=backend)
-        for i in range(0, 60, 7):
-            ids, dists = idx.knn(i, 5)
-            oid, od = brute_knn(pts, i, 5)
-            np.testing.assert_array_equal(ids, oid)
-            np.testing.assert_allclose(dists, od, rtol=1e-12)
-            assert (np.diff(dists) >= 0).all()
-            assert len(ids) == 5
+    idx = build_index(PointSet(pts, None))
+    for i in range(0, 60, 7):
+        ids, dists = idx.knn(i, 5)
+        oid, od = brute_knn(pts, i, 5)
+        np.testing.assert_array_equal(ids, oid)
+        np.testing.assert_allclose(dists, od, rtol=1e-12)
+        assert (np.diff(dists) >= 0).all()
+        assert len(ids) == 5
 
 
 def test_knn_lone_point_and_bad_k():

@@ -110,10 +110,9 @@ def test_digraph_matches_brute():
     rng = np.random.default_rng(14)
     pts = rng.random((60, 2))
     radii = rng.random(60) * 0.3 + 0.01
-    for backend in ("kdtree", "brute"):
-        ps = PointSet(pts, None)
-        dg = build_catch_digraph(ps, build_index(ps, backend=backend), radii)
-        assert [c.tolist() for c in dg.covers] == brute_covers(pts, radii)
+    ps = PointSet(pts, None)
+    dg = build_catch_digraph(ps, build_index(ps), radii)
+    assert [c.tolist() for c in dg.covers] == brute_covers(pts, radii)
 
 
 def test_two_blobs_two_clusters():
@@ -201,17 +200,17 @@ def test_inbound_neighbors_cluster_scoped():
         assert inbound_neighbors(dg, cl, i).tolist() == expect
 
 
-def test_build_deterministic_across_backends():
+def test_build_deterministic_across_fresh_indexes():
     rng = np.random.default_rng(18)
     pts = rng.random((50, 3))
     results = []
-    for backend in ("kdtree", "brute"):
+    for _ in range(2):
         ps = PointSet(pts, None)
-        idx = build_index(ps, backend=backend)
+        idx = build_index(ps)
         radii = estimate_radii(ps, idx, un_approx())
         dg = build_catch_digraph(ps, idx, radii)
         cl = cluster_digraph(dg, ps)
         results.append((radii, [c.tolist() for c in dg.covers], cl.cluster_of))
     np.testing.assert_array_equal(results[0][0], results[1][0])
-    assert results[0][1] == results[1][1]
+    assert results[0][1] == results[1][1] == brute_covers(pts, results[0][0])
     np.testing.assert_array_equal(results[0][2], results[1][2])

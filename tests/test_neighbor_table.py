@@ -32,7 +32,6 @@ from _oracles import (
 )
 
 STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
-BACKENDS = ("kdtree", "brute")
 
 
 def scenario(regime, d, seed=4):
@@ -93,18 +92,17 @@ def test_pipeline_equals_reference_loops(regime, d):
     ps = scenario(regime, d)
     for name, make in STRATEGIES.items():
         ref = reference_report(ps, make())
-        for backend in BACKENDS:
-            rep = score_point_set(ps, make(), backend=backend)
-            dg, cl = rep.digraph, rep.clustering
-            where = (regime, d, name, backend)
-            assert np.array_equal(dg.radii, ref["radii"]), where
-            assert same_rows(dg.covers, ref["covers"]), where
-            assert same_rows(dg.covered_by, ref["covered_by"]), where
-            assert np.array_equal(rep.cluster_of, ref["cluster_of"]), where
-            assert np.array_equal(cumulative_influence(dg, cl, rep.rho), ref["ci"]), where
-            for key in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive",
-                        "oos_flag", "ios_flag", "oos_rank", "ios_rank"):
-                assert np.array_equal(getattr(rep, key), ref[key]), (key, *where)
+        rep = score_point_set(ps, make())
+        dg, cl = rep.digraph, rep.clustering
+        where = (regime, d, name)
+        assert np.array_equal(dg.radii, ref["radii"]), where
+        assert same_rows(dg.covers, ref["covers"]), where
+        assert same_rows(dg.covered_by, ref["covered_by"]), where
+        assert np.array_equal(rep.cluster_of, ref["cluster_of"]), where
+        assert np.array_equal(cumulative_influence(dg, cl, rep.rho), ref["ci"]), where
+        for key in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive",
+                    "oos_flag", "ios_flag", "oos_rank", "ios_rank"):
+            assert np.array_equal(getattr(rep, key), ref[key]), (key, *where)
 
 
 @pytest.mark.parametrize("d", [2, 10, 50])
@@ -114,11 +112,10 @@ def test_baselines_equal_reference_loops(regime, d):
     ref_idx = build_index(ps)
     ref_lof = loop_lof(ref_idx)
     ref_odin = loop_odin(ref_idx, int(round(ps.n**0.5)))
-    for backend in BACKENDS:
-        got_lof, _ = lof(ps, build_index(ps, backend=backend), LofParams())
-        got_odin, _ = odin(ps, build_index(ps, backend=backend), OdinParams())
-        assert np.array_equal(got_lof, ref_lof, equal_nan=True), backend
-        assert np.array_equal(got_odin, ref_odin), backend
+    got_lof, _ = lof(ps, build_index(ps), LofParams())
+    got_odin, _ = odin(ps, build_index(ps), OdinParams())
+    assert np.array_equal(got_lof, ref_lof, equal_nan=True)
+    assert np.array_equal(got_odin, ref_odin)
 
 
 def grid_points():
@@ -141,35 +138,32 @@ def assert_table_matches_knn(idx, k):
         assert np.array_equal(dists[i], want_dists), (k, i)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_table_on_integer_grid_ties(backend):
+def test_table_on_integer_grid_ties():
     # exact ties at the k-th distance everywhere: rows must fall back
-    idx = build_index(PointSet(grid_points()), backend=backend)
+    idx = build_index(PointSet(grid_points()))
     for k in (1, 4, 8, 12):
         assert_table_matches_knn(idx, k)
         assert not idx.last_table[2].all()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_table_with_more_duplicates_than_k(backend):
+def test_table_with_more_duplicates_than_k():
     # nine copies of each base point: with k < 8 a point can miss its own
     # candidate list
-    idx = build_index(PointSet(duplicate_points()), backend=backend)
+    idx = build_index(PointSet(duplicate_points()))
     for k in (3, 7, 8, 12):
         assert_table_matches_knn(idx, k)
     idx.knn_table(3)
     assert not idx.last_table[2][:45].any()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("points", [grid_points, duplicate_points])
-def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points, backend):
+def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
     # fixed-k radii of the duplicated points are zero and get floored
     ps = PointSet(points())
     ref_idx = build_index(ps)
     for strategy in (fixed_k(k=4), rk_approx(k=4), un_approx(k=4), fixed_k()):
         radii = loop_radii(ps, ref_idx, strategy)
-        rep = score_point_set(ps, strategy, backend=backend)
+        rep = score_point_set(ps, strategy)
         assert np.array_equal(rep.digraph.radii, radii)
         covers, covered_by = loop_digraph(ps, ref_idx, radii)
         assert same_rows(rep.digraph.covers, covers)
@@ -180,10 +174,9 @@ def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points, backend)
         assert np.array_equal(rep.ios_raw, loop_ios_raw(covered_by, cluster_of, rep.rho))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_table_without_slack_column(backend):
+def test_table_without_slack_column():
     pts = np.random.default_rng(9).random((9, 2))
-    idx = build_index(PointSet(pts), backend=backend)
+    idx = build_index(PointSet(pts))
     assert_table_matches_knn(idx, 8)
 
 

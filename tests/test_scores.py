@@ -328,16 +328,14 @@ def test_pipeline_matches_brute_oracle():
     pts = rng.normal(size=(50, 3))
     from ccdscore.dataset import PointSet
 
-    ps = PointSet(pts)
-    for backend in ("kdtree", "brute"):
-        rep = score_point_set(ps, fixed_k(k=5), backend=backend)
-        dg, cl = rep.digraph, rep.clustering
-        rho, o, ci, ir = brute_scores(pts, dg.radii, cl.cluster_of, 3)
-        assert np.allclose(rep.rho, rho, rtol=1e-12)
-        finite = np.isfinite(o)
-        assert np.array_equal(np.isfinite(rep.oos), finite)
-        assert np.allclose(rep.oos[finite], o[finite], rtol=1e-12)
-        assert np.allclose(rep.ios_raw, ir, rtol=1e-12)
+    rep = score_point_set(PointSet(pts), fixed_k(k=5))
+    dg, cl = rep.digraph, rep.clustering
+    rho, o, ci, ir = brute_scores(pts, dg.radii, cl.cluster_of, 3)
+    assert np.allclose(rep.rho, rho, rtol=1e-12)
+    finite = np.isfinite(o)
+    assert np.array_equal(np.isfinite(rep.oos), finite)
+    assert np.allclose(rep.oos[finite], o[finite], rtol=1e-12)
+    assert np.allclose(rep.ios_raw, ir, rtol=1e-12)
 
 
 def test_ios_raw_upper_bound():
@@ -494,15 +492,23 @@ def test_high_dimension_un_approx_keeps_outliers_without_nan():
 def test_extreme_scale_is_a_data_error(scale):
     # squared distances overflow float64; the tree would raise a bare ValueError
     pts = np.random.default_rng(0).random((40, 3)) * scale
-    for backend in ("kdtree", "brute"):
-        with pytest.raises(DegenerateDataError, match="overflows"):
-            score_point_set(PointSet(pts), fixed_k(), backend=backend)
+    with pytest.raises(DegenerateDataError, match="overflows"):
+        score_point_set(PointSet(pts), fixed_k())
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+@pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-200, 1e-300])
 def test_tiny_scale_is_a_data_error(scale):
-    # squared distances underflow to zero, so the points would read as one
+    # squared distances underflow: to zero, so the points would read as one,
+    # or to subnormal numbers, which keep only some of their bits
     pts = np.random.default_rng(0).random((40, 3)) * scale
-    for backend in ("kdtree", "brute"):
-        with pytest.raises(DegenerateDataError, match="underflows"):
-            score_point_set(PointSet(pts), fixed_k(), backend=backend)
+    with pytest.raises(DegenerateDataError, match="underflows"):
+        score_point_set(PointSet(pts), fixed_k())
+
+
+def test_small_normal_scale_ranks_like_the_unscaled_points():
+    pts = np.random.default_rng(0).random((40, 3))
+    want = score_point_set(PointSet(pts), fixed_k())
+    got = score_point_set(PointSet(pts * 1e-150), fixed_k())
+    assert np.array_equal(got.oos_rank, want.oos_rank)
+    assert np.array_equal(got.ios_rank, want.ios_rank)
+    assert np.array_equal(got.cluster_of, want.cluster_of)

@@ -60,6 +60,12 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
     assert cfg.seed == 7
 
 
+def test_config_from_dict_rejects_non_objects():
+    for raw in (5, "uniform", None, [["regime", "uniform"]]):
+        with pytest.raises(ConfigError, match="JSON object"):
+            SimConfig.from_dict(raw)
+
+
 def test_uniform_cluster_stays_inside_its_ball():
     cfg = SimConfig(
         regime="uniform", d=2, n=1000, seed=5, n_clusters=1, cluster_radius=1.0
