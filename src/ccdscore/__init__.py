@@ -35,7 +35,6 @@ from .graph import (
     default_k,
     estimate_radii,
     fixed_k,
-    inbound_neighbors,
     rk_approx,
     un_approx,
 )

@@ -260,6 +260,8 @@ def cmd_bench(args) -> int:
         raise ConfigError('grid file needs a "configs" list')
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
     methods = args.methods.split(",") if args.methods else grid.get("methods")
+    if methods is not None and not isinstance(methods, list):
+        raise ConfigError('grid "methods" must be a list of method names')
     try:
         replicates = args.replicates or int(grid.get("replicates", 10))
         s_min = args.s_min if args.s_min is not None else float(

@@ -153,28 +153,47 @@ def _rk_radii(
 
 @dataclass
 class CatchDigraph:
-    """Directed coverage structure: i -> j when j is inside B(x_i, r_i).
+    """Directed coverage structure: i -> j when j is inside B(x_i, r_i), i != j.
 
-    covers[i] lists the targets of i (i itself excluded, ascending ids);
-    covered_by[i] lists the sources reaching i; covered_count[i] is the
-    ball occupancy including the center itself.
+    The edges are held twice in CSR (compressed sparse row) form, int64,
+    with ids ascending in every row. The targets of i are
+    out_ids[out_ptr[i]:out_ptr[i + 1]]; the sources reaching j are
+    in_ids[in_ptr[j]:in_ptr[j + 1]], so the in-CSR is the out-CSR transposed.
     """
 
     radii: np.ndarray
-    covers: list[np.ndarray]
-    covered_by: list[np.ndarray]
-    covered_count: np.ndarray
     dim: int
+    out_ptr: np.ndarray
+    out_ids: np.ndarray
+    in_ptr: np.ndarray
+    in_ids: np.ndarray
+
+    @classmethod
+    def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
+        """The digraph of the int64 edges src[e] -> dst[e], any order, no repeats."""
+        n = radii.shape[0]
+        return cls(
+            radii=radii,
+            dim=dim,
+            out_ptr=np.append(0, np.cumsum(np.bincount(src, minlength=n))),
+            out_ids=np.sort(src * n + dst) % n,
+            in_ptr=np.append(0, np.cumsum(np.bincount(dst, minlength=n))),
+            in_ids=np.sort(dst * n + src) % n,
+        )
 
     @property
     def n(self) -> int:
-        return len(self.covers)
+        return self.radii.shape[0]
 
+    @property
+    def covered_count(self) -> np.ndarray:
+        """Ball occupancy, the center included: out-degree + 1."""
+        return np.diff(self.out_ptr) + 1
 
-def flatten_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Id lists laid end to end, and the length of each."""
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return np.concatenate(rows).astype(np.int64, copy=False), counts
+    @property
+    def covers(self) -> list[np.ndarray]:
+        """The targets of each point, one view of out_ids per row."""
+        return _split_rows(self.out_ids, np.diff(self.out_ptr))
 
 
 def _split_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -213,16 +232,7 @@ def build_catch_digraph(
     keep = rest[owner] != member
     src.append(rest[owner][keep])
     dst.append(member[keep])
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    out_counts = np.bincount(src, minlength=n)
-    in_counts = np.bincount(dst, minlength=n)
-    covers = _split_rows(np.sort(src * n + dst) % n, out_counts)
-    covered_by = _split_rows(np.sort(dst * n + src) % n, in_counts)
-    return CatchDigraph(
-        radii=radii, covers=covers, covered_by=covered_by,
-        covered_count=out_counts + 1, dim=ps.d,
-    )
+    return CatchDigraph.from_edges(radii, ps.d, np.concatenate(src), np.concatenate(dst))
 
 
 @dataclass
@@ -240,10 +250,6 @@ class Clustering:
     def n_clusters(self) -> int:
         return len(self.members)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.asarray([m.size for m in self.members], dtype=np.int64)
-
 
 def cluster_digraph(
     dg: CatchDigraph, ps: PointSet, attach_factor: float = ATTACH_FACTOR
@@ -255,10 +261,8 @@ def cluster_digraph(
     attach_factor times their own radius; otherwise they stay singletons.
     """
     n = dg.n
-    targets, counts = flatten_rows(dg.covers)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
     adj = sparse.csr_matrix(
-        (np.ones(targets.size, dtype=np.int8), targets, indptr), shape=(n, n)
+        (np.ones(dg.out_ids.size, dtype=np.int8), dg.out_ids, dg.out_ptr), shape=(n, n)
     )
     n_comp, comp = connected_components(adj.multiply(adj.T), directed=False)
     comp_sizes = np.bincount(comp, minlength=n_comp)
@@ -289,9 +293,3 @@ def cluster_digraph(
     cluster_of = np.empty(n, dtype=np.int64)
     cluster_of[order] = np.repeat(cid, sizes)
     return Clustering(cluster_of=cluster_of, members=members)
-
-
-def inbound_neighbors(dg: CatchDigraph, cl: Clustering, i: int) -> np.ndarray:
-    """Same-cluster points whose ball contains i, i excluded."""
-    src = dg.covered_by[i]
-    return src[cl.cluster_of[src] == cl.cluster_of[i]]

@@ -32,7 +32,6 @@ from .graph import (
     cluster_digraph,
     estimate_radii,
     fixed_k,
-    flatten_rows,
 )
 
 RATIO_ROOT = "ratio-root"
@@ -84,8 +83,8 @@ def oos(dg: CatchDigraph, rho: np.ndarray) -> np.ndarray:
     """Outbound outlyingness: mean density over the points a ball covers,
     divided by the ball's own density. Empty balls score +inf.
     """
-    targets, counts = flatten_rows(dg.covers)
-    means = _row_reduce(np.mean, rho[targets], counts)
+    counts = np.diff(dg.out_ptr)
+    means = _row_reduce(np.mean, rho[dg.out_ids], counts)
     out = np.full(dg.n, np.inf)
     covered = counts > 0
     out[covered] = means[covered] / rho[covered]
@@ -96,9 +95,9 @@ def _same_cluster_sources(
     dg: CatchDigraph, cl: Clustering
 ) -> tuple[np.ndarray, np.ndarray]:
     """(source, target) of every edge that stays inside one cluster,
-    grouped by target in covered_by order."""
-    src, counts = flatten_rows(dg.covered_by)
-    dst = np.repeat(np.arange(dg.n), counts)
+    ascending by target, then by source."""
+    src = dg.in_ids
+    dst = np.repeat(np.arange(dg.n), np.diff(dg.in_ptr))
     same = cl.cluster_of[src] == cl.cluster_of[dst]
     return src[same], dst[same]
 
@@ -121,9 +120,10 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     """
     n = dg.n
     src, dst = _same_cluster_sources(dg, cl)
-    keys = np.sort(np.concatenate((dst * n + src, np.arange(n) * (n + 1))))
+    # the keys ascend already, so each point's own key only needs merging in
+    pos = np.searchsorted(dst * n + src, np.arange(n) * (n + 1))
     counts = np.bincount(dst, minlength=n) + 1
-    return 1.0 / _row_reduce(np.sum, rho[keys % n], counts)
+    return 1.0 / _row_reduce(np.sum, np.insert(rho[src], pos, rho), counts)
 
 
 def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:

@@ -185,6 +185,17 @@ def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_grid_with_non_list_methods_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    configs = [{"regime": "uniform", "d": 2, "n": 60}]
+    for methods in (5, "ios-un", ["ios-un", 3]):
+        grid.write_text(json.dumps({"configs": configs, "methods": methods}))
+        rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+        assert rc == 2, methods
+        assert "error [bench]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_scores_saved_flags(tmp_path):
     run(["fixture", "--out", tmp_path / "fx"])
     run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",

@@ -1,0 +1,81 @@
+"""Property tests of the catch digraph and the scoring pipeline on small,
+hostile point sets: heavy duplicate rows, integer lattices, and k close
+to n. Derandomized, so every run checks the same examples."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccdscore.dataset import PointSet, build_index
+from ccdscore.errors import CcdScoreError
+from ccdscore.graph import (
+    build_catch_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
+)
+from ccdscore.scores import score_point_set
+
+from _oracles import brute_covers
+
+STRATEGIES = (fixed_k, rk_approx, un_approx)
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def point_sets(draw):
+    """(points, k): a pool of rows with integer or float coordinates, then
+    copies of pool rows up to n, and k anywhere up to n."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(float)
+    else:
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    pool = draw(st.integers(1, n))
+    base = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=pool, max_size=pool))
+    extra = n - pool
+    copies = draw(st.lists(st.integers(0, pool - 1), min_size=extra, max_size=extra))
+    rows = list(range(pool)) + copies
+    k = draw(st.integers(1, n) | st.integers(max(1, n - 2), n))
+    return np.asarray(base, dtype=np.float64)[rows], k
+
+
+def csr_rows(ptr, ids):
+    return [ids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+@SETTINGS
+@given(point_sets(), st.sampled_from(STRATEGIES))
+def test_digraph_csr_matches_brute_covers(case, make):
+    points, k = case
+    ps = PointSet(points)
+    try:
+        idx = build_index(ps)
+        radii = estimate_radii(ps, idx, make(k=k))
+    except CcdScoreError:
+        return
+    dg = build_catch_digraph(ps, idx, radii)
+    n = ps.n
+    for arr in (dg.out_ptr, dg.out_ids, dg.in_ptr, dg.in_ids):
+        assert arr.dtype == np.int64
+    out_rows = csr_rows(dg.out_ptr, dg.out_ids)
+    in_rows = csr_rows(dg.in_ptr, dg.in_ids)
+    expect = brute_covers(points, radii)
+    assert out_rows == expect
+    assert [c.tolist() for c in dg.covers] == expect
+    assert dg.covered_count.tolist() == [len(c) + 1 for c in expect]
+    # the in-CSR is the transpose, each row ascending
+    assert in_rows == [[i for i in range(n) if j in expect[i]] for j in range(n)]
+
+
+@SETTINGS
+@given(point_sets(), st.sampled_from(STRATEGIES))
+def test_scoring_raises_a_package_error_or_reports_without_nan(case, make):
+    points, k = case
+    try:
+        rep = score_point_set(PointSet(points), make(k=k))
+    except CcdScoreError:
+        return
+    assert not np.isnan(rep.ios_raw).any()
+    everyone = np.arange(1, rep.n + 1)
+    assert np.array_equal(np.sort(rep.oos_rank), everyone)
+    assert np.array_equal(np.sort(rep.ios_rank), everyone)

@@ -9,7 +9,6 @@ from ccdscore.graph import (
     default_k,
     estimate_radii,
     fixed_k,
-    inbound_neighbors,
     rk_approx,
     un_approx,
     unit_ball_volume,
@@ -103,7 +102,7 @@ def test_digraph_line_adjacency():
     assert dg.covered_count.tolist() == [2, 2, 2]
     # 2 reaches 1 but not the other way around
     assert 1 in dg.covers[2] and 2 not in dg.covers[1]
-    assert dg.covered_by[1].tolist() == [0, 2]
+    assert dg.in_ids[dg.in_ptr[1] : dg.in_ptr[2]].tolist() == [0, 2]
 
 
 def test_digraph_matches_brute():
@@ -180,24 +179,6 @@ def test_components_match_brute_union_find():
                 same_pkg = cl.cluster_of[i] == cl.cluster_of[j]
                 same_brute = labels[i] == labels[j]
                 assert same_pkg == same_brute
-
-
-def test_inbound_neighbors_cluster_scoped():
-    rng = np.random.default_rng(17)
-    pts = rng.random((60, 2))
-    ps = PointSet(pts, None)
-    idx = build_index(ps)
-    radii = estimate_radii(ps, idx, fixed_k(k=4))
-    dg = build_catch_digraph(ps, idx, radii)
-    cl = cluster_digraph(dg, ps)
-    covers = brute_covers(pts, radii)
-    for i in range(60):
-        expect = sorted(
-            j
-            for j in range(60)
-            if j != i and i in covers[j] and cl.cluster_of[j] == cl.cluster_of[i]
-        )
-        assert inbound_neighbors(dg, cl, i).tolist() == expect
 
 
 def test_build_deterministic_across_fresh_indexes():

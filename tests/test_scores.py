@@ -24,19 +24,9 @@ from ccdscore.simgen import SimConfig, generate
 
 
 def make_dg(radii, covers, dim):
-    covers = [np.asarray(c, dtype=np.int64) for c in covers]
-    n = len(covers)
-    covered_by = [[] for _ in range(n)]
-    for i, cs in enumerate(covers):
-        for j in cs:
-            covered_by[j].append(i)
-    return CatchDigraph(
-        radii=np.asarray(radii, dtype=np.float64),
-        covers=covers,
-        covered_by=[np.asarray(sorted(s), dtype=np.int64) for s in covered_by],
-        covered_count=np.array([1 + len(c) for c in covers], dtype=np.int64),
-        dim=dim,
-    )
+    src = np.array([i for i, cs in enumerate(covers) for _ in cs], dtype=np.int64)
+    dst = np.array([j for cs in covers for j in cs], dtype=np.int64)
+    return CatchDigraph.from_edges(np.asarray(radii, dtype=np.float64), dim, src, dst)
 
 
 def one_cluster(n):
