@@ -40,7 +40,8 @@ from .errors import (
     DegenerateLabelsError,
 )
 from .graph import fixed_k, rk_approx, un_approx
-from .scores import REPORT_COLUMNS, _json_float, score_point_set
+from .scores import REPORT_COLUMNS, _cluster_medians, _descending_ranks, _json_float
+from .scores import score_point_set
 from .simgen import SimConfig, generate, masking_fixture
 
 _STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
@@ -192,12 +193,10 @@ def cmd_score(args) -> int:
         idx = build_index(ps)
         if args.method == "lof":
             scores, flags = lof(ps, idx)
-            order = np.lexsort((np.arange(ps.n), -scores))
+            ranks = _descending_ranks(scores)
         else:
             scores, flags = odin(ps, idx)
-            order = np.lexsort((np.arange(ps.n), scores))
-        ranks = np.empty(ps.n, dtype=np.int64)
-        ranks[order] = np.arange(1, ps.n + 1)
+            ranks = _descending_ranks(-scores)
         out = _out_prefix(args.out)
         _write_baseline_report(f"{out}.scores.csv", scores, flags, ranks)
         with open(f"{out}.scores.json", "w", encoding="utf-8") as fh:
@@ -239,13 +238,12 @@ def _write_plot_data(prefix: str, report) -> None:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "size", "median_ios_raw", "n_oos_flagged",
                          "n_ios_flagged"])
-        for cid in np.unique(report.cluster_of):
-            mem = report.cluster_of == cid
-            writer.writerow(
-                [int(cid), int(mem.sum()),
-                 repr(float(np.median(report.ios_raw[mem]))),
-                 int(report.oos_flag[mem].sum()), int(report.ios_flag[mem].sum())]
-            )
+        c = report.cluster_of
+        sizes = np.bincount(c)
+        n_oos = np.bincount(c[report.oos_flag], minlength=sizes.size)
+        n_ios = np.bincount(c[report.ios_flag], minlength=sizes.size)
+        for cid, med in enumerate(_cluster_medians(c, report.ios_raw).tolist()):
+            writer.writerow([cid, int(sizes[cid]), repr(med), int(n_oos[cid]), int(n_ios[cid])])
 
 
 def cmd_bench(args) -> int:
@@ -260,8 +258,8 @@ def cmd_bench(args) -> int:
         raise ConfigError('grid file needs a "configs" list')
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
     methods = args.methods.split(",") if args.methods else grid.get("methods")
-    if methods is not None and not isinstance(methods, list):
-        raise ConfigError('grid "methods" must be a list of method names')
+    if methods is not None and (not isinstance(methods, list) or not methods):
+        raise ConfigError('grid "methods" must be a non-empty list of method names')
     try:
         replicates = args.replicates or int(grid.get("replicates", 10))
         s_min = args.s_min if args.s_min is not None else float(

@@ -104,6 +104,8 @@ def load_csv(
             raise ParseError(f"{path} has a header but no data rows")
 
     ncol = len(rows[0])
+    if header is not None and len(header) != ncol:
+        raise ParseError(f"{path}: the header has {len(header)} cells, the rows {ncol}")
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):

@@ -193,12 +193,8 @@ class CatchDigraph:
     @property
     def covers(self) -> list[np.ndarray]:
         """The targets of each point, one view of out_ids per row."""
-        return _split_rows(self.out_ids, np.diff(self.out_ptr))
-
-
-def _split_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    ends = np.cumsum(counts).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        ptr = self.out_ptr.tolist()
+        return [self.out_ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def build_catch_digraph(
@@ -240,15 +236,15 @@ class Clustering:
     """Partition of the points: cluster_of[i] gives the cluster id of i.
 
     Ids run 0..n_clusters-1 in decreasing cluster size, ties broken by the
-    smallest member id.
+    smallest member id. Per-cluster statistics come from one sort of this
+    array, the only copy of the partition.
     """
 
     cluster_of: np.ndarray
-    members: list[np.ndarray]
 
     @property
     def n_clusters(self) -> int:
-        return len(self.members)
+        return int(self.cluster_of.max()) + 1
 
 
 def cluster_digraph(
@@ -283,13 +279,10 @@ def cluster_digraph(
         alone = isolated[~attached]
     labels[alone] = n_comp + np.arange(alone.size)
 
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    groups = _split_rows(order, sizes)
-    rank = np.lexsort((order[starts], -sizes))
-    members = [groups[g] for g in rank.tolist()]
-    cid = np.empty(rank.size, dtype=np.int64)
-    cid[rank] = np.arange(rank.size)
-    cluster_of = np.empty(n, dtype=np.int64)
-    cluster_of[order] = np.repeat(cid, sizes)
-    return Clustering(cluster_of=cluster_of, members=members)
+    # first holds each label's smallest member id
+    _, first, inverse, sizes = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True
+    )
+    # rank lists the labels in id order, so its inverse maps label to id
+    rank = np.lexsort((first, -sizes))
+    return Clustering(cluster_of=np.argsort(rank)[inverse])

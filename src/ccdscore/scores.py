@@ -126,6 +126,17 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     return 1.0 / _row_reduce(np.sum, np.insert(rho[src], pos, rho), counts)
 
 
+def _cluster_medians(cluster_of: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """np.median of vals over each cluster, indexed by cluster id, from one
+    sort: the middle value, or (lo + hi) / 2 of the middle two as np.median
+    computes it, so the two agree to the last bit."""
+    s = vals[np.lexsort((vals, cluster_of))]
+    sizes = np.bincount(cluster_of)
+    starts = np.cumsum(sizes) - sizes
+    lo, hi = s[starts + (sizes - 1) // 2], s[starts + sizes // 2]
+    return np.where(sizes % 2 == 1, lo, (lo + hi) / 2)
+
+
 def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:
     """Center each cluster's values at the median and scale by MADN.
 
@@ -135,28 +146,23 @@ def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:
     a raw value that stands clear of a tied majority stays clear of it.
     Singletons and fully tied clusters map to 0 throughout.
     """
-    out = np.empty_like(ios)
-    for mem in cl.members:
-        vals = ios[mem]
-        med = float(np.median(vals))
-        madn = float(np.median(np.abs(vals - med))) / MADN_CONSTANT
-        if madn > 0:
-            out[mem] = (vals - med) / madn
-        else:
-            out[mem] = np.where(vals > med, np.inf, np.where(vals < med, -np.inf, 0.0))
-    return out
+    c = cl.cluster_of
+    med = _cluster_medians(c, ios)[c]
+    madn = _cluster_medians(c, np.abs(ios - med))[c] / MADN_CONSTANT
+    out = np.where(ios > med, np.inf, np.where(ios < med, -np.inf, 0.0))
+    return np.divide(ios - med, madn, out=out, where=madn > 0)
 
 
 def standardize_naive(cl: Clustering, ios: np.ndarray) -> np.ndarray:
     """Mean/SD standardization per cluster. Comparison output only; the
     robust variant above is what flagging uses.
     """
-    out = np.empty_like(ios)
-    for mem in cl.members:
-        vals = ios[mem]
-        sd = float(np.std(vals))
-        out[mem] = (vals - float(np.mean(vals))) / (sd if sd > 0 else 1.0)
-    return out
+    c = cl.cluster_of
+    # each cluster's values in ascending id order, as np.mean would see them
+    vals = ios[np.argsort(c, kind="stable")]
+    sizes = np.bincount(c)
+    sd = _row_reduce(np.std, vals, sizes)
+    return (ios - _row_reduce(np.mean, vals, sizes)[c]) / np.where(sd > 0, sd, 1.0)[c]
 
 
 def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -171,28 +177,28 @@ def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarr
     missing. Runs of +inf or -inf stay where they are, as do values with no
     exact duplicate, so a NaN-free input gives a NaN-free result.
     """
+    c = cl.cluster_of
+    n = c.size
+    # by cluster, then value, then id: a run of equal values in one cluster
+    # is contiguous, with its members in ascending id order
+    ids = np.lexsort((np.arange(n), ios_std, c))
+    vals, cs = ios_std[ids], c[ids]
+    starts = np.flatnonzero(np.append(True, (vals[1:] != vals[:-1]) | (cs[1:] != cs[:-1])))
+    counts = np.diff(np.append(starts, n))
+    run_val = vals[starts]
+    # the brackets of a run are the neighboring runs of its own cluster
+    same = cs[starts[1:]] == cs[starts[:-1]]
+    lo = np.append(run_val[0], np.where(same, run_val[:-1], run_val[1:]))
+    hi = np.append(np.where(same, run_val[1:], run_val[:-1]), run_val[-1])
+    lo = np.where(np.isinf(lo), run_val, lo)
+    hi = np.where(np.isinf(hi), run_val, hi)
+    # only finite tied runs move, so no arithmetic touches an infinite value
+    t = (counts >= 2) & np.isfinite(run_val)
+    m = counts[t]
+    moved = ids[np.repeat(starts[t] - np.cumsum(m) + m, m) + np.arange(m.sum())]
+    weights = rho[moved] / np.repeat(_row_reduce(np.sum, rho[moved], m), m)
     out = ios_std.copy()
-    for mem in cl.members:
-        vals = ios_std[mem]
-        order = np.lexsort((mem, vals))
-        sorted_ids = mem[order]
-        sorted_vals = vals[order]
-        distinct, starts, counts = np.unique(
-            sorted_vals, return_index=True, return_counts=True
-        )
-        for g in range(distinct.size):
-            m = counts[g]
-            if m < 2 or np.isinf(distinct[g]):
-                continue
-            lo = distinct[g - 1] if g > 0 else distinct[g]
-            hi = distinct[g + 1] if g + 1 < distinct.size else distinct[g]
-            if np.isinf(lo):
-                lo = distinct[g]
-            if np.isinf(hi):
-                hi = distinct[g]
-            ids = sorted_ids[starts[g] : starts[g] + m]
-            weights = rho[ids] / float(np.sum(rho[ids]))
-            out[ids] = hi - (hi - lo) * weights
+    out[moved] = np.repeat(hi[t], m) - np.repeat(hi[t] - lo[t], m) * weights
     return out
 
 
@@ -271,10 +277,8 @@ def flag_outliers(
     """
     flags = scores > threshold
     if clustering is not None and s_min > 0:
-        n = scores.shape[0]
-        for mem in clustering.members:
-            if mem.size / n < s_min:
-                flags[mem] = True
+        c = clustering.cluster_of
+        flags |= (np.bincount(c) / scores.shape[0] < s_min)[c]
     return flags
 
 

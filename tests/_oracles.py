@@ -307,3 +307,74 @@ def loop_odin(idx, k):
         ids, _ = idx.knn(i, k)
         indeg[ids] += 1
     return indeg
+
+
+# Per-cluster loop versions of the package's standardization, tie-breaking
+# and small-cluster flags, the references its group reductions over one
+# sort of cluster_of must equal bit for bit. Each loops over the members of
+# one cluster at a time, as the package did when it kept member lists.
+
+
+def loop_members(cluster_of):
+    """The ids of each cluster, ascending, in cluster id order."""
+    return [np.flatnonzero(cluster_of == c) for c in range(cluster_of.max() + 1)]
+
+
+def loop_standardize_ios(cluster_of, ios):
+    from ccdscore.dataset import MADN_CONSTANT
+
+    out = np.empty_like(ios)
+    for mem in loop_members(cluster_of):
+        vals = ios[mem]
+        med = float(np.median(vals))
+        madn = float(np.median(np.abs(vals - med))) / MADN_CONSTANT
+        if madn > 0:
+            out[mem] = (vals - med) / madn
+        else:
+            out[mem] = np.where(vals > med, np.inf, np.where(vals < med, -np.inf, 0.0))
+    return out
+
+
+def loop_standardize_naive(cluster_of, ios):
+    out = np.empty_like(ios)
+    for mem in loop_members(cluster_of):
+        vals = ios[mem]
+        sd = float(np.std(vals))
+        out[mem] = (vals - float(np.mean(vals))) / (sd if sd > 0 else 1.0)
+    return out
+
+
+def loop_break_ties(cluster_of, ios_std, rho):
+    out = ios_std.copy()
+    for mem in loop_members(cluster_of):
+        vals = ios_std[mem]
+        order = np.lexsort((mem, vals))
+        sorted_ids = mem[order]
+        sorted_vals = vals[order]
+        distinct, starts, counts = np.unique(
+            sorted_vals, return_index=True, return_counts=True
+        )
+        for g in range(distinct.size):
+            m = counts[g]
+            if m < 2 or np.isinf(distinct[g]):
+                continue
+            lo = distinct[g - 1] if g > 0 else distinct[g]
+            hi = distinct[g + 1] if g + 1 < distinct.size else distinct[g]
+            if np.isinf(lo):
+                lo = distinct[g]
+            if np.isinf(hi):
+                hi = distinct[g]
+            ids = sorted_ids[starts[g] : starts[g] + m]
+            weights = rho[ids] / float(np.sum(rho[ids]))
+            out[ids] = hi - (hi - lo) * weights
+    return out
+
+
+def loop_small_cluster_flags(cluster_of, s_min):
+    """Members of clusters whose share of the points falls below s_min."""
+    n = cluster_of.size
+    flags = np.zeros(n, dtype=bool)
+    for mem in loop_members(cluster_of):
+        if mem.size / n < s_min:
+            flags[mem] = True
+    return flags

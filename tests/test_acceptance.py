@@ -106,10 +106,7 @@ def test_criterion_02_invariance_suite():
         vals = np.concatenate([lows, np.full(m, 0.5), highs])
         nn = vals.size
         rho = rng.uniform(0.1, 4.0, size=nn)
-        cl = Clustering(
-            cluster_of=np.zeros(nn, dtype=np.int64),
-            members=[np.arange(nn, dtype=np.int64)],
-        )
+        cl = Clustering(cluster_of=np.zeros(nn, dtype=np.int64))
         got = break_ties(cl, vals, rho)
         sl = slice(lows.size, lows.size + m)
         inside = np.all(got[sl] > lows[-1]) and np.all(got[sl] < highs[0])

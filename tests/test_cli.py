@@ -86,6 +86,33 @@ def test_score_baseline_methods_write_reports(tmp_path):
         assert {"id", "score", "flag", "rank"} <= set(rows[0])
 
 
+def test_score_baseline_ranks_order_scores_with_id_ties(tmp_path):
+    # LOF ranks the highest score first and ODIN the lowest in-degree;
+    # equal scores rank by ascending id
+    run(["fixture", "--out", tmp_path / "fx"])
+    for method, sign in (("lof", -1.0), ("odin", 1.0)):
+        assert run(["score", "--input", tmp_path / "fx.csv", "--method", method,
+                    "--out", tmp_path / method]) == 0
+        rows = read_rows(tmp_path / f"{method}.scores.csv")
+        ranks = np.array([int(r["rank"]) for r in rows])
+        assert sorted(ranks.tolist()) == list(range(1, len(rows) + 1))
+        by_rank = np.argsort(ranks)
+        key = sign * np.array([float(rows[i]["score"]) for i in by_rank])
+        assert np.all(np.diff(key) >= 0), method
+        ties = np.diff(key) == 0
+        assert np.all(np.diff(by_rank)[ties] > 0), method
+        if method == "odin":
+            assert ties.any()
+
+
+def test_score_header_narrower_than_rows_exits_3(tmp_path, capsys):
+    (tmp_path / "x.csv").write_text("a,b\n" + "1,2,3\n" * 5)
+    rc = run(["score", "--input", tmp_path / "x.csv", "--out", tmp_path / "s"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "2 cells" in err and "rows 3" in err
+
+
 def test_score_plot_data_outputs(tmp_path):
     run(["fixture", "--out", tmp_path / "fx"])
     assert run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
@@ -193,6 +220,17 @@ def test_bench_grid_with_non_list_methods_exits_2(tmp_path, capsys):
         rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
         assert rc == 2, methods
         assert "error [bench]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_bench_grid_with_empty_methods_exits_2(tmp_path, capsys):
+    # an empty list would run nothing yet record all methods in the manifest
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"configs": [{"regime": "uniform", "d": 2, "n": 60}],
+                                "methods": [], "replicates": 1}))
+    rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "non-empty" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

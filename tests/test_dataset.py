@@ -73,6 +73,21 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(p, has_header=False)
 
 
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2,3\n4,5,6\n",         # narrower header
+    "a,b,c,label\n1,2\n3,4\n",     # wider, with a label column
+    "a,b,c\n1,2\n3,4\n",           # wider, without one
+])
+def test_load_csv_header_width_must_match_rows(tmp_path, text):
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    header, row = text.splitlines()[:2]
+    with pytest.raises(ParseError) as err:
+        load_csv(p, label_column="label" if "label" in header else None)
+    msg = str(err.value)
+    assert f"{header.count(',') + 1} cells" in msg and f"rows {row.count(',') + 1}" in msg
+
+
 def test_load_csv_bad_label_value(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("x,label\n1,2\n")

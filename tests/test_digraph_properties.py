@@ -1,6 +1,7 @@
 """Property tests of the catch digraph and the scoring pipeline on small,
 hostile point sets: heavy duplicate rows, integer lattices, and k close
-to n. Derandomized, so every run checks the same examples."""
+to n; and of the per-cluster reductions on partitions with heavy ties.
+Derandomized, so every run checks the same examples."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,11 +10,19 @@ from hypothesis import strategies as st
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import CcdScoreError
 from ccdscore.graph import (
-    build_catch_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
+    Clustering, build_catch_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
 )
-from ccdscore.scores import score_point_set
+from ccdscore.scores import (
+    break_ties, flag_outliers, score_point_set, standardize_ios, standardize_naive,
+)
 
-from _oracles import brute_covers
+from _oracles import (
+    brute_covers,
+    loop_break_ties,
+    loop_small_cluster_flags,
+    loop_standardize_ios,
+    loop_standardize_naive,
+)
 
 STRATEGIES = (fixed_k, rk_approx, un_approx)
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -79,3 +88,41 @@ def test_scoring_raises_a_package_error_or_reports_without_nan(case, make):
     everyone = np.arange(1, rep.n + 1)
     assert np.array_equal(np.sort(rep.oos_rank), everyone)
     assert np.array_equal(np.sort(rep.ios_rank), everyone)
+
+
+@st.composite
+def partitions(draw):
+    """(cluster_of, values, ranked, rho): ids 0..C-1 in label order, not in
+    size order, so singletons sit anywhere; values, densities and the
+    input to the tie pass drawn from small pools, so ties are heavy, many
+    clusters have zero MADN, and the tie pass also meets +inf and -inf."""
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    cluster_of = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    value = st.integers(-12, 12).map(lambda v: v / 4) | st.floats(0.5, 2.0)
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+
+    def column(choices):
+        return np.array(draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n)))
+
+    rho_pool = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3))
+    return (cluster_of, column(pool), column(pool + [np.inf, -np.inf]),
+            column(rho_pool))
+
+
+@SETTINGS
+@given(partitions(), st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5]))
+def test_cluster_reductions_equal_reference_loops(case, s_min):
+    cluster_of, values, ranked, rho = case
+    cl = Clustering(cluster_of=cluster_of)
+    std = standardize_ios(cl, values)
+    assert np.array_equal(std, loop_standardize_ios(cluster_of, values))
+    assert np.array_equal(
+        standardize_naive(cl, values), loop_standardize_naive(cluster_of, values)
+    )
+    for scores in (std, ranked):
+        assert np.array_equal(
+            break_ties(cl, scores, rho), loop_break_ties(cluster_of, scores, rho)
+        )
+    flags = flag_outliers(std, 1.0, clustering=cl, s_min=s_min)
+    assert np.array_equal(flags, (std > 1.0) | loop_small_cluster_flags(cluster_of, s_min))

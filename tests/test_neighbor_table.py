@@ -8,19 +8,12 @@ import pytest
 from ccdscore.baselines import LofParams, OdinParams, lof, odin
 from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
-from ccdscore.graph import Clustering, build_catch_digraph, fixed_k, rk_approx, un_approx
-from ccdscore.scores import (
-    break_ties,
-    cumulative_influence,
-    default_threshold,
-    flag_outliers,
-    score_point_set,
-    standardize_ios,
-    standardize_naive,
-)
+from ccdscore.graph import build_catch_digraph, fixed_k, rk_approx, un_approx
+from ccdscore.scores import cumulative_influence, default_threshold, score_point_set
 from ccdscore.simgen import REGIMES, SimConfig, generate
 
 from _oracles import (
+    loop_break_ties,
     loop_clusters,
     loop_cumulative_influence,
     loop_digraph,
@@ -29,6 +22,9 @@ from _oracles import (
     loop_odin,
     loop_oos,
     loop_radii,
+    loop_small_cluster_flags,
+    loop_standardize_ios,
+    loop_standardize_naive,
 )
 
 STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
@@ -55,22 +51,18 @@ def descending_ranks(scores):
     return ranks
 
 
-def reference_report(ps, strategy):
-    """Every array score_point_set reports, from the per-point loops."""
+def reference_report(ps, strategy, s_min):
+    """Every array score_point_set reports, from the per-point and
+    per-cluster loops."""
     idx = build_index(ps)
     radii = loop_radii(ps, idx, strategy)
     covers, covered_by = loop_digraph(ps, idx, radii)
     cluster_of = loop_clusters(ps.points, radii, covers)
     counts = np.array([c.size + 1 for c in covers], dtype=np.int64)
     rho = (counts / radii) ** (1.0 / ps.d)
-    # the standardization and tie passes loop per cluster, not per point
-    cl = Clustering(
-        cluster_of=cluster_of,
-        members=[np.flatnonzero(cluster_of == c) for c in range(cluster_of.max() + 1)],
-    )
     ios = loop_ios_raw(covered_by, cluster_of, rho)
     oos = loop_oos(covers, rho)
-    ios_std = break_ties(cl, standardize_ios(cl, ios), rho)
+    ios_std = loop_break_ties(cluster_of, loop_standardize_ios(cluster_of, ios), rho)
     thr = {kind: default_threshold(kind, strategy.kind, "uniform", ps.d)
            for kind in ("oos", "ios")}
     return {
@@ -83,9 +75,9 @@ def reference_report(ps, strategy):
         "ci": loop_cumulative_influence(covered_by, cluster_of, rho),
         "ios_raw": ios,
         "ios_std": ios_std,
-        "ios_std_naive": standardize_naive(cl, ios),
-        "oos_flag": flag_outliers(oos, thr["oos"]),
-        "ios_flag": flag_outliers(ios_std, thr["ios"], clustering=cl),
+        "ios_std_naive": loop_standardize_naive(cluster_of, ios),
+        "oos_flag": oos > thr["oos"],
+        "ios_flag": (ios_std > thr["ios"]) | loop_small_cluster_flags(cluster_of, s_min),
         "oos_rank": descending_ranks(oos),
         "ios_rank": descending_ranks(ios_std),
     }
@@ -96,8 +88,8 @@ def reference_report(ps, strategy):
 def test_pipeline_equals_reference_loops(regime, d):
     ps = scenario(regime, d)
     for name, make in STRATEGIES.items():
-        ref = reference_report(ps, make())
-        rep = score_point_set(ps, make())
+        ref = reference_report(ps, make(), s_min=0.02)
+        rep = score_point_set(ps, make(), s_min=0.02)
         dg, cl = rep.digraph, rep.clustering
         where = (regime, d, name)
         assert np.array_equal(dg.radii, ref["radii"]), where

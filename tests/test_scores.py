@@ -30,10 +30,7 @@ def make_dg(radii, covers, dim):
 
 
 def one_cluster(n):
-    return Clustering(
-        cluster_of=np.zeros(n, dtype=np.int64),
-        members=[np.arange(n, dtype=np.int64)],
-    )
+    return Clustering(cluster_of=np.zeros(n, dtype=np.int64))
 
 
 def test_density_worked_values():
@@ -88,10 +85,7 @@ def test_cumulative_influence_sums_same_cluster_sources():
 def test_cumulative_influence_ignores_other_clusters():
     dg = make_dg([1.0, 1.0, 1.0], [[], [0], [0]], dim=2)
     rho = np.array([5.0, 1.0, 2.0])
-    cl = Clustering(
-        cluster_of=np.array([0, 0, 1], dtype=np.int64),
-        members=[np.array([0, 1], dtype=np.int64), np.array([2], dtype=np.int64)],
-    )
+    cl = Clustering(cluster_of=np.array([0, 0, 1], dtype=np.int64))
     assert cumulative_influence(dg, cl, rho)[0] == pytest.approx(1.0)
 
 
@@ -112,10 +106,7 @@ def test_standardize_worked_column():
 
 
 def test_standardize_singleton_and_tied_clusters_zero():
-    cl = Clustering(
-        cluster_of=np.array([0, 0, 0, 1], dtype=np.int64),
-        members=[np.arange(3, dtype=np.int64), np.array([3], dtype=np.int64)],
-    )
+    cl = Clustering(cluster_of=np.array([0, 0, 0, 1], dtype=np.int64))
     got = standardize_ios(cl, np.array([4.0, 4.0, 4.0, 9.0]))
     assert np.all(got == 0.0)
 
@@ -202,10 +193,7 @@ def test_break_ties_infinite_brackets_count_as_missing():
 
 
 def test_break_ties_leaves_other_clusters_alone():
-    cl = Clustering(
-        cluster_of=np.array([0, 0, 0, 1, 1], dtype=np.int64),
-        members=[np.arange(3, dtype=np.int64), np.array([3, 4], dtype=np.int64)],
-    )
+    cl = Clustering(cluster_of=np.array([0, 0, 0, 1, 1], dtype=np.int64))
     vals = np.array([3.0, 3.0, 5.0, 3.0, 8.0])
     got = break_ties(cl, vals, np.array([1.0, 2.0, 1.0, 5.0, 5.0]))
     # the duplicate inside cluster 0 separates; the lone 3.0 in cluster 1
@@ -297,19 +285,13 @@ def test_flag_outliers_strictly_above():
 def test_flag_outliers_small_cluster_filter():
     n = 100
     scores = np.zeros(n)
-    cl = Clustering(
-        cluster_of=np.array([0] * 97 + [1] * 3, dtype=np.int64),
-        members=[np.arange(97, dtype=np.int64), np.arange(97, 100, dtype=np.int64)],
-    )
+    cl = Clustering(cluster_of=np.array([0] * 97 + [1] * 3, dtype=np.int64))
     got = flag_outliers(scores, 5.0, clustering=cl, s_min=0.04)
     assert got[:97].sum() == 0
     assert got[97:].all()
     assert flag_outliers(scores, 5.0, clustering=cl, s_min=0.0).sum() == 0
     # share exactly at the cutoff is kept
-    cl4 = Clustering(
-        cluster_of=np.array([0] * 96 + [1] * 4, dtype=np.int64),
-        members=[np.arange(96, dtype=np.int64), np.arange(96, 100, dtype=np.int64)],
-    )
+    cl4 = Clustering(cluster_of=np.array([0] * 96 + [1] * 4, dtype=np.int64))
     assert flag_outliers(scores, 5.0, clustering=cl4, s_min=0.04).sum() == 0
 
 
@@ -472,7 +454,8 @@ def test_high_dimension_un_approx_keeps_outliers_without_nan():
         rep = score_point_set(ps, un_approx(), cluster_shape="gaussian")
         assert not np.isnan(rep.ios_std).any()
         outlier = ps.labels.astype(bool)
-        for mem in rep.clustering.members:
+        for c in range(rep.clustering.n_clusters):
+            mem = np.flatnonzero(rep.cluster_of == c)
             out, inl = mem[outlier[mem]], mem[~outlier[mem]]
             if out.size and inl.size:
                 assert rep.ios_std[out].min() > rep.ios_std[inl].max()
