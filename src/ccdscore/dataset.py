@@ -234,6 +234,15 @@ def row_chunks(n_rows: int, width: int):
         yield slice(start, min(start + step, n_rows))
 
 
+def _dense_table(d: int) -> bool:
+    """Whether knn_table takes its candidates from the dense screen rather
+    than the k-d tree. From d = 8 up the tree prunes too little to beat one
+    block product per row block, at every n measured (400 to 16000); at
+    d = 5 and below the tree wins at every n (README.md, "How neighbor
+    work runs")."""
+    return d >= 8
+
+
 def _row_distances(points: np.ndarray, centers: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Distances from points[centers[r]] to points[cand[r, c]], shape of cand.
 
@@ -321,13 +330,15 @@ class NeighborIndex:
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of every point's k nearest neighbors, (n, k) each.
 
-        Row i equals knn(i, k) to the last bit. One batched tree query
-        fetches k+2 candidates per point: the point itself, k neighbors and
-        one slack column. Distances are recomputed by the package's formula
-        and each row is sorted by (distance, id). A row goes to the
-        per-point knn instead when its slack candidate lies within the
-        margin knn itself uses around the (k+1)-th tree distance (a tie
-        that a point outside the row could win), or when the point is
+        Row i equals knn(i, k) to the last bit. One batched candidate
+        source fetches k+2 candidates per point: the point itself, k
+        neighbors and one slack column. Below a measured dimension it is
+        the k-d tree, above it the dense screen (see _dense_table). The
+        source also marks a row incomplete when its slack candidate is too
+        close to the (k+1)-th to be told apart (a tie that a point outside
+        the row could win). Distances are recomputed by the package's
+        formula and each row is sorted by (distance, id). A row goes to the
+        per-point knn instead when it is incomplete, or when the point is
         missing from its own candidates (more than k+1 exact duplicates).
 
         The result is read-only and cached until a table for another k is
@@ -342,13 +353,11 @@ class NeighborIndex:
         points = self.ps.points
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.float64)
-        qd, qi = self._tree.query(points, k=min(k + 2, n))
-        cand = qi[:, : k + 1]
-        rows = np.arange(n)
-        if qd.shape[1] > k + 1:
-            complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
+        if _dense_table(self.ps.d):
+            cand, complete = self._dense_table_candidates(k)
         else:
-            complete = np.ones(n, dtype=bool)  # every point is a candidate
+            cand, complete = self._tree_table_candidates(k)
+        rows = np.arange(n)
         complete &= (cand == rows[:, None]).any(axis=1)
         good = np.flatnonzero(complete)
         for sl in row_chunks(good.size, (k + 1) * self.ps.d):
@@ -365,6 +374,59 @@ class NeighborIndex:
             arr.setflags(write=False)
         self._table = (k, ids, dists, complete)
         return ids, dists
+
+    def _tree_table_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cand, complete): the k+1 nearest points of each point by one
+        batched tree query, and whether its (k+2)-th lies outside the
+        margin knn uses around the (k+1)-th tree distance."""
+        n = self.n
+        qd, qi = self._tree.query(self.ps.points, k=min(k + 2, n))
+        if qd.shape[1] > k + 1:
+            complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
+        else:
+            complete = np.ones(n, dtype=bool)  # every point is a candidate
+        return qi[:, : k + 1], complete
+
+    def _dense_table_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cand, complete): the k+1 smallest g = |x|^2 + |y|^2 - 2 x.y of
+        each point x by the dense screen's block product and argpartition,
+        and whether the (k+2)-th smallest g exceeds the (k+1)-th by more
+        than twice the screen's band.
+
+        With the bound of _screen_candidates, g is within
+        (2d + 9)u(|x|^2 + |y|^2 + D2) of the formula's squared distance
+        D2, and |y|^2 <= 2|x|^2 + 2 D2, so within 3(2d + 9)u(|x|^2 + D2).
+        Let g1 <= g2 be the (k+1)-th and (k+2)-th smallest g. A row with
+        g2 - g1 > 2 band, band = C (d + 2) eps (|x|^2 + |g2|) plus the
+        floor, then puts every point outside the candidates farther than
+        every candidate by a margin of several u D2, which the square root
+        of the distance formula cannot close: the candidates are exactly
+        the k+1 nearest points by the formula, with no tie to break
+        against a point outside them. A row whose g values overflowed
+        (-inf among the candidates, or +inf at g2) is never complete.
+        """
+        n = self.n
+        x, sq, slack, floor = self._shifted()
+        m = min(k + 2, n)
+        cand = np.empty((n, k + 1), dtype=np.int64)
+        complete = np.ones(n, dtype=bool)  # with m = k+1 every point is a candidate
+        for sl in row_chunks(n, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = x[sl] @ x.T
+                g *= -2.0
+                g += sq
+                part = np.argpartition(g, m - 1, axis=1)[:, :m]
+                gp = np.take_along_axis(g, part, axis=1)
+                order = np.argsort(gp, axis=1)
+                part = np.take_along_axis(part, order, axis=1)
+                gp = np.take_along_axis(gp, order, axis=1) + sq[sl, None]
+                cand[sl] = part[:, : k + 1]
+                if m > k + 1:
+                    band = slack * (sq[sl] + np.abs(gp[:, k + 1])) + floor
+                    complete[sl] = (gp[:, k + 1] - gp[:, k] > 2.0 * band) & (
+                        gp[:, 0] > -np.inf
+                    )
+        return cand, complete
 
     @property
     def last_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -403,68 +465,93 @@ class NeighborIndex:
         Returns (owner, member) edge arrays: owner holds positions into
         rows, members ascend within each owner and include the center.
         Each ball equals range_query(rows[a], radii[a]). Candidates come
-        per block of rows from a dense screen, and every candidate is
-        rechecked with the package's distance formula.
+        per block of rows from a dense screen. A candidate the screen
+        proves a member is taken as it is; only the others, in the
+        screen's rounding band, are rechecked with the package's distance
+        formula.
         """
         points = self.ps.points
         owners, members = [], []
-        for owner, cand in self._screen_candidates(rows, radii):
-            inside = np.empty(cand.size, dtype=bool)
-            for part in row_chunks(cand.size, self.ps.d):
-                o = owner[part]
-                dd = _row_distances(points, rows[o], cand[part, None])[:, 0]
-                inside[part] = dd <= radii[o]
+        for owner, cand, inside in self._screen_candidates(rows, radii):
+            check = np.flatnonzero(~inside)
+            for part in row_chunks(check.size, self.ps.d):
+                c = check[part]
+                o = owner[c]
+                dd = _row_distances(points, rows[o], cand[c, None])[:, 0]
+                inside[c] = dd <= radii[o]
             owners.append(owner[inside])
             members.append(cand[inside])
         if not owners:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(owners), np.concatenate(members)
 
+    def _shifted(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(x, sq, slack, floor): the points shifted by their column minima,
+        their squared norms clipped to the largest float, and the relative
+        slack C (d + 2) eps and absolute floor C (d + 2) tiny of the dense
+        screen's rounding band (see _screen_candidates)."""
+        d = self.ps.d
+        fi = np.finfo(np.float64)
+        x = self.ps.points - self.ps.points.min(axis=0)
+        with np.errstate(over="ignore"):
+            sq = np.minimum(np.einsum("ij,ij->i", x, x), fi.max)
+        return x, sq, _SCREEN_C * (d + 2) * fi.eps, _SCREEN_C * (d + 2) * fi.tiny
+
     def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
-        """(owner, candidate) arrays per block of rows, from one matrix
-        product per block: j is a candidate of row a when
-        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, with x = points[rows[a]],
-        y = points[j] and r = radii[a], all after shifting the points by
-        their column minima.
+        """(owner, candidate, sure) arrays per block of rows, from one
+        matrix product per block: j is a candidate of row a when
+        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
+        candidates with g <= r^2 - band, which are members for certain.
+        Here x = points[rows[a]], y = points[j] and r = radii[a], all after
+        shifting the points by their column minima.
 
         The band bounds the rounding, so every pair the distance formula
-        accepts is a candidate. With u = 2**-53 and D2 the exact squared
-        distance: the shift moves D2 by at most 4u(|x|^2 + |y|^2); the norms
-        and the BLAS product, in any summation order, put g within
-        2(d + 2)u(|x|^2 + |y|^2) of the shifted D2; the formula's sum is
-        within (d + 2)u D2 of D2, and its square root rounds to at most r
-        only if that sum is at most (1 + 2u) r^2. With the rounding of the
-        test itself, an accepted pair has g <= r^2 + (2d + 9)u(|x|^2 + |y|^2
-        + r^2) to first order. The band C (d + 2) eps (|x|^2 + |y|^2 + r^2),
-        with eps = 2u and C = 8, is several times that; its floor, C (d + 2)
-        times the smallest normal float, dwarfs the absolute errors of
-        subnormal terms. The band's norm terms move to the left side as a
-        factor 1 - C (d + 2) eps on the squared norms.
+        accepts is a candidate, and every pair it rejects is not sure.
+        With u = 2**-53 and D2 the exact squared distance: the shift moves
+        D2 by at most 4u(|x|^2 + |y|^2); the norms and the BLAS product, in
+        any summation order, put g within 2(d + 2)u(|x|^2 + |y|^2) of the
+        shifted D2; the formula's sum is within (d + 2)u D2 of D2, and its
+        square root rounds to at most r only if that sum is at most
+        (1 + 2u) r^2, and always does if the sum is at most r^2. With the
+        rounding of each test itself, an accepted pair has
+        g <= r^2 + (2d + 9)u(|x|^2 + |y|^2 + r^2) to first order, and a
+        pair with g <= r^2 - (2d + 9)u(|x|^2 + |y|^2 + r^2) has a formula
+        sum of at most r^2, so it is accepted. The band
+        C (d + 2) eps (|x|^2 + |y|^2 + r^2), with eps = 2u and C = 8, is
+        several times that on both sides; its floor, C (d + 2) times the
+        smallest normal float, dwarfs the absolute errors of subnormal
+        terms. The band's norm terms move to the left side as a factor
+        1 -/+ C (d + 2) eps on the squared norms.
 
         After the shift every squared norm is at most about the squared
         spread that __post_init__ found finite, and it is clipped to the
         largest float in case rounding carries it over. The product and the
-        limit can still overflow once the squared spread passes about half
-        the largest float: -2 x.y then reads -inf and (1 + slack) r^2 reads
-        +inf. The first lowers g and the second raises its limit, as does
-        the clipping, so an overflow only adds candidates, which the recheck
-        rejects. No term is NaN, so overflow warnings are silenced.
+        limits can still overflow once the squared spread passes about half
+        the largest float: -2 x.y then reads -inf, and (1 + slack) r^2 or
+        (1 + slack) |y|^2 reads +inf. On the candidate side the first
+        lowers g and the second raises its limit, as does the clipping, so
+        an overflow only adds candidates, which the recheck rejects. On the
+        sure side an overflowed term proves nothing, so a pair is sure only
+        when -2 x.y, r^2 and both scaled norms are finite; NaN from
+        inf - inf only ever fails a test, and the warnings are silenced.
         """
-        d = self.ps.d
-        fi = np.finfo(np.float64)
-        x = self.ps.points - self.ps.points.min(axis=0)
-        slack = _SCREEN_C * (d + 2) * fi.eps
-        with np.errstate(over="ignore"):
-            sq = np.minimum((1.0 - slack) * np.einsum("ij,ij->i", x, x), fi.max)
-            limit = (1.0 + slack) * radii**2 + _SCREEN_C * (d + 2) * fi.tiny
+        x, sq, slack, floor = self._shifted()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_lo = (1.0 - slack) * sq
+            sq_hi = (1.0 + slack) * sq
+            r2 = radii**2
+            hi = (1.0 + slack) * r2 + floor - sq_lo[rows]
+            lo = (1.0 - slack) * r2 - floor - sq_hi[rows]
+        lo[~np.isfinite(lo)] = -np.inf  # an overflowed r^2 or norm proves nothing
         for sl in row_chunks(rows.size, self.n):
-            block = rows[sl]
-            with np.errstate(over="ignore"):
-                g = x[block] @ x.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = x[rows[sl]] @ x.T
                 g *= -2.0
-                g += sq
-                a, j = np.nonzero(g <= (limit[sl] - sq[block])[:, None])
-            yield a + sl.start, j
+                hit = np.flatnonzero(g + sq_lo <= hi[sl, None])
+                a, j = np.divmod(hit, self.n)
+                g = g.ravel()[hit] + sq_hi[j]
+                sure = (g <= lo[sl][a]) & (g > -np.inf)
+            yield a + sl.start, j, sure
 
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded).

@@ -22,7 +22,7 @@ from .dataset import (
     build_index,
     row_chunks,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateDataError
 from .graph import (
     ATTACH_FACTOR,
     CatchDigraph,
@@ -44,13 +44,32 @@ def vicinity_density(dg: CatchDigraph, mode: str = RATIO_ROOT) -> np.ndarray:
     The default mode takes the d-th root of occupancy over radius. The
     alternative divides occupancy by radius to the d-th power, for the
     reading where only the radius carries the dimension exponent.
+
+    The scores add up to n densities or their reciprocals and square the
+    results (the naive SD), so every density must lie in
+    [n / sqrt(M), sqrt(M) / n], M the largest float. Outside that range
+    DegenerateDataError is raised, which covers every density that reads
+    zero, subnormal or infinite (with count-over-rd, a radius whose d-th
+    power leaves float64 range).
     """
     counts = dg.covered_count.astype(np.float64)
-    if mode == RATIO_ROOT:
-        return (counts / dg.radii) ** (1.0 / dg.dim)
-    if mode == COUNT_OVER_RD:
-        return counts / dg.radii**dg.dim
-    raise ConfigError(f"unknown density mode {mode!r}")
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        if mode == RATIO_ROOT:
+            rho = (counts / dg.radii) ** (1.0 / dg.dim)
+        elif mode == COUNT_OVER_RD:
+            rho = counts / dg.radii**dg.dim
+        else:
+            raise ConfigError(f"unknown density mode {mode!r}")
+    top = np.sqrt(np.finfo(np.float64).max) / rho.size
+    bad = ~((rho >= 1.0 / top) & (rho <= top))
+    if bad.any():
+        raise DegenerateDataError(
+            f"density mode {mode!r} puts the density of {int(bad.sum())} of "
+            f"{rho.size} points outside [{1.0 / top:.3g}, {top:.3g}], where "
+            "the scores' float64 arithmetic holds; rescale the points or use "
+            "another density mode"
+        )
+    return rho
 
 
 def _row_reduce(reduce, values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -292,6 +292,22 @@ def test_score_tiny_scale_without_normalization_exits_3(tmp_path, capsys):
         assert "underflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, scale, normalize", [(400, 1.0, True), (300, 1.0, True),
+                                                (50, 1e-7, False)])
+def test_score_density_out_of_float_range_exits_3(tmp_path, capsys, d, scale, normalize):
+    # r**d under count-over-rd leaves float64 range: a data error, not a
+    # report of NaN OOS and NaN ios_std
+    pts = np.random.default_rng(1).standard_normal((300, d)) * scale
+    write_csv(PointSet(pts), tmp_path / "x.csv")
+    argv = ["score", "--input", tmp_path / "x.csv", "--density-mode", "count-over-rd",
+            "--out", tmp_path / "s"]
+    rc = run(argv + ([] if normalize else ["--no-normalize"]))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "DegenerateDataError" in err and "count-over-rd" in err
+    assert not (tmp_path / "s.scores.csv").exists()
+
+
 def test_baseline_scores_json_is_strict(tmp_path):
     # 40 copies of one point give LOF infinite and undefined scores
     rng = np.random.default_rng(3)

@@ -1,19 +1,23 @@
-"""Property tests of the catch digraph and the scoring pipeline on small,
-hostile point sets: heavy duplicate rows, integer lattices, and k close
-to n; and of the per-cluster reductions on partitions with heavy ties.
-Derandomized, so every run checks the same examples."""
+"""Property tests of the catch digraph, the neighbor table and the scoring
+pipeline on small, hostile point sets: heavy duplicate rows, integer
+lattices, large offsets, extreme scales, and k close to n; and of the
+per-cluster reductions on partitions with heavy ties. Derandomized, so
+every run checks the same examples."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdscore import dataset
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import CcdScoreError
 from ccdscore.graph import (
     Clustering, build_catch_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
 )
 from ccdscore.scores import (
-    break_ties, flag_outliers, score_point_set, standardize_ios, standardize_naive,
+    COUNT_OVER_RD, RATIO_ROOT, break_ties, flag_outliers, score_point_set,
+    standardize_ios, standardize_naive,
 )
 
 from _oracles import (
@@ -77,17 +81,62 @@ def test_digraph_csr_matches_brute_covers(case, make):
 
 
 @SETTINGS
-@given(point_sets(), st.sampled_from(STRATEGIES))
-def test_scoring_raises_a_package_error_or_reports_without_nan(case, make):
+@given(point_sets(), st.sampled_from(STRATEGIES), st.sampled_from([RATIO_ROOT, COUNT_OVER_RD]),
+       st.sampled_from([1.0, 1e60, 1e-60]))
+def test_scoring_raises_a_package_error_or_reports_without_nan(case, make, mode, scale):
     points, k = case
     try:
-        rep = score_point_set(PointSet(points), make(k=k))
+        rep = score_point_set(PointSet(points * scale), make(k=k), density_mode=mode)
     except CcdScoreError:
         return
-    assert not np.isnan(rep.ios_raw).any()
+    for name in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive"):
+        assert not np.isnan(getattr(rep, name)).any(), name
+    assert (rep.rho > 0).all() and np.isfinite(rep.rho).all()
     everyone = np.arange(1, rep.n + 1)
     assert np.array_equal(np.sort(rep.oos_rank), everyone)
     assert np.array_equal(np.sort(rep.ios_rank), everyone)
+
+
+@st.composite
+def table_sets(draw):
+    """(points, k): integer, duplicate-heavy or float rows in 1 to 12
+    dimensions, shifted by 0 or 1e6, and k anywhere in [1, n - 1]."""
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integer", "duplicates", "float"]))
+    if kind == "float":
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        coord = st.integers(-3, 3).map(float)
+    pool = draw(st.integers(1, max(1, n // 4) if kind == "duplicates" else n))
+    base = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=pool, max_size=pool))
+    copies = draw(st.lists(st.integers(0, pool - 1), min_size=n - pool, max_size=n - pool))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    k = draw(st.integers(1, n - 1) | st.integers(max(1, n - 3), n - 1))
+    return np.asarray(base, dtype=np.float64)[list(range(pool)) + copies] + offset, k
+
+
+@SETTINGS
+@given(table_sets(), st.booleans(), st.sampled_from(STRATEGIES))
+def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
+    points, k = case
+    ps = PointSet(points)
+    idx = build_index(ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        ids, dists = idx.knn_table(k)
+        try:
+            radii = estimate_radii(ps, idx, make(k=k))
+        except CcdScoreError:
+            radii = None
+    for i in range(ps.n):
+        want_ids, want_dists = idx.knn(i, k)
+        assert np.array_equal(ids[i], want_ids), i
+        assert np.array_equal(dists[i], want_dists), i
+    if radii is not None:
+        dg = build_catch_digraph(ps, idx, radii)
+        assert csr_rows(dg.out_ptr, dg.out_ids) == brute_covers(points, radii)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ccdscore.baselines import LofParams, OdinParams, lof, odin
+from ccdscore import dataset
 from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
 from ccdscore.graph import build_catch_digraph, fixed_k, rk_approx, un_approx
@@ -281,3 +282,56 @@ def test_screen_where_the_product_overflows(monkeypatch):
     radii = loop_radii(ps, build_index(ps), fixed_k())
     assert np.isfinite(radii).all()
     assert_screen_equals_range_queries(ps, radii, monkeypatch)
+
+
+def far_lattice_points():
+    return lattice_points() + 1e6
+
+
+@pytest.mark.parametrize(
+    "points", [grid_points, duplicate_points, lattice_points, far_lattice_points,
+               dense_duplicates]
+)
+def test_dense_table_on_ties_and_duplicates(points, monkeypatch):
+    # the dense candidate source on exact ties and copies, at any dimension
+    monkeypatch.setattr(dataset, "_dense_table", lambda d: True)
+    idx = build_index(PointSet(points()))
+    for k in (1, 4, 8, 12, 30):
+        assert_table_matches_knn(idx, k)
+        assert not idx.last_table[2].all()
+
+
+def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
+    # points drawn on spheres of radius 2.0 about a few centers, 1e6 from a
+    # point at the origin that keeps the column minima at zero: the squared
+    # norms are about 8e12, so g rounds by about 1e-3, while the formula's
+    # distances stray from 2.0 by about 1e-10 either way. Only the band
+    # keeps the pairs just outside a sphere from counting as sure members.
+    rng = np.random.default_rng(6)
+    centers = 1e6 + 3.0 * rng.random((10, 8))
+    dirs = rng.standard_normal((10, 20, 8))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    shells = (centers[:, None, :] + 2.0 * dirs).reshape(-1, 8)
+    ps = PointSet(np.vstack([np.zeros((1, 8)), centers, shells]))
+    radii = np.full(ps.n, 2.0)
+    assert_screen_equals_range_queries(ps, radii, monkeypatch)
+    everyone = np.arange(ps.n)
+    dist = _row_distances(ps.points, everyone, np.broadcast_to(everyone, (ps.n, ps.n)))
+    assert ((dist > 2.0) & (dist < 2.0 + 1e-9)).any()
+    assert ((dist <= 2.0) & (dist > 2.0 - 1e-9)).any()
+
+
+def test_dense_table_where_the_product_overflows(monkeypatch):
+    # on a line, -2 x.y reads -inf for the row at 9.5e153 against itself
+    # and against 1.05e154, but not against its nearest point 9.45e153:
+    # the -inf sorts the farther point first, so the row must go to the
+    # per-point knn rather than count as complete
+    monkeypatch.setattr(dataset, "_dense_table", lambda d: True)
+    pts = np.array([[0.0], [9.45e153], [9.5e153], [1.05e154]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(-2.0 * pts[2] * pts[[2, 3]]).all()
+        assert np.isfinite(-2.0 * pts[2] * pts[1])
+    idx = build_index(PointSet(pts))
+    for k in (1, 2):
+        assert_table_matches_knn(idx, k)
+        assert not idx.last_table[2][2]

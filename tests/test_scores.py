@@ -485,3 +485,26 @@ def test_small_normal_scale_ranks_like_the_unscaled_points():
     assert np.array_equal(got.oos_rank, want.oos_rank)
     assert np.array_equal(got.ios_rank, want.ios_rank)
     assert np.array_equal(got.cluster_of, want.cluster_of)
+
+
+@pytest.mark.parametrize("scale", [1e70, 1e-70])
+def test_density_out_of_float_range_is_a_data_error(scale):
+    # r**5 leaves float64 range, so count-over-rd densities read 0 or inf
+    # and every OOS would be NaN; ratio-root stays in range on the same data
+    pts = np.random.default_rng(0).random((200, 5)) * scale
+    with pytest.raises(DegenerateDataError, match="count-over-rd"):
+        score_point_set(PointSet(pts), density_mode=COUNT_OVER_RD)
+    rep = score_point_set(PointSet(pts))
+    assert np.isfinite(rep.rho).all() and not np.isnan(rep.oos).any()
+
+
+def test_density_rejects_subnormal_values():
+    # radius 1e-80 at d=4: 1e-320 is subnormal, so 1 / 1e-320 overflows
+    dg = make_dg([1e-80, 1.0], [[], []], dim=4)
+    with pytest.raises(DegenerateDataError, match="count-over-rd"):
+        vicinity_density(dg, mode=COUNT_OVER_RD)
+    # radius 1e80 at d=4: the density 1e-320 is subnormal
+    dg = make_dg([1e80, 1.0], [[], []], dim=4)
+    with pytest.raises(DegenerateDataError, match="count-over-rd"):
+        vicinity_density(dg, mode=COUNT_OVER_RD)
+    assert np.isfinite(vicinity_density(dg)).all()
