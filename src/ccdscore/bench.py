@@ -9,7 +9,6 @@ numbers.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -20,7 +19,7 @@ from .baselines import lof, odin
 from .dataset import PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import fixed_k, rk_approx, un_approx
-from .scores import default_threshold, flag_outliers, score_point_set
+from .scores import default_threshold, dump_json, flag_outliers, score_point_set
 from .simgen import SimConfig, generate
 
 BETA = 2.0
@@ -393,9 +392,7 @@ def write_results_json(
         ],
         "aggregate": [asdict(a) for a in agg],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    dump_json(doc, path)
 
 
 def write_ranking_csv(ranks: list[RankRow], path) -> None:

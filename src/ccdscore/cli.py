@@ -12,6 +12,7 @@ import csv
 import json
 import platform
 import sys
+from itertools import repeat
 
 import numpy as np
 import scipy
@@ -40,17 +41,17 @@ from .errors import (
     DegenerateLabelsError,
 )
 from .graph import fixed_k, rk_approx, un_approx
-from .scores import REPORT_COLUMNS, _cluster_medians, _descending_ranks, _json_float
+from .scores import REPORT_COLUMNS, _cluster_medians, _descending_ranks, dump_json, json_floats
 from .scores import score_point_set
 from .simgen import SimConfig, generate, masking_fixture
 
 _STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
 
 
-def _manifest(path, command: str, params: dict) -> None:
+def _manifest(path, args, params: dict) -> None:
     doc = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "params": params,
         "versions": {
             "ccdscore": __version__,
@@ -97,10 +98,8 @@ def cmd_gen(args) -> int:
     ps = generate(cfg)
     out = _out_prefix(args.out)
     write_csv(ps, f"{out}.csv")
-    with open(f"{out}.config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
-    _manifest(f"{out}.manifest.json", "gen", cfg.to_dict())
+    dump_json(cfg.to_dict(), f"{out}.config.json")
+    _manifest(f"{out}.manifest.json", args, cfg.to_dict())
     print(f"wrote {ps.n} points ({int(ps.labels.sum())} outliers) to {out}.csv")
     return 0
 
@@ -112,20 +111,29 @@ def cmd_fixture(args) -> int:
     with open(f"{out}.roles.json", "w", encoding="utf-8") as fh:
         json.dump({"roles": fx.roles, "threshold_shape": fx.threshold_shape}, fh)
         fh.write("\n")
-    _manifest(f"{out}.manifest.json", "fixture", {"seed": args.seed})
+    _manifest(f"{out}.manifest.json", args, {"seed": args.seed})
     print(f"wrote fixture ({fx.ps.n} points, 9 outliers) to {out}.csv")
     return 0
 
 
-def _write_baseline_report(path, scores, flags, ranks) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> None:
+    """The scores.csv and scores.json of a LOF or ODIN run."""
+    scores = np.asarray(scores, dtype=np.float64)
+    flags, ranks = flags.astype(int).tolist(), ranks.tolist()
+    with open(f"{prefix}.scores.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for i in range(len(scores)):
-            writer.writerow(
-                [i, "", "", "", "", "", "", "", "", "",
-                 repr(float(scores[i])), int(flags[i]), int(ranks[i])]
-            )
+        writer.writerows(
+            zip(range(scores.size), *[repeat("")] * 9, map(repr, scores.tolist()), flags, ranks)
+        )
+    dump_json(
+        {
+            "n": scores.size,
+            "method": method,
+            "points": {"score": json_floats(scores), "flag": flags, "rank": ranks},
+        },
+        f"{prefix}.scores.json",
+    )
 
 
 def _sniff_label_column(path: str) -> str | None:
@@ -134,8 +142,8 @@ def _sniff_label_column(path: str) -> str | None:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             first = next(csv.reader(fh), None)
-    except OSError:
-        return None
+    except (OSError, UnicodeDecodeError, csv.Error):
+        return None  # load_csv reports what is wrong with the file
     if first and "label" in [c.strip() for c in first]:
         return "label"
     return None
@@ -198,24 +206,9 @@ def cmd_score(args) -> int:
             scores, flags = odin(ps, idx)
             ranks = _descending_ranks(-scores)
         out = _out_prefix(args.out)
-        _write_baseline_report(f"{out}.scores.csv", scores, flags, ranks)
-        with open(f"{out}.scores.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "n": ps.n,
-                    "method": args.method,
-                    "points": {
-                        "score": [_json_float(v) for v in scores],
-                        "flag": flags.astype(int).tolist(),
-                        "rank": ranks.tolist(),
-                    },
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        _write_baseline_report(out, args.method, scores, flags, ranks)
         n_flagged = int(flags.sum())
-    _manifest(f"{out}.manifest.json", "score", params)
+    _manifest(f"{out}.manifest.json", args, params)
     print(f"scored {ps.n} points with {args.method}; {n_flagged} flagged")
     return 0
 
@@ -252,8 +245,8 @@ def cmd_bench(args) -> int:
             grid = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot open grid file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"grid file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(grid, dict) or not isinstance(grid.get("configs"), list):
         raise ConfigError('grid file needs a "configs" list')
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
@@ -287,7 +280,7 @@ def cmd_bench(args) -> int:
     write_results_json(rows, agg, os.path.join(args.out, "results.json"))
     _manifest(
         os.path.join(args.out, "manifest.json"),
-        "bench",
+        args,
         {
             "grid": args.grid,
             "configs": [c.to_dict() for c in configs],
@@ -336,6 +329,8 @@ def cmd_eval(args) -> int:
                 )
         except OSError as exc:
             raise ConfigError(f"cannot open report: {exc}") from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{report_path} is not a readable CSV report: {exc}") from exc
         if flags.shape[0] != ps.n:
             raise ConfigError(
                 f"{report_path} has {flags.shape[0]} rows for {ps.n} points"
@@ -437,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ConfigError, BadKError) as exc:

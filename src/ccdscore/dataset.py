@@ -92,7 +92,12 @@ def load_csv(
         raise DataIOError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path} is empty")
 
@@ -166,11 +171,10 @@ def write_csv(ps: PointSet, path) -> None:
         if ps.labels is not None:
             head.append("label")
         writer.writerow(head)
-        for i in range(ps.n):
-            row = [repr(float(v)) for v in ps.points[i]]
-            if ps.labels is not None:
-                row.append(str(int(ps.labels[i])))
-            writer.writerow(row)
+        columns = [map(repr, col) for col in ps.points.T.tolist()]
+        if ps.labels is not None:
+            columns.append(ps.labels.tolist())
+        writer.writerows(zip(*columns))
 
 
 def madn(x: np.ndarray) -> float:

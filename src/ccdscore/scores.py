@@ -11,6 +11,7 @@ members of small colluding groups once the cluster-size filter is on.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -341,29 +342,28 @@ class ScoreReport:
             "oos": (self.oos, self.oos_flag, self.oos_rank),
             "ios": (self.ios_std, self.ios_flag, self.ios_rank),
         }[method]
+        columns = (
+            range(self.n),
+            self.cluster_of.tolist(),
+            map(repr, self.rho.tolist()),
+            map(repr, self.oos.tolist()),
+            map(repr, self.ios_raw.tolist()),
+            map(repr, self.ios_std.tolist()),
+            self.oos_rank.tolist(),
+            self.ios_rank.tolist(),
+            self.oos_flag.astype(int).tolist(),
+            self.ios_flag.astype(int).tolist(),
+            map(repr, score.tolist()),
+            flag.astype(int).tolist(),
+            rank.tolist(),
+        )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
-            for i in range(self.n):
-                writer.writerow(
-                    [
-                        i,
-                        int(self.cluster_of[i]),
-                        repr(float(self.rho[i])),
-                        repr(float(self.oos[i])),
-                        repr(float(self.ios_raw[i])),
-                        repr(float(self.ios_std[i])),
-                        int(self.oos_rank[i]),
-                        int(self.ios_rank[i]),
-                        int(self.oos_flag[i]),
-                        int(self.ios_flag[i]),
-                        repr(float(score[i])),
-                        int(flag[i]),
-                        int(rank[i]),
-                    ]
-                )
+            writer.writerows(zip(*columns))
 
     def to_json_dict(self, method: str = "ios") -> dict:
+        ids, ptr = self.digraph.out_ids.tolist(), self.digraph.out_ptr.tolist()
         return {
             "n": self.n,
             "method": method,
@@ -373,14 +373,14 @@ class ScoreReport:
             "cluster_sizes": np.bincount(self.cluster_of).tolist(),
             "digraph": {
                 "radii": self.digraph.radii.tolist(),
-                "covers": [c.tolist() for c in self.digraph.covers],
+                "covers": [ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])],
             },
             "points": {
                 "cluster": self.cluster_of.tolist(),
                 "rho": self.rho.tolist(),
-                "oos": [_json_float(v) for v in self.oos],
+                "oos": json_floats(self.oos),
                 "ios_raw": self.ios_raw.tolist(),
-                "ios_std": [_json_float(v) for v in self.ios_std],
+                "ios_std": json_floats(self.ios_std),
                 "ios_std_naive": self.ios_std_naive.tolist(),
                 "oos_flag": self.oos_flag.astype(int).tolist(),
                 "ios_flag": self.ios_flag.astype(int).tolist(),
@@ -390,9 +390,7 @@ class ScoreReport:
         }
 
     def write_json(self, path, method: str = "ios") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(method), fh, indent=2)
-            fh.write("\n")
+        dump_json(self.to_json_dict(method), path)
 
 
 REPORT_COLUMNS = [
@@ -412,9 +410,71 @@ REPORT_COLUMNS = [
 ]
 
 
-def _json_float(v: float):
-    """A float for JSON; inf, -inf and nan, which JSON cannot hold, as strings."""
-    return float(v) if np.isfinite(v) else repr(float(v))
+def json_floats(a: np.ndarray) -> list:
+    """The values of a as JSON floats; inf, -inf and nan, which JSON cannot
+    hold, as the strings "inf", "-inf" and "nan"."""
+    a = np.asarray(a, dtype=np.float64)
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = repr(out[i])
+    return out
+
+
+# Only json.dumps with indent=None reaches the C encoder; json.dump and any
+# indent run the pure-Python one, token by token. iter_json gives the bytes
+# of indent=2 while sending each list of plain scalars through the C encoder
+# in one call, its item separator carrying the newline and the indent.
+_JSON_SCALARS = frozenset({str, int, float, type(None)})
+_encode_scalar = json.JSONEncoder().encode
+
+
+@functools.lru_cache(maxsize=32)
+def _scalar_list_encoder(pad: str):
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode
+
+
+def iter_json(obj, indent: str = ""):
+    """Yield the text of json.dumps(obj, indent=2) in pieces.
+
+    Dicts and lists that hold containers recurse; a list whose items are
+    all exactly str, int, float or None is encoded in one C call, so bool,
+    numpy scalars and nested lists take the recursive path. Dict keys must
+    be str: json.dumps turns an int, float, bool or None key into a string,
+    which this writer does not, so such a key raises TypeError.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        yield _encode_scalar(obj)
+        return
+    if not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+        return
+    pad = "\n" + indent + "  "
+    if isinstance(obj, dict):
+        sep = "{" + pad
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            yield sep + _encode_scalar(key) + ": "
+            yield from iter_json(value, indent + "  ")
+            sep = "," + pad
+        yield "\n" + indent + "}"
+    elif set(map(type, obj)) <= _JSON_SCALARS:
+        yield "[" + pad + _scalar_list_encoder(pad)(obj)[1:-1] + "\n" + indent + "]"
+    else:
+        sep = "[" + pad
+        for item in obj:
+            yield sep
+            yield from iter_json(item, indent + "  ")
+            sep = "," + pad
+        yield "\n" + indent + "]"
+
+
+def dump_json(doc, path) -> None:
+    """Write doc as json.dump(doc, fh, indent=2) plus a newline would, piece
+    by piece, so the document is never held as one string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(iter_json(doc))
+        fh.write("\n")
 
 
 def score_point_set(

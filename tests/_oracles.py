@@ -3,9 +3,12 @@
 The brute_* functions are written straight from the definitions with plain
 loops, deliberately sharing no code with the package, so agreement is
 meaningful. The loop_* functions at the end are the per-point reference
-loops for the package's batched neighbor-table code.
+loops for the package's batched neighbor-table code, the per-cluster
+loops for its group reductions, and the per-row report writers.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -378,3 +381,117 @@ def loop_small_cluster_flags(cluster_of, s_min):
         if mem.size / n < s_min:
             flags[mem] = True
     return flags
+
+
+# The report writers as they were before the package wrote whole columns
+# and encoded each list of scalars in one call: a writerow per point with
+# a repr per element, and json.dump(indent=2), which always runs the
+# pure-Python encoder. They are the byte references for the package's
+# writers.
+
+
+def _loop_json_float(v):
+    return float(v) if np.isfinite(v) else repr(float(v))
+
+
+def loop_report_json_dict(report, method="ios"):
+    return {
+        "n": report.n,
+        "method": method,
+        "thresholds": {"oos": report.oos_threshold, "ios": report.ios_threshold},
+        "s_min": report.s_min,
+        "params": report.params,
+        "cluster_sizes": np.bincount(report.cluster_of).tolist(),
+        "digraph": {
+            "radii": report.digraph.radii.tolist(),
+            "covers": [c.tolist() for c in report.digraph.covers],
+        },
+        "points": {
+            "cluster": report.cluster_of.tolist(),
+            "rho": report.rho.tolist(),
+            "oos": [_loop_json_float(v) for v in report.oos],
+            "ios_raw": report.ios_raw.tolist(),
+            "ios_std": [_loop_json_float(v) for v in report.ios_std],
+            "ios_std_naive": report.ios_std_naive.tolist(),
+            "oos_flag": report.oos_flag.astype(int).tolist(),
+            "ios_flag": report.ios_flag.astype(int).tolist(),
+            "oos_rank": report.oos_rank.tolist(),
+            "ios_rank": report.ios_rank.tolist(),
+        },
+    }
+
+
+def loop_write_json(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def loop_write_report_csv(report, path, method="ios"):
+    from ccdscore.scores import REPORT_COLUMNS
+
+    score, flag, rank = {
+        "oos": (report.oos, report.oos_flag, report.oos_rank),
+        "ios": (report.ios_std, report.ios_flag, report.ios_rank),
+    }[method]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        for i in range(report.n):
+            writer.writerow(
+                [
+                    i,
+                    int(report.cluster_of[i]),
+                    repr(float(report.rho[i])),
+                    repr(float(report.oos[i])),
+                    repr(float(report.ios_raw[i])),
+                    repr(float(report.ios_std[i])),
+                    int(report.oos_rank[i]),
+                    int(report.ios_rank[i]),
+                    int(report.oos_flag[i]),
+                    int(report.ios_flag[i]),
+                    repr(float(score[i])),
+                    int(flag[i]),
+                    int(rank[i]),
+                ]
+            )
+
+
+def loop_write_baseline_csv(path, scores, flags, ranks):
+    from ccdscore.scores import REPORT_COLUMNS
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        for i in range(len(scores)):
+            writer.writerow(
+                [i, "", "", "", "", "", "", "", "", "",
+                 repr(float(scores[i])), int(flags[i]), int(ranks[i])]
+            )
+
+
+def loop_baseline_json_dict(method, scores, flags, ranks):
+    return {
+        "n": len(scores),
+        "method": method,
+        "points": {
+            "score": [_loop_json_float(v) for v in scores],
+            "flag": flags.astype(int).tolist(),
+            "rank": ranks.tolist(),
+        },
+    }
+
+
+def loop_write_points_csv(ps, path):
+    names = ps.feature_names or [f"x{j}" for j in range(ps.d)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        head = list(names)
+        if ps.labels is not None:
+            head.append("label")
+        writer.writerow(head)
+        for i in range(ps.n):
+            row = [repr(float(v)) for v in ps.points[i]]
+            if ps.labels is not None:
+                row.append(str(int(ps.labels[i])))
+            writer.writerow(row)

@@ -337,3 +337,50 @@ def test_module_entry_point_smoke():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert out.returncode == 0
+
+
+NOT_UTF8 = b"x,y,label\n0.1,0.2,0\n0.3,\xff\xfe,0\n"
+HUGE_FIELD = b"x,y,label\n0.1,0.2,0\n0.3," + b"9" * 200_000 + b",0\n"
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, HUGE_FIELD], ids=["not-utf8", "huge-field"])
+@pytest.mark.parametrize("argv", [
+    ["score", "--input", "{data}", "--out", "{tmp}/s"],
+    ["score", "--input", "{data}", "--no-header", "--out", "{tmp}/s"],
+    ["eval", "--data", "{data}", "--out", "{tmp}/m", "{tmp}/unused.csv"],
+], ids=["score", "score-no-header", "eval-data"])
+def test_hostile_bytes_in_input_data_exit_3(tmp_path, capsys, content, argv):
+    (tmp_path / "bad.csv").write_bytes(content)
+    rc = run([a.format(data=tmp_path / "bad.csv", tmp=tmp_path) for a in argv])
+    assert rc == 3
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"id,flag\n0,0\n1,\xff\n", b"id,flag\n0,0\n1," + b"0" * 200_000],
+                         ids=["not-utf8", "huge-field"])
+def test_hostile_bytes_in_eval_report_exit_2(tmp_path, capsys, content):
+    run(["fixture", "--out", tmp_path / "fx"])
+    (tmp_path / "bad.scores.csv").write_bytes(content)
+    rc = run(["eval", "--data", tmp_path / "fx.csv", "--out", tmp_path / "m",
+              tmp_path / "bad.scores.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "bad.scores.csv" in err
+    assert not (tmp_path / "m.metrics.csv").exists()
+
+
+def test_grid_file_not_utf8_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_bytes(b'{"configs": [], "name": "\xff\xfe"}')
+    rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path):
+    argv = ["fixture", "--seed", "2", "--out", str(tmp_path / "fx")]
+    assert main(argv) == 0
+    man = json.loads((tmp_path / "fx.manifest.json").read_text())
+    assert man["command"] == "fixture"
+    assert man["argv"] == argv

@@ -1,0 +1,159 @@
+"""The report writers against their per-row, json.dump(indent=2) forms in
+_oracles.py: scores.json and scores.csv under each radius family, the LOF
+and ODIN reports, dataset.write_csv and the bench results file must match
+them byte for byte, on reports that hold every value a writer has to carry."""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccdscore.baselines import lof, odin
+from ccdscore.bench import aggregate, run_monte_carlo, write_results_json
+from ccdscore.cli import _write_baseline_report
+from ccdscore.dataset import PointSet, build_index, write_csv
+from ccdscore.graph import CatchDigraph, fixed_k, rk_approx, un_approx
+from ccdscore.scores import _descending_ranks, iter_json, score_point_set
+from ccdscore.simgen import SimConfig
+
+from _oracles import (
+    loop_baseline_json_dict,
+    loop_report_json_dict,
+    loop_write_baseline_csv,
+    loop_write_json,
+    loop_write_points_csv,
+    loop_write_report_csv,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from([", ", '", "', "a,\n  b", "]", "[", "é中\U0001f600"]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=30,
+)
+
+
+@SETTINGS
+@given(json_trees)
+def test_iter_json_is_json_dumps_indent_2(tree):
+    assert "".join(iter_json(tree)) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"x": 1}, {2.5: 0}]])
+def test_iter_json_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        "".join(iter_json(doc))
+
+
+# A zero-MADN cluster of copies, a tight blob, and two far points.
+PTS = np.vstack([
+    np.repeat([[0.0, 0.0]], 30, axis=0),
+    np.random.default_rng(5).random((30, 2)) * 0.1 + 5,
+    [[30.0, 30.0], [-40.0, 10.0]],
+])
+
+
+def hostile_report(strategy):
+    """The report of PTS under strategy, with each value a writer must
+    carry that this strategy does not produce itself put in by hand: an
+    empty ball (inf OOS and a [] cover row), +inf and -inf ios_std, and a
+    singleton cluster."""
+    rep = score_point_set(PointSet(PTS), strategy)
+    dg = rep.digraph
+    oos, ios_std, cluster_of = rep.oos.copy(), rep.ios_std.copy(), rep.cluster_of.copy()
+    if np.isfinite(oos).all():
+        src = np.repeat(np.arange(dg.n), np.diff(dg.out_ptr))
+        keep = src != 0
+        dg = CatchDigraph.from_edges(dg.radii, dg.dim, src[keep], dg.out_ids[keep])
+        oos[0] = np.inf
+    if not np.isposinf(ios_std).any():
+        ios_std[1] = np.inf
+    if not np.isneginf(ios_std).any():
+        ios_std[2] = -np.inf
+    if (np.bincount(cluster_of) > 1).all():
+        cluster_of[-1] = cluster_of.max() + 1
+    return replace(rep, digraph=dg, oos=oos, ios_std=ios_std, cluster_of=cluster_of)
+
+
+@pytest.mark.parametrize("strategy", [fixed_k(k=4), rk_approx(k=4), un_approx(k=4)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("method", ["ios", "oos"])
+def test_report_writers_match_the_row_loops(tmp_path, strategy, method):
+    rep = hostile_report(strategy)
+    empty = np.diff(rep.digraph.out_ptr) == 0
+    assert empty.any() and np.isinf(rep.oos[empty]).all()
+    assert np.isposinf(rep.ios_std).any() and np.isneginf(rep.ios_std).any()
+    assert (np.bincount(rep.cluster_of) == 1).any()
+
+    rep.write_json(tmp_path / "a.json", method=method)
+    loop_write_json(loop_report_json_dict(rep, method), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    rep.write_csv(tmp_path / "a.csv", method=method)
+    loop_write_report_csv(rep, tmp_path / "b.csv", method=method)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["lof", "odin"])
+def test_baseline_writers_match_the_row_loops(tmp_path, method):
+    # 40 copies of one point give LOF infinite scores, and a NaN is put in
+    # by hand; ODIN's in-degrees are integers and are written as floats
+    rng = np.random.default_rng(3)
+    ps = PointSet(np.vstack([rng.random((60, 2)), np.repeat(rng.random((1, 2)), 40, axis=0)]))
+    idx = build_index(ps)
+    if method == "lof":
+        scores, flags = lof(ps, idx)
+        assert np.isinf(scores).any()
+        scores[-1] = np.nan
+        ranks = _descending_ranks(scores)
+    else:
+        scores, flags = odin(ps, idx)
+        assert scores.dtype.kind == "i"
+        ranks = _descending_ranks(-scores)
+
+    _write_baseline_report(str(tmp_path / "a"), method, scores, flags, ranks)
+    loop_write_baseline_csv(tmp_path / "b.scores.csv", scores, flags, ranks)
+    loop_write_json(loop_baseline_json_dict(method, scores, flags, ranks),
+                    tmp_path / "b.scores.json")
+    for suffix in ("scores.csv", "scores.json"):
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("labels, names", [(False, None), (True, None), (True, ["u", "v", "w"])])
+def test_dataset_write_csv_matches_the_row_loop(tmp_path, labels, names):
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((50, 3)) * np.array([1e-300, 1.0, 1e300])
+    pts[0] = [-0.0, 5e-324, np.finfo(np.float64).max]
+    ps = PointSet(pts, (rng.random(50) < 0.2).astype(np.int64) if labels else None, names)
+    write_csv(ps, tmp_path / "a.csv")
+    loop_write_points_csv(ps, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_results_json_is_json_dump_indent_2(tmp_path):
+    # a cell that fails leaves NaN metrics in its rows and aggregate
+    cfgs = [SimConfig(regime="uniform", d=2, n=120, seed=1, outlier_fraction=0.05),
+            SimConfig(regime="uniform", d=2, n=5, seed=1, outlier_fraction=0.0)]
+    methods = ["oos-fixed", "odin"]
+    rows = run_monte_carlo(cfgs, methods, replicates=1, master_seed=3)
+    assert any(r.error for r in rows)
+    path = tmp_path / "results.json"
+    write_results_json(rows, aggregate(rows, methods), path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
