@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .baselines import lof, odin
-from .dataset import PointSet, build_index
+from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import fixed_k, rk_approx, un_approx
 from .scores import default_threshold, dump_json, flag_outliers, score_point_set
@@ -95,27 +95,36 @@ def evaluate_method(
     ps: PointSet,
     regime: str,
     s_min: float = DEFAULT_S_MIN,
+    idx: NeighborIndex | None = None,
 ) -> np.ndarray:
-    """Run one named method on a labeled point set; returns boolean flags."""
+    """Run one named method on a labeled point set; returns boolean flags.
+
+    idx, when given, is a neighbor index over ps that the other methods of
+    the same cell share; called alone, the method builds its own.
+    """
     if method in BASELINE_METHODS:
-        idx = build_index(ps)
+        if idx is None:
+            idx = build_index(ps)
         if method == "lof":
             return lof(ps, idx)[1]
         return odin(ps, idx)[1]
     if method not in CCD_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     score_kind, suffix = method.split("-")
-    report = _ccd_report(ps, suffix, regime, s_min)
+    report = _ccd_report(ps, suffix, regime, s_min, idx)
     return report.flags_for(score_kind)
 
 
-def _ccd_report(ps: PointSet, suffix: str, regime: str, s_min: float):
+def _ccd_report(
+    ps: PointSet, suffix: str, regime: str, s_min: float, idx: NeighborIndex | None
+):
     shape = _SHAPE_BY_REGIME[regime]
     return score_point_set(
         ps,
         _STRATEGY_BY_SUFFIX[suffix](),
         cluster_shape=shape,
         s_min=s_min,
+        idx=idx,
     )
 
 
@@ -153,6 +162,9 @@ def _run_cell(args) -> list[BenchRow]:
     )
     try:
         ps = generate(cfg)
+        # one index serves every method of the cell, and a narrower k
+        # reads a prefix of its widest table
+        idx = build_index(ps)
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [
             BenchRow(config_index=ci, replicate=ri, method=m, error=str(exc))
@@ -167,12 +179,12 @@ def _run_cell(args) -> list[BenchRow]:
             if m in CCD_METHODS:
                 score_kind, suffix = m.split("-")
                 if suffix not in reports:
-                    reports[suffix] = _ccd_report(ps, suffix, cfg.regime, s_min)
+                    reports[suffix] = _ccd_report(ps, suffix, cfg.regime, s_min, idx)
                     report_time = time.perf_counter() - t0
                     t0 += report_time
                 flags = reports[suffix].flags_for(score_kind)
             else:
-                flags = evaluate_method(m, ps, cfg.regime, s_min)
+                flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
             conf = Confusion.from_flags(ps.labels, flags)
             ms = metrics(conf)
             rows.append(
@@ -344,7 +356,8 @@ def write_raw_csv(rows: list[BenchRow], path) -> None:
 
 def write_timings_csv(rows: list[BenchRow], path) -> None:
     """Wall time per row; a shared CCD report gets its own row, method
-    report-<family>, just before the row that built it."""
+    report-<family>, just before the row that built it. The cell's shared
+    neighbor table is charged to the first row that asks for it."""
     # Kept apart from the result files, which must be reproducible byte
     # for byte; wall clock readings are not.
     with open(path, "w", encoding="utf-8", newline="") as fh:

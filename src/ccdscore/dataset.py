@@ -275,8 +275,8 @@ class NeighborIndex:
 
     A k-d tree only gathers candidates; every distance an answer reports
     or decides on comes from the package's one formula. The index keeps
-    the last table knn_table built, so radii and the digraph share one
-    query.
+    the widest table knn_table built, so radii, the digraph and the
+    baselines share one query, and a narrower k reads a prefix of it.
     """
 
     ps: PointSet
@@ -345,15 +345,21 @@ class NeighborIndex:
         per-point knn instead when it is incomplete, or when the point is
         missing from its own candidates (more than k+1 exact duplicates).
 
-        The result is read-only and cached until a table for another k is
-        asked for; last_table exposes it together with the rows whose
-        candidate set was proven complete.
+        The result is read-only. The index keeps only its widest table: a k
+        at most its width gets read-only views of the first k columns (the
+        arrays themselves at the full width), since the first k entries of
+        a row ordered by (distance, id) are knn(i, k); a wider k builds a
+        new table and replaces it. last_table exposes the kept table
+        together with the rows whose candidate set was proven complete.
         """
         n = self.n
         if not 1 <= k <= n - 1:
             raise BadKError(f"k={k} must be in [1, {n - 1}]")
-        if self._table is not None and self._table[0] == k:
-            return self._table[1], self._table[2]
+        if self._table is not None and k <= self._table[0]:
+            width, ids, dists, _ = self._table
+            if k == width:
+                return ids, dists
+            return ids[:, :k], dists[:, :k]
         points = self.ps.points
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.float64)
@@ -434,7 +440,7 @@ class NeighborIndex:
 
     @property
     def last_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(ids, dists, complete) of the last knn_table, or None.
+        """(ids, dists, complete) of the widest knn_table built, or None.
 
         complete[i] is True when no point outside row i lies within
         dists[i, -1], so any ball around i of at most that radius holds

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import (
     MADN_CONSTANT,
+    NeighborIndex,
     PointSet,
     build_index,
     row_chunks,
@@ -487,14 +488,20 @@ def score_point_set(
     oos_threshold: float | None = None,
     ios_threshold: float | None = None,
     s_min: float = 0.0,
+    idx: NeighborIndex | None = None,
 ) -> ScoreReport:
     """Run the whole scoring pipeline on one point set.
 
     Radii, digraph, clustering, both scores, standardization with tie
-    separation, threshold resolution, and flags, in one pass.
+    separation, threshold resolution, and flags, in one pass. idx, when
+    given, is a neighbor index over this very ps that other callers share;
+    its tables serve the radii and the digraph. Otherwise one is built.
     """
+    if idx is None:
+        idx = build_index(ps)
+    elif idx.ps is not ps:
+        raise ValueError("idx must be a neighbor index built over ps itself")
     strategy = strategy or fixed_k()
-    idx = build_index(ps)
     radii = estimate_radii(ps, idx, strategy)
     dg = build_catch_digraph(ps, idx, radii)
     cl = cluster_digraph(dg, ps, attach_factor=attach_factor)

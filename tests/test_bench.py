@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from ccdscore.bench import (
+    ALL_METHODS,
+    BASELINE_METHODS,
+    CCD_METHODS,
+    DEFAULT_S_MIN,
     AggregateRow,
     Confusion,
+    _derive_seed,
     aggregate,
+    evaluate_method,
     metrics,
     rank_methods,
     run_monte_carlo,
@@ -16,6 +22,7 @@ from ccdscore.bench import (
     write_timings_csv,
 )
 from ccdscore.errors import ConfigError, DegenerateLabelsError
+from ccdscore.simgen import SimConfig, generate
 
 CFG_A = {"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}
 CFG_B = {"regime": "gaussian", "d": 2, "n": 70, "outlier_fraction": 0.05}
@@ -111,6 +118,33 @@ def test_worker_pool_matches_inline():
         for r in rows
     ]
     assert strip(a) == strip(b)
+
+
+def test_shared_index_rows_do_not_depend_on_method_order():
+    # lof and odin first build the k=30 table before the CCD radii ask for
+    # a narrower one; in ALL_METHODS order the CCD table comes first. The
+    # d=10 config takes its tables from the dense screen.
+    cfg_dense = {"regime": "thomas", "d": 10, "n": 120, "outlier_fraction": 0.05,
+                 "gaussian_scale": 0.05, "outlier_min_separation": 1.5}
+    configs = [CFG_A, cfg_dense]
+    strip = lambda rows: sorted(
+        (r.config_index, r.replicate, r.method, r.tp, r.fp, r.tn, r.fn, r.error)
+        for r in rows
+    )
+    ccd_first = run_monte_carlo(configs, list(ALL_METHODS), replicates=2, master_seed=8)
+    lof_first = run_monte_carlo(configs, [*BASELINE_METHODS, *CCD_METHODS],
+                                replicates=2, master_seed=8)
+    assert strip(ccd_first) == strip(lof_first)
+    assert not any(r.error for r in ccd_first)
+    for r in ccd_first:
+        cfg = SimConfig.from_dict(
+            {**configs[r.config_index], "seed": _derive_seed(8, r.config_index, r.replicate)}
+        )
+        ps = generate(cfg)
+        conf = Confusion.from_flags(
+            ps.labels, evaluate_method(r.method, ps, cfg.regime, DEFAULT_S_MIN)
+        )
+        assert (conf.tp, conf.fp, conf.tn, conf.fn) == (r.tp, r.fp, r.tn, r.fn), r
 
 
 def test_monte_carlo_validation():

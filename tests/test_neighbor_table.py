@@ -9,7 +9,13 @@ from ccdscore.baselines import LofParams, OdinParams, lof, odin
 from ccdscore import dataset
 from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
-from ccdscore.graph import build_catch_digraph, fixed_k, rk_approx, un_approx
+from ccdscore.graph import (
+    build_catch_digraph,
+    estimate_radii,
+    fixed_k,
+    rk_approx,
+    un_approx,
+)
 from ccdscore.scores import cumulative_influence, default_threshold, score_point_set
 from ccdscore.simgen import REGIMES, SimConfig, generate
 
@@ -147,11 +153,14 @@ def test_table_on_integer_grid_ties():
 def test_table_with_more_duplicates_than_k():
     # nine copies of each base point: with k < 8 a point can miss its own
     # candidate list
-    idx = build_index(PointSet(duplicate_points()))
+    ps = PointSet(duplicate_points())
+    idx = build_index(ps)
     for k in (3, 7, 8, 12):
         assert_table_matches_knn(idx, k)
-    idx.knn_table(3)
-    assert not idx.last_table[2][:45].any()
+    # idx keeps its k=12 table, so the k=3 marks come from a fresh index
+    fresh = build_index(ps)
+    fresh.knn_table(3)
+    assert not fresh.last_table[2][:45].any()
 
 
 @pytest.mark.parametrize("points", [grid_points, duplicate_points])
@@ -195,8 +204,47 @@ def test_table_is_cached_and_read_only():
     assert idx.knn_table(5)[0] is ids
     assert not ids.flags.writeable and not dists.flags.writeable
     assert idx.last_table[0] is ids
+    narrow_ids, narrow_dists = idx.knn_table(4)
+    assert narrow_ids.base is ids and narrow_dists.base is dists
+    assert not narrow_ids.flags.writeable and not narrow_dists.flags.writeable
+    assert idx.last_table[0] is ids and idx.last_table[1] is dists
     idx.knn_table(6)
     assert idx.last_table[0].shape == (50, 6)
+
+
+def random_points():
+    return np.random.default_rng(12).standard_normal((150, 5))
+
+
+def assert_same_digraph(a, b):
+    for name in ("out_ptr", "out_ids", "in_ptr", "in_ids"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("points", [grid_points, duplicate_points, random_points])
+def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
+    # grid ties and more than k+1 copies send rows to the per-point knn at
+    # some widths and not at others; the prefix must not tell
+    monkeypatch.setattr(dataset, "_dense_table", lambda d: dense)
+    ps = PointSet(points())
+    wide = build_index(ps)
+    wide.knn_table(12)
+    widest = wide.last_table
+    for k in range(1, 12):
+        ids, dists = wide.knn_table(k)
+        want_ids, want_dists = build_index(ps).knn_table(k)
+        assert np.array_equal(ids, want_ids), k
+        assert np.array_equal(dists, want_dists), k
+    assert all(a is b for a, b in zip(wide.last_table, widest))
+    for strategy in (fixed_k(k=4), rk_approx(k=4), un_approx(k=4)):
+        radii = estimate_radii(ps, wide, strategy)
+        narrow = build_index(ps)
+        assert np.array_equal(estimate_radii(ps, narrow, strategy), radii)
+        assert narrow.last_table[0].shape[1] == 4
+        want = build_catch_digraph(ps, narrow, radii)
+        assert_same_digraph(build_catch_digraph(ps, wide, radii), want)
+        assert_same_digraph(build_catch_digraph(ps, build_index(ps), radii), want)
 
 
 def test_digraph_without_a_table_uses_ball_queries():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _oracles import brute_scores
 
-from ccdscore.dataset import PointSet
+from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import CatchDigraph, Clustering, fixed_k, un_approx
 from ccdscore.scores import (
@@ -508,3 +508,16 @@ def test_density_rejects_subnormal_values():
     with pytest.raises(DegenerateDataError, match="count-over-rd"):
         vicinity_density(dg, mode=COUNT_OVER_RD)
     assert np.isfinite(vicinity_density(dg)).all()
+
+
+def test_score_point_set_takes_an_index_over_the_same_point_set_only():
+    pts = np.random.default_rng(3).random((60, 2))
+    ps = PointSet(pts)
+    twin = build_index(PointSet(pts.copy()))
+    with pytest.raises(ValueError, match="built over ps"):
+        score_point_set(ps, fixed_k(), idx=twin)
+    assert twin.last_table is None  # rejected before any neighbor work
+    shared = score_point_set(ps, fixed_k(), idx=build_index(ps))
+    own = score_point_set(ps, fixed_k())
+    assert np.array_equal(shared.ios_std, own.ios_std)
+    assert np.array_equal(shared.oos, own.oos)
