@@ -170,15 +170,29 @@ class CatchDigraph:
 
     @classmethod
     def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
-        """The digraph of the int64 edges src[e] -> dst[e], any order, no repeats."""
+        """The digraph of the int64 edges src[e] -> dst[e], any order, no repeats.
+
+        The out-CSR comes from one stable sort of the keys src * n + dst,
+        which costs about one pass when the edges arrive in a few sorted
+        runs, as build_catch_digraph emits them. The in-CSR is its
+        transpose by a counting sort.
+        """
         n = radii.shape[0]
+        out_ids = src * n + dst
+        out_ids.sort(kind="stable")
+        starts = np.arange(0, (n + 1) * n, n, dtype=np.int64)
+        out_ptr = np.searchsorted(out_ids, starts).astype(np.int64, copy=False)
+        out_ids -= np.repeat(starts[:-1], np.diff(out_ptr))
+        inv = sparse.csr_matrix(
+            (np.ones(out_ids.size, dtype=np.int8), out_ids, out_ptr), shape=(n, n)
+        ).tocsc()
         return cls(
             radii=radii,
             dim=dim,
-            out_ptr=np.append(0, np.cumsum(np.bincount(src, minlength=n))),
-            out_ids=np.sort(src * n + dst) % n,
-            in_ptr=np.append(0, np.cumsum(np.bincount(dst, minlength=n))),
-            in_ids=np.sort(dst * n + src) % n,
+            out_ptr=out_ptr,
+            out_ids=out_ids,
+            in_ptr=inv.indptr.astype(np.int64, copy=False),
+            in_ids=inv.indices.astype(np.int64, copy=False),
         )
 
     @property
@@ -205,6 +219,8 @@ def build_catch_digraph(
     Where the index holds a neighbor table whose row i is proven complete
     and radii[i] does not pass the row's last distance, i's ball is a
     prefix of that row. Every other ball comes from one batched ball query.
+    Both sources emit their edges ordered by (source, target), so
+    from_edges finds them in two sorted runs.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.shape != (ps.n,):
@@ -220,15 +236,24 @@ def build_catch_digraph(
         rows = np.flatnonzero(prefix)
         for sl in row_chunks(rows.size, ids.shape[1]):
             r = rows[sl]
-            a, c = np.nonzero(dists[r] <= radii[r, None])
+            inside = dists[r] <= radii[r, None]
+            # the ball is a prefix in distance order; sorted by id, with
+            # the sentinel n pushing the rest of the row behind it
+            sub = np.where(inside, ids[r], n)
+            sub.sort(axis=1)
+            a, c = np.nonzero(inside)
             src.append(r[a])
-            dst.append(ids[r[a], c])
+            dst.append(sub[a, c])
     rest = np.flatnonzero(~prefix)
     owner, member = idx.balls(rest, radii[rest])
-    keep = rest[owner] != member
-    src.append(rest[owner][keep])
+    owner = rest[owner]
+    keep = owner != member
+    src.append(owner[keep])
     dst.append(member[keep])
-    return CatchDigraph.from_edges(radii, ps.d, np.concatenate(src), np.concatenate(dst))
+    # hold the edges once, not also in pieces, while from_edges runs
+    del owner, member, keep
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return CatchDigraph.from_edges(radii, ps.d, src, dst)
 
 
 @dataclass
@@ -248,34 +273,62 @@ class Clustering:
 
 
 def cluster_digraph(
-    dg: CatchDigraph, ps: PointSet, attach_factor: float = ATTACH_FACTOR
+    dg: CatchDigraph,
+    ps: PointSet,
+    attach_factor: float = ATTACH_FACTOR,
+    *,
+    idx: NeighborIndex | None = None,
 ) -> Clustering:
     """Connected components of the mutual-coverage graph.
 
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
     attach_factor times their own radius; otherwise they stay singletons.
+    idx, when given, is the neighbor index over ps that built the radii.
+    Where row i of its kept table is complete and holds an anchored id,
+    the first such id is the nearest anchored point, ties going to the
+    smallest id, at the distance the gather would compute. Only the other
+    rows gather their distances to every anchored point.
     """
+    if idx is not None and idx.ps is not ps:
+        raise ValueError("idx must be a neighbor index built over ps itself")
     n = dg.n
-    adj = sparse.csr_matrix(
-        (np.ones(dg.out_ids.size, dtype=np.int8), dg.out_ids, dg.out_ptr), shape=(n, n)
+    one = np.ones(dg.out_ids.size, dtype=np.int8)
+    adj = sparse.csr_matrix((one, dg.out_ids, dg.out_ptr), shape=(n, n))
+    # the in-CSR is the transpose of adj, already in CSR form
+    adj_t = sparse.csr_matrix((one, dg.in_ids, dg.in_ptr), shape=(n, n))
+    # the mutual graph is symmetric, so its strong components are its
+    # components, found without the symmetrizing pass of directed=False
+    n_comp, comp = connected_components(
+        adj.multiply(adj_t), directed=True, connection="strong"
     )
-    n_comp, comp = connected_components(adj.multiply(adj.T), directed=False)
     comp_sizes = np.bincount(comp, minlength=n_comp)
 
     labels = comp.copy()
-    anchored = np.flatnonzero(comp_sizes[comp] >= 2)
-    isolated = np.flatnonzero(comp_sizes[comp] == 1)
+    anchored = comp_sizes[comp] >= 2
+    isolated = np.flatnonzero(~anchored)
     alone = isolated
-    if anchored.size and isolated.size:
-        attached = np.zeros(isolated.size, dtype=bool)
-        for sl, block in pair_distance_blocks(ps.points, isolated, anchored):
+    if anchored.any() and isolated.size:
+        nearest = np.empty(isolated.size, dtype=np.int64)
+        near = np.empty(isolated.size, dtype=np.float64)
+        gather = np.arange(isolated.size)
+        if idx is not None and idx.last_table is not None:
+            ids, dists, complete = idx.last_table
+            row_ids = ids[isolated]
+            hit = anchored[row_ids]
+            ok = complete[isolated] & hit.any(axis=1)
+            first = np.argmax(hit[ok], axis=1)
+            nearest[ok] = row_ids[ok, first]
+            near[ok] = dists[isolated[ok], first]
+            gather = np.flatnonzero(~ok)
+        members = np.flatnonzero(anchored)
+        for sl, block in pair_distance_blocks(ps.points, isolated[gather], members):
             # argmin takes the first, so the smallest id on ties
             best = np.argmin(block, axis=1)
-            near = block[np.arange(best.size), best]
-            ok = near <= attach_factor * dg.radii[isolated[sl]]
-            labels[isolated[sl][ok]] = comp[anchored[best[ok]]]
-            attached[sl] = ok
+            nearest[gather[sl]] = members[best]
+            near[gather[sl]] = block[np.arange(best.size), best]
+        attached = near <= attach_factor * dg.radii[isolated]
+        labels[isolated[attached]] = comp[nearest[attached]]
         alone = isolated[~attached]
     labels[alone] = n_comp + np.arange(alone.size)
 

@@ -504,7 +504,7 @@ def score_point_set(
     strategy = strategy or fixed_k()
     radii = estimate_radii(ps, idx, strategy)
     dg = build_catch_digraph(ps, idx, radii)
-    cl = cluster_digraph(dg, ps, attach_factor=attach_factor)
+    cl = cluster_digraph(dg, ps, attach_factor=attach_factor, idx=idx)
     rho = vicinity_density(dg, mode=density_mode)
     oos_scores = oos(dg, rho)
     ios_scores = ios_raw(dg, cl, rho)

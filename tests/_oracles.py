@@ -4,7 +4,9 @@ The brute_* functions are written straight from the definitions with plain
 loops, deliberately sharing no code with the package, so agreement is
 meaningful. The loop_* functions at the end are the per-point reference
 loops for the package's batched neighbor-table code, the per-cluster
-loops for its group reductions, and the per-row report writers.
+loops for its group reductions, and the per-row report writers;
+keysort_csr and gather_cluster_of are the sorting and gathering forms of
+its graph layer.
 """
 
 import csv
@@ -265,6 +267,54 @@ def loop_clusters(points, radii, covers, attach_factor=3.0):
         cluster_of[mem] = cid
     return cluster_of
 
+
+
+# The graph layer as the package built it before its counting build and
+# its table attach: the CSRs from two sorts of the edge keys, the mutual
+# graph from adj * adj.T with undirected components, and every isolated
+# vertex attached by a gather of its distances to all anchored points.
+# They are the references the current graph layer must equal bit for bit.
+
+
+def keysort_csr(n, src, dst):
+    """(out_ptr, out_ids, in_ptr, in_ids) of the edges src[e] -> dst[e]."""
+    return (
+        np.append(0, np.cumsum(np.bincount(src, minlength=n))),
+        np.sort(src * n + dst) % n,
+        np.append(0, np.cumsum(np.bincount(dst, minlength=n))),
+        np.sort(dst * n + src) % n,
+    )
+
+
+def gather_cluster_of(dg, points, attach_factor=3.0):
+    """cluster_of with each isolated vertex attached by a block gather."""
+    from ccdscore.dataset import pair_distance_blocks
+
+    n = dg.n
+    adj = sparse.csr_matrix(
+        (np.ones(dg.out_ids.size, dtype=np.int8), dg.out_ids, dg.out_ptr), shape=(n, n)
+    )
+    n_comp, comp = connected_components(adj.multiply(adj.T), directed=False)
+    comp_sizes = np.bincount(comp, minlength=n_comp)
+    labels = comp.copy()
+    anchored = np.flatnonzero(comp_sizes[comp] >= 2)
+    isolated = np.flatnonzero(comp_sizes[comp] == 1)
+    alone = isolated
+    if anchored.size and isolated.size:
+        attached = np.zeros(isolated.size, dtype=bool)
+        for sl, block in pair_distance_blocks(points, isolated, anchored):
+            best = np.argmin(block, axis=1)
+            near = block[np.arange(best.size), best]
+            ok = near <= attach_factor * dg.radii[isolated[sl]]
+            labels[isolated[sl][ok]] = comp[anchored[best[ok]]]
+            attached[sl] = ok
+        alone = isolated[~attached]
+    labels[alone] = n_comp + np.arange(alone.size)
+    _, first, inverse, sizes = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True
+    )
+    rank = np.lexsort((first, -sizes))
+    return np.argsort(rank)[inverse]
 
 def loop_oos(covers, rho):
     out = np.empty(len(covers), dtype=np.float64)

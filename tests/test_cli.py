@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,3 +385,49 @@ def test_manifest_records_the_argv_main_parsed(tmp_path):
     man = json.loads((tmp_path / "fx.manifest.json").read_text())
     assert man["command"] == "fixture"
     assert man["argv"] == argv
+
+
+def _hostile_columns(kind, n=300):
+    rng = np.random.default_rng(7)
+    t = rng.random(n)
+    if kind == "single-column":
+        return t[:, None]
+    if kind == "collinear":
+        return np.column_stack([t, 2.0 * t, 1.0 - t])
+    if kind == "plane-in-3d":
+        u = rng.random(n)
+        return np.column_stack([t, u, t + u])
+    return np.column_stack([np.full(n, 4.0), rng.standard_normal((n, 2))])
+
+
+@pytest.mark.parametrize("digraph", ["fixed-k", "rk-approx", "un-approx"])
+@pytest.mark.parametrize("kind", ["single-column", "collinear", "plane-in-3d",
+                                  "constant-column"])
+def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, kind, digraph):
+    # a single column, collinear columns, columns spanning a plane, and a
+    # constant column next to two normal ones: a package error, or a
+    # report without NaN whose ranks are a permutation
+    pts = _hostile_columns(kind)
+    write_csv(PointSet(pts), tmp_path / "x.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # zero MADN columns
+        rc = run(["score", "--input", tmp_path / "x.csv", "--digraph", digraph,
+                  "--out", tmp_path / "s"])
+    if rc in (2, 3):
+        return
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"bare {name} in scores.json")
+
+    doc = json.loads((tmp_path / "s.scores.json").read_text(), parse_constant=reject)
+    cols = doc["points"]
+    for name in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive"):
+        assert "nan" not in cols[name], name
+        assert not np.isnan([float(v) for v in cols[name]]).any(), name
+    everyone = list(range(1, len(pts) + 1))
+    assert sorted(cols["oos_rank"]) == everyone
+    assert sorted(cols["ios_rank"]) == everyone
+    rows = read_rows(tmp_path / "s.scores.csv")
+    assert len(rows) == len(pts)
+    assert not any("nan" in v for r in rows for v in r.values())

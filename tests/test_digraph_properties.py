@@ -1,6 +1,7 @@
 """Property tests of the catch digraph, the neighbor table and the scoring
 pipeline on small, hostile point sets: heavy duplicate rows, integer
-lattices, large offsets, extreme scales, and k close to n; and of the
+lattices, large offsets, extreme scales, and k close to n; of the graph
+layer against its sorting and gathering references; and of the
 per-cluster reductions on partitions with heavy ties. Derandomized, so
 every run checks the same examples."""
 
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdscore import dataset
+from ccdscore import dataset, graph
 from ccdscore.dataset import PointSet, build_index
-from ccdscore.errors import CcdScoreError
+from ccdscore.errors import CcdScoreError, DegenerateDataError
 from ccdscore.graph import (
-    Clustering, build_catch_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
+    CatchDigraph, Clustering, build_catch_digraph, cluster_digraph, estimate_radii,
+    fixed_k, rk_approx, un_approx,
 )
 from ccdscore.scores import (
     COUNT_OVER_RD, RATIO_ROOT, break_ties, flag_outliers, score_point_set,
@@ -22,7 +24,10 @@ from ccdscore.scores import (
 
 from _oracles import (
     brute_covers,
+    gather_cluster_of,
+    keysort_csr,
     loop_break_ties,
+    loop_positive_floor,
     loop_small_cluster_flags,
     loop_standardize_ios,
     loop_standardize_naive,
@@ -137,6 +142,136 @@ def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
     if radii is not None:
         dg = build_catch_digraph(ps, idx, radii)
         assert csr_rows(dg.out_ptr, dg.out_ids) == brute_covers(points, radii)
+
+
+@st.composite
+def graph_sets(draw):
+    """(points, k, shrink): lattice rows full of distance ties, a few rows
+    copied more than k + 1 times, or float rows, in 1 to 12 dimensions;
+    k small or anywhere in [1, n - 1]; and a factor that shrinks the radii
+    so that vertices drop out of the mutual graph."""
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["lattice", "duplicates", "float"]))
+    if kind == "float":
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        coord = st.integers(-2, 2).map(float)
+    pool = draw(st.integers(1, max(1, n // 6) if kind == "duplicates" else n))
+    base = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=pool, max_size=pool))
+    copies = draw(st.lists(st.integers(0, pool - 1), min_size=n - pool, max_size=n - pool))
+    k = draw(st.integers(1, min(3, n - 1)) | st.integers(1, n - 1))
+    shrink = draw(st.sampled_from([1.0, 0.6, 0.3]))
+    return np.asarray(base, dtype=np.float64)[list(range(pool)) + copies], k, shrink
+
+
+def graph_case(case, dense, make):
+    """(ps, idx, radii) with the table built from the chosen source, or
+    None when the radii raise a package error."""
+    points, k, shrink = case
+    ps = PointSet(points)
+    idx = build_index(ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        try:
+            radii = estimate_radii(ps, idx, make(k=k))
+        except CcdScoreError:
+            return None
+    return ps, idx, radii * shrink
+
+
+def gathered_rows(mp):
+    """Patch the graph layer's block gather to record the rows it serves."""
+    rows = []
+    gather = graph.pair_distance_blocks
+
+    def recording(points, r, targets):
+        rows.extend(r.tolist())
+        return gather(points, r, targets)
+
+    mp.setattr(graph, "pair_distance_blocks", recording)
+    return rows
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES),
+       st.randoms(use_true_random=False))
+def test_csrs_equal_the_key_sort_reference_in_any_edge_order(case, dense, make, rnd):
+    built = graph_case(case, dense, make)
+    if built is None:
+        return
+    ps, idx, radii = built
+    n = ps.n
+    edges = []
+    from_edges = CatchDigraph.from_edges.__func__
+
+    def recording(cls, r, dim, src, dst):
+        edges.append((src, dst))
+        return from_edges(cls, r, dim, src, dst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CatchDigraph, "from_edges", classmethod(recording))
+        dg = build_catch_digraph(ps, idx, radii)
+    src, dst = edges[0]
+    # the prefix rows, then the ball rows, each ordered by (source, target)
+    assert np.count_nonzero(np.diff(src * n + dst) < 0) <= 1
+    want = keysort_csr(n, src, dst)
+    order = list(range(src.size))
+    rnd.shuffle(order)
+    shuffled = CatchDigraph.from_edges(radii, ps.d, src[order], dst[order])
+    for got in (dg, shuffled):
+        arrays = (got.out_ptr, got.out_ids, got.in_ptr, got.in_ids)
+        for arr, ref in zip(arrays, want):
+            assert arr.dtype == np.int64
+            assert np.array_equal(arr, ref)
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES),
+       st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+def test_clustering_equals_the_gather_reference_with_and_without_the_table(
+    case, dense, make, factor
+):
+    built = graph_case(case, dense, make)
+    if built is None:
+        return
+    ps, idx, radii = built
+    dg = build_catch_digraph(ps, idx, radii)
+    want = gather_cluster_of(dg, ps.points, factor)
+    assert np.array_equal(cluster_digraph(dg, ps, factor).cluster_of, want)
+    with pytest.MonkeyPatch.context() as mp:
+        rows = gathered_rows(mp)
+        got = cluster_digraph(dg, ps, factor, idx=idx).cluster_of
+    assert np.array_equal(got, want)
+    # the table answers exactly the isolated rows that are complete and
+    # hold an anchored id; only the others are gathered
+    adj = np.zeros((ps.n, ps.n), dtype=bool)
+    adj[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
+    anchored = (adj & adj.T).any(axis=1)
+    ids, _, complete = idx.last_table
+    table = complete & anchored[ids].any(axis=1)
+    isolated = np.flatnonzero(~anchored)
+    expect = isolated[~table[isolated]].tolist() if anchored.any() else []
+    assert rows == expect
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans(), st.sampled_from([0, -1]))
+def test_positive_floor_equals_the_loop_reference(case, dense, column):
+    points, k, _ = case
+    ps = PointSet(points)
+    idx = build_index(ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        # zero wherever more than the column's rank of copies share a point
+        radii = idx.knn_table(k)[1][:, column].copy()
+    try:
+        got = graph._positive_floor(ps, radii)
+    except DegenerateDataError:
+        assert (points == points[0]).all()
+        return
+    assert np.array_equal(got, loop_positive_floor(points, radii))
 
 
 @st.composite

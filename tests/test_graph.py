@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccdscore import graph, simgen
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import (
@@ -14,7 +15,7 @@ from ccdscore.graph import (
     unit_ball_volume,
 )
 
-from _oracles import brute_covers, brute_components
+from _oracles import brute_components, brute_covers, gather_cluster_of
 
 
 def make(points):
@@ -195,3 +196,37 @@ def test_build_deterministic_across_fresh_indexes():
     np.testing.assert_array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1] == brute_covers(pts, results[0][0])
     np.testing.assert_array_equal(results[0][2], results[1][2])
+
+
+@pytest.mark.parametrize("d, strategy", [(50, un_approx), (10, rk_approx), (50, rk_approx)])
+def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, strategy):
+    # planted outliers have no mutual edge, and each of their table rows
+    # is complete and reaches a cluster, so nothing is gathered
+    ps = simgen.generate(
+        simgen.SimConfig(regime="gaussian", d=d, n=400, seed=1, outlier_fraction=0.05)
+    )
+    idx = build_index(ps)
+    dg = build_catch_digraph(ps, idx, estimate_radii(ps, idx, strategy()))
+    want = gather_cluster_of(dg, ps.points)
+    gathered = []
+    gather = graph.pair_distance_blocks
+
+    def recording(points, rows, targets):
+        gathered.append(rows.size)
+        return gather(points, rows, targets)
+
+    monkeypatch.setattr(graph, "pair_distance_blocks", recording)
+    cl = cluster_digraph(dg, ps, idx=idx)
+    assert np.array_equal(cl.cluster_of, want)
+    assert sum(gathered) == 0
+    mutual = np.zeros((ps.n, ps.n), dtype=bool)
+    mutual[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
+    assert (~(mutual & mutual.T).any(axis=1)).sum() >= 16
+
+
+def test_cluster_digraph_rejects_an_index_over_other_points():
+    ps, idx = make([[0.0], [1.0], [3.0]])
+    _, other_idx = make([[0.0], [1.0], [3.0]])
+    dg = build_catch_digraph(ps, idx, np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        cluster_digraph(dg, ps, idx=other_idx)
