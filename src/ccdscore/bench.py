@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import lof, odin
+from .baselines import LofParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
-from .graph import fixed_k, rk_approx, un_approx
+from .graph import default_k, fixed_k, rk_approx, un_approx
 from .scores import default_threshold, dump_json, flag_outliers, score_point_set
 from .simgen import SimConfig, generate
 
@@ -155,6 +155,21 @@ def _derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _cell_table_k(methods, n: int) -> int:
+    """The widest neighbor table the cell's methods read, clipped to
+    [1, n - 1] for n >= 2: LOF's k_max, ODIN's round(sqrt(n)) and the CCD
+    radii's default_k(n). Built first, it serves every narrower k as a
+    prefix."""
+    widths = [1]
+    if "lof" in methods:
+        widths.append(LofParams().k_max)
+    if "odin" in methods:
+        widths.append(int(round(n**0.5)))
+    if any(m in CCD_METHODS for m in methods):
+        widths.append(default_k(n))
+    return min(max(widths), n - 1)
+
+
 def _run_cell(args) -> list[BenchRow]:
     cfg_dict, ci, ri, master_seed, methods, s_min = args
     cfg = SimConfig.from_dict(
@@ -162,9 +177,11 @@ def _run_cell(args) -> list[BenchRow]:
     )
     try:
         ps = generate(cfg)
-        # one index serves every method of the cell, and a narrower k
-        # reads a prefix of its widest table
+        # one index and one table serve every method of the cell: each
+        # narrower k reads a prefix of the table
         idx = build_index(ps)
+        if ps.n > 1:  # a lone point has no table; its methods fail in their rows
+            idx.knn_table(_cell_table_k(methods, ps.n))
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [
             BenchRow(config_index=ci, replicate=ri, method=m, error=str(exc))
@@ -356,8 +373,8 @@ def write_raw_csv(rows: list[BenchRow], path) -> None:
 
 def write_timings_csv(rows: list[BenchRow], path) -> None:
     """Wall time per row; a shared CCD report gets its own row, method
-    report-<family>, just before the row that built it. The cell's shared
-    neighbor table is charged to the first row that asks for it."""
+    report-<family>, just before the row that built it. The cell's
+    neighbor index and table are built before its rows and charged to none."""
     # Kept apart from the result files, which must be reproducible byte
     # for byte; wall clock readings are not.
     with open(path, "w", encoding="utf-8", newline="") as fh:

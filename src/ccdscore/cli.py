@@ -149,6 +149,24 @@ def _sniff_label_column(path: str) -> str | None:
     return None
 
 
+def _s_min_note(report) -> str | None:
+    """A one-line note when the s_min filter alone flags more than half of
+    the points, which a fragmented clustering does without any score
+    standing out; None otherwise."""
+    sizes = np.bincount(report.cluster_of)
+    small = (sizes / report.n < report.s_min)[report.cluster_of]
+    n_small = int(small.sum())
+    if 2 * n_small <= report.n:
+        return None
+    n_score = int((report.ios_std > report.ios_threshold).sum())
+    return (
+        f"note: s_min {report.s_min} flags {n_small} of {report.n} points as "
+        f"members of small clusters, the ios threshold alone {n_score}; the "
+        f"largest of {sizes.size} clusters holds {sizes.max() / report.n:.1%} "
+        "of the points"
+    )
+
+
 def cmd_score(args) -> int:
     label_column = _label_column(args.label_column)
     if label_column is None and not args.no_header:
@@ -195,6 +213,9 @@ def cmd_score(args) -> int:
         }
         params["s_min"] = args.s_min
         n_flagged = int(report.flags_for(args.method).sum())
+        note = _s_min_note(report)
+        if note:
+            print(note, file=sys.stderr)
         if args.plot_data:
             _write_plot_data(out, report)
     else:

@@ -341,7 +341,8 @@ class NeighborIndex:
         source also marks a row incomplete when its slack candidate is too
         close to the (k+1)-th to be told apart (a tie that a point outside
         the row could win). Distances are recomputed by the package's
-        formula and each row is sorted by (distance, id). A row goes to the
+        formula and each row is sorted by (distance, id): by distance alone,
+        and by the id key only where two distances are equal. A row goes to the
         per-point knn instead when it is incomplete, or when the point is
         missing from its own candidates (more than k+1 exact duplicates).
 
@@ -375,7 +376,13 @@ class NeighborIndex:
             c = cand[r]
             dd = _row_distances(points, r, c)
             dd[c == r[:, None]] = -1.0  # the point itself sorts first
-            order = np.lexsort((c, dd), axis=1)[:, 1:]
+            # candidates arrive nearly sorted, and a row without two equal
+            # distances has one order; only tied rows need the id key
+            order = np.argsort(dd, axis=1, kind="stable")
+            sd = np.take_along_axis(dd, order, axis=1)
+            tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
+            order[tied] = np.lexsort((c[tied], dd[tied]), axis=1)
+            order = order[:, 1:]
             ids[r] = np.take_along_axis(c, order, axis=1)
             dists[r] = np.take_along_axis(dd, order, axis=1)
         for i in np.flatnonzero(~complete):

@@ -74,16 +74,17 @@ def vicinity_density(dg: CatchDigraph, mode: str = RATIO_ROOT) -> np.ndarray:
     return rho
 
 
-def _row_reduce(reduce, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """reduce(run, axis=1) for each run of values, the runs laid end to end
-    with lengths counts; 0.0 for an empty run.
+def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of values, the runs laid end to end with lengths
+    counts; 0.0 for an empty run.
 
     Runs of equal length are gathered into one (rows, length) block and
-    reduced along axis 1. numpy reduces each contiguous row with the same
-    pairwise summation as a 1-D call, so every result equals np.sum or
-    np.mean of that run alone to the last bit. Segmented sums (np.add.reduceat,
-    a CSR matrix product) add left to right instead and differ in the last
-    bits, which would break the bitwise ties ios_raw promises.
+    summed along axis 1 by np.add.reduce. numpy sums each contiguous row
+    with the same pairwise summation as a 1-D call, so every result equals
+    np.sum of that run alone to the last bit, and dividing by the length
+    gives np.mean. Segmented sums (np.add.reduceat, a CSR matrix product)
+    add left to right instead and differ in the last bits, which would
+    break the bitwise ties ios_raw promises.
     """
     out = np.zeros(counts.size, dtype=np.float64)
     starts = np.cumsum(counts) - counts
@@ -96,7 +97,7 @@ def _row_reduce(reduce, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         rows = order[bounds[g] : bounds[g + 1]]
         for sl in row_chunks(rows.size, length):
             r = rows[sl]
-            out[r] = reduce(values[starts[r, None] + np.arange(length)], axis=1)
+            out[r] = np.add.reduce(values[starts[r, None] + np.arange(length)], axis=1)
     return out
 
 
@@ -105,10 +106,10 @@ def oos(dg: CatchDigraph, rho: np.ndarray) -> np.ndarray:
     divided by the ball's own density. Empty balls score +inf.
     """
     counts = np.diff(dg.out_ptr)
-    means = _row_reduce(np.mean, rho[dg.out_ids], counts)
+    sums = _row_sums(rho[dg.out_ids], counts)
     out = np.full(dg.n, np.inf)
     covered = counts > 0
-    out[covered] = means[covered] / rho[covered]
+    out[covered] = sums[covered] / counts[covered] / rho[covered]
     return out
 
 
@@ -128,7 +129,7 @@ def cumulative_influence(
 ) -> np.ndarray:
     """Summed density of the same-cluster points whose balls reach each point."""
     src, dst = _same_cluster_sources(dg, cl)
-    return _row_reduce(np.sum, rho[src], np.bincount(dst, minlength=dg.n))
+    return _row_sums(rho[src], np.bincount(dst, minlength=dg.n))
 
 
 def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     # the keys ascend already, so each point's own key only needs merging in
     pos = np.searchsorted(dst * n + src, np.arange(n) * (n + 1))
     counts = np.bincount(dst, minlength=n) + 1
-    return 1.0 / _row_reduce(np.sum, np.insert(rho[src], pos, rho), counts)
+    return 1.0 / _row_sums(np.insert(rho[src], pos, rho), counts)
 
 
 def _cluster_medians(cluster_of: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -182,8 +183,12 @@ def standardize_naive(cl: Clustering, ios: np.ndarray) -> np.ndarray:
     # each cluster's values in ascending id order, as np.mean would see them
     vals = ios[np.argsort(c, kind="stable")]
     sizes = np.bincount(c)
-    sd = _row_reduce(np.std, vals, sizes)
-    return (ios - _row_reduce(np.mean, vals, sizes)[c]) / np.where(sd > 0, sd, 1.0)[c]
+    # np.mean and np.std take these steps: the sum over the size, then the
+    # root of the summed squared deviations over the size
+    mean = _row_sums(vals, sizes) / sizes
+    dev = vals - np.repeat(mean, sizes)
+    sd = np.sqrt(_row_sums(dev * dev, sizes) / sizes)
+    return (ios - mean[c]) / np.where(sd > 0, sd, 1.0)[c]
 
 
 def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -217,7 +222,7 @@ def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarr
     t = (counts >= 2) & np.isfinite(run_val)
     m = counts[t]
     moved = ids[np.repeat(starts[t] - np.cumsum(m) + m, m) + np.arange(m.sum())]
-    weights = rho[moved] / np.repeat(_row_reduce(np.sum, rho[moved], m), m)
+    weights = rho[moved] / np.repeat(_row_sums(rho[moved], m), m)
     out = ios_std.copy()
     out[moved] = np.repeat(hi[t], m) - np.repeat(hi[t] - lo[t], m) * weights
     return out

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from ccdscore import dataset
 from ccdscore.bench import (
     ALL_METHODS,
     BASELINE_METHODS,
@@ -26,6 +27,9 @@ from ccdscore.simgen import SimConfig, generate
 
 CFG_A = {"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}
 CFG_B = {"regime": "gaussian", "d": 2, "n": 70, "outlier_fraction": 0.05}
+# d=10 takes its neighbor table from the dense screen
+CFG_DENSE = {"regime": "thomas", "d": 10, "n": 120, "outlier_fraction": 0.05,
+             "gaussian_scale": 0.05, "outlier_min_separation": 1.5}
 
 
 def test_metrics_worked_confusion():
@@ -121,12 +125,12 @@ def test_worker_pool_matches_inline():
 
 
 def test_shared_index_rows_do_not_depend_on_method_order():
-    # lof and odin first build the k=30 table before the CCD radii ask for
-    # a narrower one; in ALL_METHODS order the CCD table comes first. The
-    # d=10 config takes its tables from the dense screen.
-    cfg_dense = {"regime": "thomas", "d": 10, "n": 120, "outlier_fraction": 0.05,
-                 "gaussian_scale": 0.05, "outlier_min_separation": 1.5}
-    configs = [CFG_A, cfg_dense]
+    # the cell builds its one table at the widest k its methods need before
+    # any of them runs, so every method reads a prefix whatever the order,
+    # and each row must equal the method run alone on a fresh index, which
+    # builds only the table that method needs. The d=10 config takes its
+    # table from the dense screen.
+    configs = [CFG_A, CFG_DENSE]
     strip = lambda rows: sorted(
         (r.config_index, r.replicate, r.method, r.tp, r.fp, r.tn, r.fn, r.error)
         for r in rows
@@ -147,6 +151,27 @@ def test_shared_index_rows_do_not_depend_on_method_order():
         assert (conf.tp, conf.fp, conf.tn, conf.fn) == (r.tp, r.fp, r.tn, r.fn), r
 
 
+@pytest.mark.parametrize("cfg, source", [
+    (CFG_A, "_tree_table_candidates"),
+    (CFG_DENSE, "_dense_table_candidates"),
+])
+def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
+    # LOF's k_max = 30 is the widest; the radii and ODIN, at k about
+    # round(sqrt(n)), read prefixes of it
+    calls = []
+    for name in ("_tree_table_candidates", "_dense_table_candidates"):
+        real = getattr(dataset.NeighborIndex, name)
+
+        def counted(self, k, real=real, name=name):
+            calls.append((name, k))
+            return real(self, k)
+
+        monkeypatch.setattr(dataset.NeighborIndex, name, counted)
+    rows = run_monte_carlo([cfg], list(ALL_METHODS), replicates=2, master_seed=8)
+    assert not any(r.error for r in rows)
+    assert calls == [(source, 30), (source, 30)]
+
+
 def test_monte_carlo_validation():
     with pytest.raises(ConfigError):
         run_monte_carlo([CFG_A], ["knn-mean"], replicates=2)
@@ -155,13 +180,21 @@ def test_monte_carlo_validation():
 
 
 def test_failed_cell_is_recorded_not_raised():
-    # lof needs n > 30; n=25 makes every lof row an error row
+    # lof needs n > 30; n=25 makes every lof row an error row. The cell's
+    # table is clipped to k = n - 1, and every other row is the row of a
+    # run without lof
     cfg = {"regime": "uniform", "d": 2, "n": 25, "outlier_fraction": 0.08}
-    rows = run_monte_carlo([cfg], ["lof", "odin"], replicates=2, master_seed=2)
+    rows = run_monte_carlo([cfg], list(ALL_METHODS), replicates=2, master_seed=2)
     lof_rows = [r for r in rows if r.method == "lof"]
-    assert all(r.error for r in lof_rows)
-    assert all(not r.error for r in rows if r.method == "odin")
-    agg = aggregate(rows, ["lof", "odin"])
+    assert len(lof_rows) == 2
+    assert all(r.error == "need n > 30, got n=25" for r in lof_rows)
+    others = [m for m in ALL_METHODS if m != "lof"]
+    without = run_monte_carlo([cfg], others, replicates=2, master_seed=2)
+    assert not any(r.error for r in without)
+    strip = lambda r: {k: v for k, v in vars(r).items()
+                       if k not in ("wall_time", "report_time")}
+    assert [strip(r) for r in rows if r.method != "lof"] == [strip(r) for r in without]
+    agg = aggregate(rows, list(ALL_METHODS))
     lof_agg = next(a for a in agg if a.method == "lof")
     assert lof_agg.replicates_ok == 0
     assert np.isnan(lof_agg.f2)

@@ -431,3 +431,30 @@ def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, ki
     rows = read_rows(tmp_path / "s.scores.csv")
     assert len(rows) == len(pts)
     assert not any("nan" in v for r in rows for v in r.values())
+
+
+def test_score_notes_when_s_min_flags_most_points(tmp_path, capsys):
+    # un-approx splits one uniform column into clusters of at most 7 of
+    # 300 points, all below s_min 0.04; the note goes to stderr and is no
+    # Python warning
+    write_csv(PointSet(_hostile_columns("single-column")), tmp_path / "x.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["score", "--input", tmp_path / "x.csv", "--digraph", "un-approx",
+                  "--out", tmp_path / "s"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("note: s_min 0.04 flags 300 of 300 points")
+    assert "largest of 122 clusters holds 2.3% of the points" in err[0]
+    n_score = int(err[0].split("the ios threshold alone ")[1].split(";")[0])
+    doc = json.loads((tmp_path / "s.scores.json").read_text())
+    ios_std = np.array(doc["points"]["ios_std"], dtype=np.float64)
+    assert n_score == int((ios_std > doc["thresholds"]["ios"]).sum()) < 150
+
+
+def test_score_on_planted_outliers_prints_no_note(tmp_path, capsys):
+    run(["fixture", "--out", tmp_path / "fx"])
+    capsys.readouterr()
+    assert run(["score", "--input", tmp_path / "fx.csv", "--out", tmp_path / "s"]) == 0
+    assert capsys.readouterr().err == ""

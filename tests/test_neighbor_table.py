@@ -181,6 +181,34 @@ def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
         assert np.array_equal(rep.ios_raw, loop_ios_raw(covered_by, cluster_of, rep.rho))
 
 
+def mixed_tie_points(k):
+    """An integer grid, random points off to one side and three points
+    copied k + 3 times, shuffled so that ids follow no geometry: one chunk
+    of table rows holds tie-free rows, complete rows with tied distances
+    inside them and rows that miss their own point."""
+    rng = np.random.default_rng(21)
+    loose = 20.0 + 10.0 * rng.random((60, 2))
+    pool = np.repeat(-5.0 - rng.random((3, 2)), k + 3, axis=0)
+    pts = np.vstack([grid_points(), loose, pool])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_table_orders_tied_rows_by_id_inside_mixed_chunks(dense, monkeypatch):
+    # rows are ordered by distance alone unless two distances are equal;
+    # the interior grid rows at k=4 are complete with four neighbors at 1
+    monkeypatch.setattr(dataset, "_dense_table", lambda d: dense)
+    for k in (4, 8):
+        idx = build_index(PointSet(mixed_tie_points(k)))
+        assert_table_matches_knn(idx, k)
+        _, dists, complete = idx.last_table
+        tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
+        assert not complete.all()
+        assert (complete & ~tied).any()
+        if k == 4:
+            assert (complete & tied).any()
+
+
 def test_table_without_slack_column():
     pts = np.random.default_rng(9).random((9, 2))
     idx = build_index(PointSet(pts))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from _oracles import brute_scores
+from _oracles import brute_scores, loop_ios_raw, loop_oos, loop_standardize_naive
 
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import CatchDigraph, Clustering, fixed_k, un_approx
 from ccdscore.scores import (
     COUNT_OVER_RD,
+    _row_sums,
     THRESHOLDS,
     break_ties,
     cumulative_influence,
@@ -521,3 +522,70 @@ def test_score_point_set_takes_an_index_over_the_same_point_set_only():
     own = score_point_set(ps, fixed_k())
     assert np.array_equal(shared.ios_std, own.ios_std)
     assert np.array_equal(shared.oos, own.oos)
+
+
+# Run lengths on both sides of numpy's pairwise-sum edges: a plain loop
+# below 8 elements, eight accumulators up to 128, halving above that.
+RUN_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 300)
+
+
+def spread_values(rng, size):
+    """Values across 16 orders of magnitude, so that summation order shows
+    in the last bits."""
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+
+
+def test_row_sums_equal_np_sum_of_each_run():
+    rng = np.random.default_rng(5)
+    counts = rng.permutation(np.repeat(RUN_LENGTHS, 3))
+    values = spread_values(rng, counts.sum())
+    got = _row_sums(values, counts)
+    starts = np.cumsum(counts) - counts
+    runs = [values[a : a + c] for a, c in zip(starts.tolist(), counts.tolist())]
+    assert np.array_equal(got, [np.sum(run) for run in runs])
+    # a left-to-right sum differs, so the check can tell the two apart
+    assert not np.array_equal(got, [sum(run.tolist()) for run in runs])
+
+
+def block_edge_graph(rng):
+    """A digraph whose out-degrees and same-cluster in-degrees, and a
+    clustering whose sizes, run through RUN_LENGTHS, ids shuffled."""
+    sizes = [s for s in RUN_LENGTHS if s] + [302]
+    cluster_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = cluster_of.size
+    targets = [[] for _ in range(n)]
+    for j in range(n):
+        mates = np.flatnonzero((cluster_of == cluster_of[j]) & (np.arange(n) != j))
+        degree = min(RUN_LENGTHS[j % len(RUN_LENGTHS)], mates.size)
+        for i in rng.choice(mates, degree, replace=False).tolist():
+            targets[i].append(j)
+    in_graph = make_dg(np.ones(n), [sorted(t) for t in targets], dim=2)
+    covers = [
+        np.sort(rng.choice(np.delete(np.arange(n), i), RUN_LENGTHS[i % len(RUN_LENGTHS)], replace=False))
+        for i in range(n)
+    ]
+    out_graph = make_dg(np.ones(n), covers, dim=2)
+    return in_graph, out_graph, Clustering(cluster_of=cluster_of)
+
+
+def test_scores_equal_loops_at_pairwise_block_edges():
+    rng = np.random.default_rng(6)
+    in_graph, out_graph, cl = block_edge_graph(rng)
+    n = cl.cluster_of.size
+    assert set(RUN_LENGTHS) <= set(np.diff(in_graph.in_ptr).tolist())
+    assert set(RUN_LENGTHS) <= set(np.diff(out_graph.out_ptr).tolist())
+    assert set(RUN_LENGTHS[1:]) <= set(np.bincount(cl.cluster_of).tolist())
+    rho = np.abs(spread_values(rng, n))
+    for dg in (in_graph, out_graph):
+        covers = dg.covers
+        covered_by = [dg.in_ids[a:b] for a, b in zip(dg.in_ptr[:-1], dg.in_ptr[1:])]
+        assert np.array_equal(oos(dg, rho), loop_oos(covers, rho))
+        ios = ios_raw(dg, cl, rho)
+        assert np.array_equal(ios, loop_ios_raw(covered_by, cl.cluster_of, rho))
+        assert np.array_equal(
+            standardize_naive(cl, ios), loop_standardize_naive(cl.cluster_of, ios)
+        )
+    vals = spread_values(rng, n)
+    assert np.array_equal(
+        standardize_naive(cl, vals), loop_standardize_naive(cl.cluster_of, vals)
+    )
