@@ -125,9 +125,45 @@ def load_csv(
                 raise LabelError(f"label column index {label_idx} out of range")
 
     feature_cols = [c for c in range(ncol) if c != label_idx]
+    try:
+        data, labels = _convert_columns(rows, ncol, feature_cols, label_idx, vocab)
+    except (ValueError, KeyError):
+        # the row-major loop names the first bad row or cell
+        header_offset = 2 if has_header else 1
+        data, labels = _convert_rows(
+            rows, ncol, feature_cols, label_idx, vocab, header_offset
+        )
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path} holds non-finite values")
+
+    names = None
+    if header is not None:
+        names = [header[c] for c in feature_cols]
+    return PointSet(points=data, labels=labels, feature_names=names)
+
+
+def _convert_columns(rows, ncol, feature_cols, label_idx, vocab):
+    """(data, labels) converted a whole column at a time. Raises ValueError
+    on a row of the wrong length or a cell float rejects, KeyError on a
+    label outside vocab."""
+    if any(len(row) != ncol for row in rows):
+        raise ValueError("ragged rows")
+    columns = list(zip(*rows))
+    data = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
+    for out_c, c in enumerate(feature_cols):
+        data[:, out_c] = list(map(float, columns[c]))
+    labels = None
+    if label_idx is not None:
+        cells = columns[label_idx]
+        labels = np.array([vocab[cell.strip()] for cell in cells], dtype=np.int64)
+    return data, labels
+
+
+def _convert_rows(rows, ncol, feature_cols, label_idx, vocab, header_offset):
+    """(data, labels) converted cell by cell in row-major order, raising
+    ParseError or LabelError at the first row or cell that fails."""
     data = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
-    header_offset = 2 if has_header else 1
     for r, row in enumerate(rows):
         if len(row) != ncol:
             raise ParseError(
@@ -150,13 +186,7 @@ def load_csv(
                     f"expected one of {sorted(vocab)}"
                 )
             labels[r] = vocab[cell]
-    if not np.isfinite(data).all():
-        raise ParseError(f"{path} holds non-finite values")
-
-    names = None
-    if header is not None:
-        names = [header[c] for c in feature_cols]
-    return PointSet(points=data, labels=labels, feature_names=names)
+    return data, labels
 
 
 def write_csv(ps: PointSet, path) -> None:

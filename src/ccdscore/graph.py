@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .dataset import NeighborIndex, PointSet, pair_distance_blocks, row_chunks
 from .errors import ConfigError, DegenerateDataError
@@ -48,6 +48,12 @@ class RadiusStrategy:
             raise ConfigError("k must be positive")
         if not 0 < self.significance < 1:
             raise ConfigError("significance must be in (0, 1)")
+        if 1.0 - self.significance == 1.0:
+            # the envelope's z would be inf, and inf * 0 puts NaN into it
+            raise ConfigError(
+                f"significance {self.significance!r} is too small: "
+                "1 - significance rounds to 1"
+            )
         if not 0 <= self.quantile <= 1:
             raise ConfigError("quantile must be in [0, 1]")
         if self.multiplier <= 0:
@@ -129,7 +135,7 @@ def _rk_radii(
     sides = ps.points.max(axis=0) - ps.points.min(axis=0)
     volume = float(np.prod(sides))
     vball = unit_ball_volume(d)
-    z = float(norm.ppf(1.0 - significance))
+    z = float(ndtri(1.0 - significance))
     _, cand = idx.knn_table(k)
     radii = cand[:, 0].copy()
     if volume <= 0:

@@ -329,15 +329,42 @@ def test_baseline_scores_json_is_strict(tmp_path):
     assert [str(v) if isinstance(v, str) else repr(v) for v in scores] == csv_scores
 
 
-def test_module_entry_point_smoke():
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    out = subprocess.run(
-        [sys.executable, "-m", "ccdscore", "--version"],
-        capture_output=True, text=True, cwd=root,
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(args):
+    """Run the interpreter with args in a new process that imports the
+    package from this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, cwd=ROOT,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
-    assert out.returncode == 0
+
+
+def test_module_entry_point_smoke():
+    assert run_fresh(["-m", "ccdscore", "--version"]).returncode == 0
+
+
+def test_start_up_and_rk_scoring_leave_scipy_stats_unloaded(tmp_path):
+    # the rk envelope's z comes from scipy.special, which scipy.spatial
+    # loads anyway; importing scipy.stats would double the start-up. A
+    # fresh interpreter, since the test oracles load scipy.stats here.
+    rng = np.random.default_rng(7)
+    write_csv(PointSet(rng.random((80, 3))), tmp_path / "pts.csv")
+    code = (
+        "import sys\n"
+        "import ccdscore, ccdscore.cli, ccdscore.bench\n"
+        "rc = ccdscore.cli.main(['score', '--input', sys.argv[1], '--digraph',\n"
+        "                        'rk-approx', '--out', sys.argv[2]])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    out = run_fresh(["-c", code, str(tmp_path / "pts.csv"), str(tmp_path / "s")])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "s.scores.csv").exists()
 
 
 NOT_UTF8 = b"x,y,label\n0.1,0.2,0\n0.3,\xff\xfe,0\n"

@@ -29,6 +29,8 @@ def test_strategy_validation():
     with pytest.raises(ConfigError):
         rk_approx(significance=0.0)
     with pytest.raises(ConfigError):
+        rk_approx(significance=1e-17)  # 1 - s rounds to 1, so z would be inf
+    with pytest.raises(ConfigError):
         un_approx(quantile=1.5)
     with pytest.raises(ConfigError):
         un_approx(multiplier=0.0)

@@ -4,6 +4,8 @@ the last bit, not merely close."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from ccdscore.baselines import LofParams, OdinParams, lof, odin
 from ccdscore import dataset
@@ -168,7 +170,8 @@ def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
     # fixed-k radii of the duplicated points are zero and get floored
     ps = PointSet(points())
     ref_idx = build_index(ps)
-    for strategy in (fixed_k(k=4), rk_approx(k=4), un_approx(k=4), fixed_k()):
+    rk = [rk_approx(k=4)] + [rk_approx(k=4, significance=s) for s in (1e-6, 0.05, 0.3)]
+    for strategy in (fixed_k(k=4), *rk, un_approx(k=4), fixed_k()):
         radii = loop_radii(ps, ref_idx, strategy)
         rep = score_point_set(ps, strategy)
         assert np.array_equal(rep.digraph.radii, radii)
@@ -179,6 +182,14 @@ def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
         assert np.array_equal(rep.cluster_of, cluster_of)
         assert np.array_equal(rep.oos, loop_oos(covers, rep.rho))
         assert np.array_equal(rep.ios_raw, loop_ios_raw(covered_by, cluster_of, rep.rho))
+
+
+def test_rk_z_from_ndtri_equals_norm_ppf():
+    # the radii take z from scipy.special.ndtri; loop_radii keeps norm.ppf
+    rng = np.random.default_rng(13)
+    sig = np.concatenate([[0.01, 1e-6, 0.05, 0.3, 0.5, 0.99, 2.0**-53],
+                          rng.random(20), 10.0 ** -rng.uniform(1, 15, 20)])
+    assert np.array_equal(ndtri(1.0 - sig).view(np.int64), norm.ppf(1.0 - sig).view(np.int64))
 
 
 def mixed_tie_points(k):
