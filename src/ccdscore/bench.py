@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .baselines import LofParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
-from .scores import default_threshold, dump_json, flag_outliers, score_point_set
+from .scores import dump_json, score_point_set
 from .simgen import SimConfig, generate
 
 BETA = 2.0
@@ -150,6 +150,15 @@ class BenchRow:
     report_time: float | None = None
 
 
+# The columns of raw.csv and of the raw rows of results.json. Wall clock
+# readings are left out, so reruns produce the same bytes.
+RAW_COLUMNS = tuple(
+    f.name for f in fields(BenchRow) if f.name not in ("wall_time", "report_time")
+)
+# The scores that aggregate averages, in AggregateRow's order.
+SCORES = ("tpr", "tnr", "ba", "f2")
+
+
 def _derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
     ss = np.random.SeedSequence([master_seed, config_index, replicate])
     return int(ss.generate_state(1, np.uint64)[0])
@@ -183,10 +192,7 @@ def _run_cell(args) -> list[BenchRow]:
         if ps.n > 1:  # a lone point has no table; its methods fail in their rows
             idx.knn_table(_cell_table_k(methods, ps.n))
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
-        return [
-            BenchRow(config_index=ci, replicate=ri, method=m, error=str(exc))
-            for m in methods
-        ]
+        return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
     rows = []
     reports: dict[str, object] = {}
     for m in methods:
@@ -203,35 +209,13 @@ def _run_cell(args) -> list[BenchRow]:
             else:
                 flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
             conf = Confusion.from_flags(ps.labels, flags)
-            ms = metrics(conf)
-            rows.append(
-                BenchRow(
-                    config_index=ci,
-                    replicate=ri,
-                    method=m,
-                    tp=conf.tp,
-                    fp=conf.fp,
-                    tn=conf.tn,
-                    fn=conf.fn,
-                    tpr=ms.tpr,
-                    tnr=ms.tnr,
-                    ba=ms.ba,
-                    f2=ms.f_beta,
-                    wall_time=time.perf_counter() - t0,
-                    report_time=report_time,
-                )
-            )
+            rows.append(BenchRow(ci, ri, m, *astuple(conf), *astuple(metrics(conf)),
+                                 wall_time=time.perf_counter() - t0,
+                                 report_time=report_time))
         except Exception as exc:  # noqa: BLE001
-            rows.append(
-                BenchRow(
-                    config_index=ci,
-                    replicate=ri,
-                    method=m,
-                    error=str(exc),
-                    wall_time=time.perf_counter() - t0,
-                    report_time=report_time,
-                )
-            )
+            rows.append(BenchRow(ci, ri, m, error=str(exc),
+                                 wall_time=time.perf_counter() - t0,
+                                 report_time=report_time))
     return rows
 
 
@@ -290,7 +274,8 @@ class AggregateRow:
 
 
 def aggregate(rows: list[BenchRow], methods: list[str]) -> list[AggregateRow]:
-    """Mean metrics per (config, method) over the successful replicates."""
+    """Mean and SD of each score per (config, method) over the successful
+    replicates; NaN where none succeeded."""
     out = []
     config_ids = sorted({r.config_index for r in rows})
     for ci in config_ids:
@@ -301,29 +286,13 @@ def aggregate(rows: list[BenchRow], methods: list[str]) -> list[AggregateRow]:
                 if r.config_index == ci and r.method == m and not r.error
             ]
             if not ok:
-                nan = float("nan")
-                out.append(AggregateRow(ci, m, 0, nan, nan, nan, nan,
-                                        nan, nan, nan, nan))
+                out.append(AggregateRow(ci, m, 0, *[float("nan")] * (2 * len(SCORES))))
                 continue
-            cols = {
-                name: np.array([getattr(r, name) for r in ok])
-                for name in ("tpr", "tnr", "ba", "f2")
-            }
-            out.append(
-                AggregateRow(
-                    config_index=ci,
-                    method=m,
-                    replicates_ok=len(ok),
-                    tpr=float(np.mean(cols["tpr"])),
-                    tnr=float(np.mean(cols["tnr"])),
-                    ba=float(np.mean(cols["ba"])),
-                    f2=float(np.mean(cols["f2"])),
-                    tpr_sd=float(np.std(cols["tpr"])),
-                    tnr_sd=float(np.std(cols["tnr"])),
-                    ba_sd=float(np.std(cols["ba"])),
-                    f2_sd=float(np.std(cols["f2"])),
-                )
-            )
+            # one contiguous row per score, so each reduces with the same
+            # pairwise sum as np.mean and np.std of that score alone
+            vals = np.array([[getattr(r, s) for r in ok] for s in SCORES])
+            out.append(AggregateRow(ci, m, len(ok), *vals.mean(axis=1).tolist(),
+                                    *vals.std(axis=1).tolist()))
     return out
 
 
@@ -358,17 +327,15 @@ def _w(v) -> str:
     return str(v)
 
 
-def write_raw_csv(rows: list[BenchRow], path) -> None:
-    cols = ["config_index", "replicate", "method", "tp", "fp", "tn", "fn",
-            "tpr", "tnr", "ba", "f2", "error"]
+def _write_table(rows, cols, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for r in rows:
-            writer.writerow(
-                [r.config_index, r.replicate, r.method, r.tp, r.fp, r.tn, r.fn,
-                 _w(r.tpr), _w(r.tnr), _w(r.ba), _w(r.f2), r.error]
-            )
+        writer.writerows([_w(getattr(r, c)) for c in cols] for r in rows)
+
+
+def write_raw_csv(rows: list[BenchRow], path) -> None:
+    _write_table(rows, RAW_COLUMNS, path)
 
 
 def write_timings_csv(rows: list[BenchRow], path) -> None:
@@ -389,18 +356,7 @@ def write_timings_csv(rows: list[BenchRow], path) -> None:
 
 
 def write_aggregate_csv(agg: list[AggregateRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["config_index", "method", "replicates_ok", "tpr", "tnr", "ba",
-             "f2", "tpr_sd", "tnr_sd", "ba_sd", "f2_sd"]
-        )
-        for a in agg:
-            writer.writerow(
-                [a.config_index, a.method, a.replicates_ok,
-                 _w(a.tpr), _w(a.tnr), _w(a.ba), _w(a.f2),
-                 _w(a.tpr_sd), _w(a.tnr_sd), _w(a.ba_sd), _w(a.f2_sd)]
-            )
+    _write_table(agg, [f.name for f in fields(AggregateRow)], path)
 
 
 def write_results_json(
@@ -409,17 +365,7 @@ def write_results_json(
     """Raw and aggregate tables in one JSON document. Wall time is left
     out, like in the CSVs, so reruns produce the same bytes."""
     doc = {
-        "raw": [
-            {
-                "config_index": r.config_index,
-                "replicate": r.replicate,
-                "method": r.method,
-                "tp": r.tp, "fp": r.fp, "tn": r.tn, "fn": r.fn,
-                "tpr": r.tpr, "tnr": r.tnr, "ba": r.ba, "f2": r.f2,
-                "error": r.error,
-            }
-            for r in rows
-        ],
+        "raw": [{c: getattr(r, c) for c in RAW_COLUMNS} for r in rows],
         "aggregate": [asdict(a) for a in agg],
     }
     dump_json(doc, path)

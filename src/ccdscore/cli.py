@@ -275,7 +275,9 @@ def cmd_bench(args) -> int:
     if methods is not None and (not isinstance(methods, list) or not methods):
         raise ConfigError('grid "methods" must be a non-empty list of method names')
     try:
-        replicates = args.replicates or int(grid.get("replicates", 10))
+        replicates = args.replicates if args.replicates is not None else int(
+            grid.get("replicates", 10)
+        )
         s_min = args.s_min if args.s_min is not None else float(
             grid.get("s_min", DEFAULT_S_MIN)
         )

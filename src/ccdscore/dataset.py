@@ -506,19 +506,18 @@ class NeighborIndex:
         dists = _distances_to(self.ps.points[cand], x)
         return np.sort(cand[dists <= r])
 
-    def balls(self, rows: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Members of the closed balls B(x_i, radii[a]) for i = rows[a].
+    def balls(self, rows: np.ndarray, radii: np.ndarray):
+        """Coverage edges of the closed balls B(x_i, radii[a]) for i = rows[a].
 
-        Returns (owner, member) edge arrays: owner holds positions into
-        rows, members ascend within each owner and include the center.
-        Each ball equals range_query(rows[a], radii[a]). Candidates come
-        per block of rows from a dense screen. A candidate the screen
-        proves a member is taken as it is; only the others, in the
-        screen's rounding band, are rechecked with the package's distance
-        formula.
+        Yields (src, dst) blocks of point ids: sources come in rows order,
+        targets ascend within each source, and each center is left out, so
+        a source's targets equal range_query(rows[a], radii[a]) without
+        rows[a]. Candidates come per block of rows from a dense screen. A
+        candidate the screen proves a member is taken as it is; only the
+        others, in the screen's rounding band, are rechecked with the
+        package's distance formula.
         """
         points = self.ps.points
-        owners, members = [], []
         for owner, cand, inside in self._screen_candidates(rows, radii):
             check = np.flatnonzero(~inside)
             for part in row_chunks(check.size, self.ps.d):
@@ -526,11 +525,9 @@ class NeighborIndex:
                 o = owner[c]
                 dd = _row_distances(points, rows[o], cand[c, None])[:, 0]
                 inside[c] = dd <= radii[o]
-            owners.append(owner[inside])
-            members.append(cand[inside])
-        if not owners:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(owners), np.concatenate(members)
+            src = rows[owner]
+            inside &= src != cand
+            yield src[inside], cand[inside]
 
     def _shifted(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(x, sq, slack, floor): the points shifted by their column minima,

@@ -251,13 +251,9 @@ def build_catch_digraph(
             src.append(r[a])
             dst.append(sub[a, c])
     rest = np.flatnonzero(~prefix)
-    owner, member = idx.balls(rest, radii[rest])
-    owner = rest[owner]
-    keep = owner != member
-    src.append(owner[keep])
-    dst.append(member[keep])
-    # hold the edges once, not also in pieces, while from_edges runs
-    del owner, member, keep
+    for s, t in idx.balls(rest, radii[rest]):
+        src.append(s)
+        dst.append(t)
     src, dst = np.concatenate(src), np.concatenate(dst)
     return CatchDigraph.from_edges(radii, ps.d, src, dst)
 

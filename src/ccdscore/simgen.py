@@ -9,7 +9,7 @@ independent draws never share a stream.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -370,7 +370,3 @@ def masking_fixture(seed: int = 0) -> MaskingFixture:
         gaussian_center=c3_center,
         gaussian_cov=cov,
     )
-
-
-def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
-    return replace(cfg, seed=seed)

@@ -4,9 +4,9 @@ The brute_* functions are written straight from the definitions with plain
 loops, deliberately sharing no code with the package, so agreement is
 meaningful. The loop_* functions at the end are the per-point reference
 loops for the package's batched neighbor-table code, the per-cluster
-loops for its group reductions, and the per-row report writers;
-keysort_csr and gather_cluster_of are the sorting and gathering forms of
-its graph layer.
+loops for its group reductions, the per-row report writers, and the bench
+result tables with every column listed by hand; keysort_csr and
+gather_cluster_of are the sorting and gathering forms of its graph layer.
 """
 
 import csv
@@ -545,3 +545,87 @@ def loop_write_points_csv(ps, path):
             if ps.labels is not None:
                 row.append(str(int(ps.labels[i])))
             writer.writerow(row)
+
+
+# Bench result tables, each column listed by hand.
+
+
+def loop_aggregate(rows, methods):
+    from ccdscore.bench import AggregateRow
+
+    out = []
+    config_ids = sorted({r.config_index for r in rows})
+    for ci in config_ids:
+        for m in methods:
+            ok = [
+                r
+                for r in rows
+                if r.config_index == ci and r.method == m and not r.error
+            ]
+            if not ok:
+                nan = float("nan")
+                out.append(AggregateRow(ci, m, 0, nan, nan, nan, nan,
+                                        nan, nan, nan, nan))
+                continue
+            cols = {
+                name: np.array([getattr(r, name) for r in ok])
+                for name in ("tpr", "tnr", "ba", "f2")
+            }
+            out.append(
+                AggregateRow(
+                    config_index=ci,
+                    method=m,
+                    replicates_ok=len(ok),
+                    tpr=float(np.mean(cols["tpr"])),
+                    tnr=float(np.mean(cols["tnr"])),
+                    ba=float(np.mean(cols["ba"])),
+                    f2=float(np.mean(cols["f2"])),
+                    tpr_sd=float(np.std(cols["tpr"])),
+                    tnr_sd=float(np.std(cols["tnr"])),
+                    ba_sd=float(np.std(cols["ba"])),
+                    f2_sd=float(np.std(cols["f2"])),
+                )
+            )
+    return out
+
+
+def loop_write_raw_csv(rows, path):
+    cols = ["config_index", "replicate", "method", "tp", "fp", "tn", "fn",
+            "tpr", "tnr", "ba", "f2", "error"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for r in rows:
+            writer.writerow(
+                [r.config_index, r.replicate, r.method, r.tp, r.fp, r.tn, r.fn,
+                 repr(r.tpr), repr(r.tnr), repr(r.ba), repr(r.f2), r.error]
+            )
+
+
+def loop_write_aggregate_csv(agg, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["config_index", "method", "replicates_ok", "tpr", "tnr", "ba",
+             "f2", "tpr_sd", "tnr_sd", "ba_sd", "f2_sd"]
+        )
+        for a in agg:
+            writer.writerow(
+                [a.config_index, a.method, a.replicates_ok,
+                 repr(a.tpr), repr(a.tnr), repr(a.ba), repr(a.f2),
+                 repr(a.tpr_sd), repr(a.tnr_sd), repr(a.ba_sd), repr(a.f2_sd)]
+            )
+
+
+def loop_raw_json_dicts(rows):
+    return [
+        {
+            "config_index": r.config_index,
+            "replicate": r.replicate,
+            "method": r.method,
+            "tp": r.tp, "fp": r.fp, "tn": r.tn, "fn": r.fn,
+            "tpr": r.tpr, "tnr": r.tnr, "ba": r.ba, "f2": r.f2,
+            "error": r.error,
+        }
+        for r in rows
+    ]

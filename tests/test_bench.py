@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,12 +19,21 @@ from ccdscore.bench import (
     rank_methods,
     run_monte_carlo,
     write_aggregate_csv,
+    write_ranking_csv,
     write_raw_csv,
     write_results_json,
     write_timings_csv,
 )
 from ccdscore.errors import ConfigError, DegenerateLabelsError
 from ccdscore.simgen import SimConfig, generate
+
+from _oracles import (
+    loop_aggregate,
+    loop_raw_json_dicts,
+    loop_write_aggregate_csv,
+    loop_write_json,
+    loop_write_raw_csv,
+)
 
 CFG_A = {"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}
 CFG_B = {"regime": "gaussian", "d": 2, "n": 70, "outlier_fraction": 0.05}
@@ -248,8 +258,6 @@ def test_writers_are_deterministic(tmp_path):
         if name == "timings.csv":
             continue  # wall clock is the one column allowed to move
         assert p1.read_bytes() == p2.read_bytes()
-    from ccdscore.bench import write_ranking_csv
-
     write_ranking_csv(ranks, tmp_path / "rank.csv")
     head = (tmp_path / "rank.csv").read_text().splitlines()[0]
     assert head == "config_index,method,f2,rank,top3"
@@ -289,3 +297,34 @@ def test_results_json_layout(tmp_path):
     assert "wall_time" not in got["raw"][0]
     write_results_json(rows, agg, tmp_path / "again.json")
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
+def test_result_files_equal_hand_listed_writers_byte_for_byte(tmp_path):
+    # 11 replicates: from 8 values up numpy's pairwise sum differs from a
+    # value-by-value sum, so aggregate must reduce each score as np.mean and
+    # np.std of that score alone do. LOF at n=25 leaves one aggregate row
+    # all NaN, and oos-fixed flags nothing in some rows.
+    cfgs = [{"regime": "uniform", "d": 2, "n": 25, "outlier_fraction": 0.08},
+            {"regime": "gaussian", "d": 2, "n": 60, "outlier_fraction": 0.05}]
+    methods = list(ALL_METHODS)
+    rows = run_monte_carlo(cfgs, methods, replicates=11, master_seed=5)
+    assert any(not r.error and r.tp + r.fp == 0 for r in rows)
+    agg = aggregate(rows, methods)
+    ref = loop_aggregate(rows, methods)
+    assert any(a.replicates_ok == 0 for a in agg)
+
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir()
+    want.mkdir()
+    write_raw_csv(rows, got / "raw.csv")
+    loop_write_raw_csv(rows, want / "raw.csv")
+    write_aggregate_csv(agg, got / "aggregate.csv")
+    loop_write_aggregate_csv(ref, want / "aggregate.csv")
+    write_ranking_csv(rank_methods(agg), got / "ranking.csv")
+    write_ranking_csv(rank_methods(ref), want / "ranking.csv")
+    write_results_json(rows, agg, got / "results.json")
+    loop_write_json({"raw": loop_raw_json_dicts(rows),
+                     "aggregate": [asdict(a) for a in ref]},
+                    want / "results.json")
+    for name in ("raw.csv", "aggregate.csv", "ranking.csv", "results.json"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name

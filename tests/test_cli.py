@@ -213,6 +213,16 @@ def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_zero_replicates_exits_2(tmp_path, capsys):
+    # 0 is a count, not a missing option: it must not fall back to the grid's 2
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], 2)
+    rc = run(["bench", "--grid", grid, "--replicates", "0", "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "replicates" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_grid_with_non_list_methods_exits_2(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     configs = [{"regime": "uniform", "d": 2, "n": 60}]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from ccdscore.simgen import (
     generate,
     masking_fixture,
     planned_outliers,
-    with_seed,
 )
 
 
@@ -22,7 +23,7 @@ def test_generate_is_deterministic():
     b = generate(cfg)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.labels, b.labels)
-    c = generate(with_seed(cfg, 43))
+    c = generate(replace(cfg, seed=43))
     assert not np.array_equal(a.points, c.points)
 
 
