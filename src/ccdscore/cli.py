@@ -41,7 +41,16 @@ from .errors import (
     DegenerateLabelsError,
 )
 from .graph import fixed_k, rk_approx, un_approx
-from .scores import REPORT_COLUMNS, _cluster_medians, _descending_ranks, dump_json, json_floats
+from .scores import (
+    JSON_NONFINITE_QUOTED,
+    _cluster_medians,
+    _descending_ranks,
+    dump_json,
+    float_text,
+    int_text,
+    json_floats,
+    write_report_csv,
+)
 from .scores import score_point_set
 from .simgen import SimConfig, generate, masking_fixture
 
@@ -119,18 +128,18 @@ def cmd_fixture(args) -> int:
 def _write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> None:
     """The scores.csv and scores.json of a LOF or ODIN run."""
     scores = np.asarray(scores, dtype=np.float64)
-    flags, ranks = flags.astype(int).tolist(), ranks.tolist()
-    with open(f"{prefix}.scores.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(
-            zip(range(scores.size), *[repeat("")] * 9, map(repr, scores.tolist()), flags, ranks)
-        )
+    text = float_text(scores)
+    write_report_csv(f"{prefix}.scores.csv", map(str, range(scores.size)),
+                     *[repeat("")] * 9, text, int_text(flags), int_text(ranks))
     dump_json(
         {
             "n": scores.size,
             "method": method,
-            "points": {"score": json_floats(scores), "flag": flags, "rank": ranks},
+            "points": {
+                "score": json_floats(scores, text, JSON_NONFINITE_QUOTED),
+                "flag": flags.astype(int).tolist(),
+                "rank": ranks.tolist(),
+            },
         },
         f"{prefix}.scores.json",
     )

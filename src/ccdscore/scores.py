@@ -10,7 +10,6 @@ members of small colluding groups once the cluster-size filter is on.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass, field
@@ -315,6 +314,83 @@ def _descending_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+# The report writers format each value once: a float column's repr text
+# serves scores.csv and, with its non-finite tokens mapped, scores.json;
+# the cover rows take their ids from one table of the n id texts.
+
+REPORT_COLUMNS = [
+    "id",
+    "cluster",
+    "rho",
+    "oos",
+    "ios_raw",
+    "ios_std",
+    "oos_rank",
+    "ios_rank",
+    "oos_flag",
+    "ios_flag",
+    "score",
+    "flag",
+    "rank",
+]
+
+
+def int_text(a: np.ndarray) -> map:
+    """str of each value of a, an int or bool array."""
+    return map(str, a.astype(np.int64).tolist())
+
+
+def write_report_csv(path, *columns) -> None:
+    """Write a scores.csv: the REPORT_COLUMNS header, then one line per
+    point from the columns' text. Each cell is an int's str, a float's
+    repr or empty, none of which CSV quotes, so the lines are those of
+    csv.writer without its per-cell scan."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(REPORT_COLUMNS) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+
+
+class JsonText:
+    """A JSON list whose items are JSON text already. iter_json lays it out
+    as it lays out a list of plain scalars; json.dumps does not take it."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[str]):
+        self.items = items
+
+
+def float_text(a: np.ndarray) -> list[str]:
+    """repr of each value of a: the text scores.csv holds, and, finite, the
+    text the JSON encoder writes."""
+    return list(map(repr, np.asarray(a, dtype=np.float64).tolist()))
+
+
+# repr's non-finite tokens as json.dump writes them, and as the strings
+# that keep a score column strict JSON
+JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+JSON_NONFINITE_QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def json_floats(a: np.ndarray, text: list[str], tokens: dict = JSON_NONFINITE) -> JsonText:
+    """The values of a as a JSON list, from their float_text; inf, -inf
+    and nan become their entries in tokens."""
+    bad = np.flatnonzero(~np.isfinite(a)).tolist()
+    if bad:
+        text = text.copy()
+        for i in bad:
+            text[i] = tokens[text[i]]
+    return JsonText(text)
+
+
+def cover_rows(dg: CatchDigraph) -> list[JsonText]:
+    """Each point's out-neighbors as a JSON list, from one table of the n
+    id texts, so each id is formatted once however many balls cover it."""
+    ids = np.array(list(map(str, range(dg.n))), dtype=object)[dg.out_ids].tolist()
+    ptr = dg.out_ptr.tolist()
+    return [JsonText(ids[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+
+
 @dataclass
 class ScoreReport:
     """Everything the scoring pipeline produced for one point set."""
@@ -335,6 +411,10 @@ class ScoreReport:
     params: dict = field(default_factory=dict)
     digraph: CatchDigraph | None = field(default=None, repr=False)
     clustering: Clustering | None = field(default=None, repr=False)
+    # float_text of each column written so far, keyed by the column's
+    # float64 bytes: scores.csv and scores.json share it, and a column
+    # changed since can never meet a stale text
+    _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -343,33 +423,44 @@ class ScoreReport:
     def flags_for(self, score_kind: str) -> np.ndarray:
         return self.ios_flag if score_kind == "ios" else self.oos_flag
 
+    def _float_text(self, a: np.ndarray) -> list[str]:
+        a = np.asarray(a, dtype=np.float64)
+        key = a.tobytes()
+        text = self._text.get(key)
+        if text is None:
+            text = self._text[key] = float_text(a)
+        return text
+
+    def _json_floats(self, a: np.ndarray, tokens: dict = JSON_NONFINITE) -> JsonText:
+        return json_floats(a, self._float_text(a), tokens)
+
     def write_csv(self, path, method: str = "ios") -> None:
         score, flag, rank = {
             "oos": (self.oos, self.oos_flag, self.oos_rank),
             "ios": (self.ios_std, self.ios_flag, self.ios_rank),
         }[method]
-        columns = (
-            range(self.n),
-            self.cluster_of.tolist(),
-            map(repr, self.rho.tolist()),
-            map(repr, self.oos.tolist()),
-            map(repr, self.ios_raw.tolist()),
-            map(repr, self.ios_std.tolist()),
-            self.oos_rank.tolist(),
-            self.ios_rank.tolist(),
-            self.oos_flag.astype(int).tolist(),
-            self.ios_flag.astype(int).tolist(),
-            map(repr, score.tolist()),
-            flag.astype(int).tolist(),
-            rank.tolist(),
+        text = self._float_text
+        write_report_csv(
+            path,
+            map(str, range(self.n)),
+            int_text(self.cluster_of),
+            text(self.rho),
+            text(self.oos),
+            text(self.ios_raw),
+            text(self.ios_std),
+            int_text(self.oos_rank),
+            int_text(self.ios_rank),
+            int_text(self.oos_flag),
+            int_text(self.ios_flag),
+            text(score),
+            int_text(flag),
+            int_text(rank),
         )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            writer.writerows(zip(*columns))
 
-    def to_json_dict(self, method: str = "ios") -> dict:
-        ids, ptr = self.digraph.out_ids.tolist(), self.digraph.out_ptr.tolist()
+    def _json_doc(self, method: str) -> dict:
+        """The scores.json document for iter_json, its float columns and
+        cover rows as JsonText."""
+        floats = self._json_floats
         return {
             "n": self.n,
             "method": method,
@@ -378,16 +469,16 @@ class ScoreReport:
             "params": self.params,
             "cluster_sizes": np.bincount(self.cluster_of).tolist(),
             "digraph": {
-                "radii": self.digraph.radii.tolist(),
-                "covers": [ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])],
+                "radii": floats(self.digraph.radii),
+                "covers": cover_rows(self.digraph),
             },
             "points": {
                 "cluster": self.cluster_of.tolist(),
-                "rho": self.rho.tolist(),
-                "oos": json_floats(self.oos),
-                "ios_raw": self.ios_raw.tolist(),
-                "ios_std": json_floats(self.ios_std),
-                "ios_std_naive": self.ios_std_naive.tolist(),
+                "rho": floats(self.rho),
+                "oos": floats(self.oos, JSON_NONFINITE_QUOTED),
+                "ios_raw": floats(self.ios_raw),
+                "ios_std": floats(self.ios_std, JSON_NONFINITE_QUOTED),
+                "ios_std_naive": floats(self.ios_std_naive),
                 "oos_flag": self.oos_flag.astype(int).tolist(),
                 "ios_flag": self.ios_flag.astype(int).tolist(),
                 "oos_rank": self.oos_rank.tolist(),
@@ -396,40 +487,14 @@ class ScoreReport:
         }
 
     def write_json(self, path, method: str = "ios") -> None:
-        dump_json(self.to_json_dict(method), path)
-
-
-REPORT_COLUMNS = [
-    "id",
-    "cluster",
-    "rho",
-    "oos",
-    "ios_raw",
-    "ios_std",
-    "oos_rank",
-    "ios_rank",
-    "oos_flag",
-    "ios_flag",
-    "score",
-    "flag",
-    "rank",
-]
-
-
-def json_floats(a: np.ndarray) -> list:
-    """The values of a as JSON floats; inf, -inf and nan, which JSON cannot
-    hold, as the strings "inf", "-inf" and "nan"."""
-    a = np.asarray(a, dtype=np.float64)
-    out = a.tolist()
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        out[i] = repr(out[i])
-    return out
+        dump_json(self._json_doc(method), path)
 
 
 # Only json.dumps with indent=None reaches the C encoder; json.dump and any
 # indent run the pure-Python one, token by token. iter_json gives the bytes
 # of indent=2 while sending each list of plain scalars through the C encoder
-# in one call, its item separator carrying the newline and the indent.
+# in one call, its item separator carrying the newline and the indent, and
+# joining each JsonText with that same separator.
 _JSON_SCALARS = frozenset({str, int, float, type(None)})
 _encode_scalar = json.JSONEncoder().encode
 
@@ -440,7 +505,8 @@ def _scalar_list_encoder(pad: str):
 
 
 def iter_json(obj, indent: str = ""):
-    """Yield the text of json.dumps(obj, indent=2) in pieces.
+    """Yield the text of json.dumps(obj, indent=2) in pieces, a JsonText
+    taken as the list its items encode.
 
     Dicts and lists that hold containers recurse; a list whose items are
     all exactly str, int, float or None is encoded in one C call, so bool,
@@ -448,6 +514,14 @@ def iter_json(obj, indent: str = ""):
     be str: json.dumps turns an int, float, bool or None key into a string,
     which this writer does not, so such a key raises TypeError.
     """
+    if isinstance(obj, JsonText):
+        obj = obj.items
+        if not obj:
+            yield "[]"
+            return
+        pad = "\n" + indent + "  "
+        yield "[" + pad + ("," + pad).join(obj) + "\n" + indent + "]"
+        return
     if not isinstance(obj, (dict, list, tuple)):
         yield _encode_scalar(obj)
         return

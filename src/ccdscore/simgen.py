@@ -28,6 +28,7 @@ _S_COLLECTIVE = 5
 _S_FIXTURE = 6
 
 _CENTER_ATTEMPTS = 1000
+_CENTER_RESTARTS = 10
 _OUTLIER_ATTEMPTS = 10000
 _DOMAIN_PAD = 0.1  # unit domain grows by this much per side for outliers
 
@@ -140,15 +141,23 @@ def _correlated_gaussian(
 def _pick_centers(
     rng: np.random.Generator, count: int, d: int, extent: float
 ) -> np.ndarray:
+    """count centers in the box, pairwise at least 2.5 extents apart.
+
+    Centers are placed greedily from random candidates. Early centers can
+    block the box for the rest, so once _CENTER_ATTEMPTS candidates are
+    spent the set starts again empty, drawing on from the same rng, up to
+    _CENTER_RESTARTS times; the first round alone is the greedy loop.
+    """
     margin = min(extent, 0.4)
     min_sep = 2.5 * extent
-    centers: list[np.ndarray] = []
-    for _ in range(_CENTER_ATTEMPTS):
-        cand = rng.uniform(margin, 1.0 - margin, size=d)
-        if all(np.linalg.norm(cand - c) >= min_sep for c in centers):
-            centers.append(cand)
-            if len(centers) == count:
-                return np.asarray(centers)
+    for _ in range(_CENTER_RESTARTS):
+        centers: list[np.ndarray] = []
+        for _ in range(_CENTER_ATTEMPTS):
+            cand = rng.uniform(margin, 1.0 - margin, size=d)
+            if all(np.linalg.norm(cand - c) >= min_sep for c in centers):
+                centers.append(cand)
+                if len(centers) == count:
+                    return np.asarray(centers)
     raise ConfigError(
         f"could not place {count} cluster centers at separation {min_sep:.3g}; "
         "reduce n_clusters or the cluster extent"

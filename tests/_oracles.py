@@ -629,3 +629,22 @@ def loop_raw_json_dicts(rows):
         }
         for r in rows
     ]
+
+
+# Cluster-center placement as it was before restarts: one greedy round of
+# 1000 candidates, then ConfigError.
+
+
+def greedy_pick_centers(rng, count, d, extent):
+    from ccdscore.errors import ConfigError
+
+    margin = min(extent, 0.4)
+    min_sep = 2.5 * extent
+    centers = []
+    for _ in range(1000):
+        cand = rng.uniform(margin, 1.0 - margin, size=d)
+        if all(np.linalg.norm(cand - c) >= min_sep for c in centers):
+            centers.append(cand)
+            if len(centers) == count:
+                return np.asarray(centers)
+    raise ConfigError(f"could not place {count} cluster centers")

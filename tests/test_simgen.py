@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ccdscore import simgen
 from ccdscore.errors import ConfigError
 from ccdscore.simgen import (
     SimConfig,
@@ -13,6 +14,8 @@ from ccdscore.simgen import (
     masking_fixture,
     planned_outliers,
 )
+
+from _oracles import greedy_pick_centers
 
 
 def test_generate_is_deterministic():
@@ -200,3 +203,27 @@ def test_fixture_deterministic_per_seed():
     assert np.array_equal(a.ps.points, b.ps.points)
     c = masking_fixture(seed=1)
     assert not np.array_equal(a.ps.points, c.ps.points)
+
+
+def test_center_placement_restarts_and_keeps_every_greedy_placement(monkeypatch):
+    # the default gaussian config at d=2, n=60 fits three centers 0.45
+    # apart in its 0.64-wide box, yet one greedy round fails for some seeds
+    cfgs = [SimConfig(regime="gaussian", d=2, n=60, seed=s) for s in range(300)]
+    new = [generate(cfg) for cfg in cfgs]
+    monkeypatch.setattr(simgen, "_pick_centers", greedy_pick_centers)
+    restarted = 0
+    for cfg, ps in zip(cfgs, new):
+        try:
+            old = generate(cfg)
+        except ConfigError:
+            restarted += 1
+            continue
+        assert np.array_equal(ps.points, old.points)
+        assert np.array_equal(ps.labels, old.labels)
+    assert restarted > 0
+
+
+def test_center_placement_budget_stays_bounded():
+    # 30 centers 0.45 apart cannot fit in the box: every restart fails
+    with pytest.raises(ConfigError, match="could not place 30 cluster centers"):
+        generate(SimConfig(regime="gaussian", d=2, n=60, n_clusters=30, seed=1))

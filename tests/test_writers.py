@@ -4,6 +4,7 @@ and ODIN reports, dataset.write_csv and the bench results file must match
 them byte for byte, on reports that hold every value a writer has to carry."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,16 @@ from ccdscore.bench import aggregate, run_monte_carlo, write_results_json
 from ccdscore.cli import _write_baseline_report
 from ccdscore.dataset import PointSet, build_index, write_csv
 from ccdscore.graph import CatchDigraph, fixed_k, rk_approx, un_approx
-from ccdscore.scores import _descending_ranks, iter_json, score_point_set
+from ccdscore.scores import (
+    JSON_NONFINITE,
+    JSON_NONFINITE_QUOTED,
+    JsonText,
+    _descending_ranks,
+    float_text,
+    iter_json,
+    json_floats,
+    score_point_set,
+)
 from ccdscore.simgen import SimConfig
 
 from _oracles import (
@@ -50,10 +60,49 @@ json_trees = st.recursive(
 )
 
 
+def _bare_pair(values):
+    a = np.array(values, dtype=np.float64)
+    return values, json_floats(a, float_text(a), JSON_NONFINITE)
+
+
+def _quoted_pair(values):
+    a = np.array(values, dtype=np.float64)
+    original = [v if math.isfinite(v) else repr(v) for v in values]
+    return original, json_floats(a, float_text(a), JSON_NONFINITE_QUOTED)
+
+
+def _unzip(pairs):
+    return [o for o, _ in pairs], [e for _, e in pairs]
+
+
+# (tree, the same tree with some scalar lists swapped for their JsonText):
+# float lists with the bare and the quoted non-finite maps, and any scalar
+# list with each item's json.dumps text, empty lists among them
+float_lists = st.lists(st.floats(), max_size=8)
+encoded_pairs = st.one_of(
+    float_lists.map(_bare_pair),
+    float_lists.map(_quoted_pair),
+    st.lists(json_scalars, max_size=8).map(
+        lambda v: (v, JsonText([json.dumps(x) for x in v]))),
+)
+json_pair_trees = st.recursive(
+    st.one_of(json_scalars.map(lambda x: (x, x)), encoded_pairs),
+    lambda inner: st.one_of(
+        st.lists(inner).map(_unzip),
+        st.lists(inner).map(lambda ps: tuple(map(tuple, _unzip(ps)))),
+        st.dictionaries(st.text(), inner).map(
+            lambda d: tuple(dict(zip(d, side)) for side in _unzip(list(d.values())))),
+    ),
+    max_leaves=30,
+)
+
+
 @SETTINGS
-@given(json_trees)
-def test_iter_json_is_json_dumps_indent_2(tree):
+@given(json_trees, json_pair_trees)
+def test_iter_json_is_json_dumps_indent_2(tree, pair):
     assert "".join(iter_json(tree)) == json.dumps(tree, indent=2)
+    original, encoded = pair
+    assert "".join(iter_json(encoded)) == json.dumps(original, indent=2)
 
 
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"x": 1}, {2.5: 0}]])
@@ -70,26 +119,44 @@ PTS = np.vstack([
 ])
 
 
+# Blob points whose float values hostile_report overwrites with NaN, +inf
+# and -inf.
+NONFINITE_AT, NONFINITE = [40, 41, 42], [np.nan, np.inf, -np.inf]
+FLOAT_COLUMNS = ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive")
+
+
 def hostile_report(strategy):
     """The report of PTS under strategy, with each value a writer must
     carry that this strategy does not produce itself put in by hand: an
-    empty ball (inf OOS and a [] cover row), +inf and -inf ios_std, and a
-    singleton cluster."""
+    empty ball (inf OOS and a [] cover row), +inf and -inf ios_std, a
+    singleton cluster, and NaN, +inf and -inf in every float column."""
     rep = score_point_set(PointSet(PTS), strategy)
     dg = rep.digraph
-    oos, ios_std, cluster_of = rep.oos.copy(), rep.ios_std.copy(), rep.cluster_of.copy()
-    if np.isfinite(oos).all():
-        src = np.repeat(np.arange(dg.n), np.diff(dg.out_ptr))
+    cols = {name: getattr(rep, name).copy() for name in FLOAT_COLUMNS}
+    radii, cluster_of = dg.radii.copy(), rep.cluster_of.copy()
+    src = np.repeat(np.arange(dg.n), np.diff(dg.out_ptr))
+    keep = np.ones(src.size, dtype=bool)
+    if np.isfinite(cols["oos"]).all():
         keep = src != 0
-        dg = CatchDigraph.from_edges(dg.radii, dg.dim, src[keep], dg.out_ids[keep])
-        oos[0] = np.inf
-    if not np.isposinf(ios_std).any():
-        ios_std[1] = np.inf
-    if not np.isneginf(ios_std).any():
-        ios_std[2] = -np.inf
+        cols["oos"][0] = np.inf
+    if not np.isposinf(cols["ios_std"]).any():
+        cols["ios_std"][1] = np.inf
+    if not np.isneginf(cols["ios_std"]).any():
+        cols["ios_std"][2] = -np.inf
     if (np.bincount(cluster_of) > 1).all():
         cluster_of[-1] = cluster_of.max() + 1
-    return replace(rep, digraph=dg, oos=oos, ios_std=ios_std, cluster_of=cluster_of)
+    for a in (radii, *cols.values()):
+        a[NONFINITE_AT] = NONFINITE
+    dg = CatchDigraph.from_edges(radii, dg.dim, src[keep], dg.out_ids[keep])
+    return replace(rep, digraph=dg, cluster_of=cluster_of, **cols)
+
+
+def assert_writers_match_the_row_loops(rep, tmp_path, method, order=("json", "csv")):
+    loop_write_json(loop_report_json_dict(rep, method), tmp_path / "b.json")
+    loop_write_report_csv(rep, tmp_path / "b.csv", method=method)
+    for kind in order:
+        getattr(rep, f"write_{kind}")(tmp_path / f"a.{kind}", method=method)
+        assert (tmp_path / f"a.{kind}").read_bytes() == (tmp_path / f"b.{kind}").read_bytes()
 
 
 @pytest.mark.parametrize("strategy", [fixed_k(k=4), rk_approx(k=4), un_approx(k=4)],
@@ -101,13 +168,29 @@ def test_report_writers_match_the_row_loops(tmp_path, strategy, method):
     assert empty.any() and np.isinf(rep.oos[empty]).all()
     assert np.isposinf(rep.ios_std).any() and np.isneginf(rep.ios_std).any()
     assert (np.bincount(rep.cluster_of) == 1).any()
+    for a in (rep.digraph.radii, *(getattr(rep, name) for name in FLOAT_COLUMNS)):
+        assert np.isnan(a).any() and np.isposinf(a).any() and np.isneginf(a).any()
 
-    rep.write_json(tmp_path / "a.json", method=method)
-    loop_write_json(loop_report_json_dict(rep, method), tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    rep.write_csv(tmp_path / "a.csv", method=method)
-    loop_write_report_csv(rep, tmp_path / "b.csv", method=method)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert_writers_match_the_row_loops(rep, tmp_path, method)
+
+
+@pytest.mark.parametrize("order", [("json", "csv", "json", "csv"), ("csv", "json", "csv", "json")])
+def test_report_text_is_shared_whatever_the_writing_order(tmp_path, order):
+    rep = hostile_report(fixed_k(k=4))
+    for method in ("ios", "oos", "ios"):
+        assert_writers_match_the_row_loops(rep, tmp_path, method, order)
+
+
+def test_report_text_follows_changed_columns(tmp_path):
+    rep = hostile_report(fixed_k(k=4))
+    assert_writers_match_the_row_loops(rep, tmp_path, "ios")
+    # a replaced report writes its own values, not the old report's text
+    new = replace(rep, **{name: -getattr(rep, name) for name in FLOAT_COLUMNS})
+    assert_writers_match_the_row_loops(new, tmp_path, "oos", ("csv", "json"))
+    # and so does a column changed in place after a write
+    rep.rho[:5] = 7.0
+    rep.ios_std[5] = -0.0
+    assert_writers_match_the_row_loops(rep, tmp_path, "ios", ("csv", "json"))
 
 
 @pytest.mark.parametrize("method", ["lof", "odin"])
