@@ -12,7 +12,6 @@ import csv
 import json
 import platform
 import sys
-from itertools import repeat
 
 import numpy as np
 import scipy
@@ -129,8 +128,8 @@ def _write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> No
     """The scores.csv and scores.json of a LOF or ODIN run."""
     scores = np.asarray(scores, dtype=np.float64)
     text = float_text(scores)
-    write_report_csv(f"{prefix}.scores.csv", map(str, range(scores.size)),
-                     *[repeat("")] * 9, text, int_text(flags), int_text(ranks))
+    write_report_csv(f"{prefix}.scores.csv", id=map(str, range(scores.size)),
+                     score=text, flag=int_text(flags), rank=int_text(ranks))
     dump_json(
         {
             "n": scores.size,
@@ -206,7 +205,6 @@ def cmd_score(args) -> int:
         report = score_point_set(
             ps,
             strategy,
-            density_mode=args.density_mode,
             cluster_shape=args.shape,
             oos_threshold=args.threshold,
             ios_threshold=args.threshold,
@@ -433,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s-min", type=float, default=DEFAULT_S_MIN,
                    help="small-cluster fraction filter for ios (0 disables)")
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--density-mode", default="ratio-root",
-                   choices=["ratio-root", "count-over-rd"])
     s.add_argument("--no-normalize", action="store_true")
     s.add_argument("--plot-data", action="store_true",
                    help="also write histogram and per-cluster CSVs")

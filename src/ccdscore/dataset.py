@@ -25,7 +25,8 @@ from .errors import (
 # MADN estimates the standard deviation for Gaussian data.
 MADN_CONSTANT = 0.6745
 
-DEFAULT_LABEL_VOCAB = {"0": 0, "1": 1}
+# label cells and the label each one stands for
+_LABEL_VOCAB = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,13 @@ def load_csv(
     path,
     has_header: bool = True,
     label_column: str | int | None = None,
-    label_vocab: dict[str, int] | None = None,
 ) -> PointSet:
     """Read a comma-separated, dot-decimal, UTF-8 file into a PointSet.
 
     label_column may be a header name (requires has_header) or a 0-based
-    column index. Label cells are looked up in label_vocab (default maps
-    "0" to inlier and "1" to outlier); anything else raises LabelError.
+    column index. A label cell "0" marks an inlier and "1" an outlier;
+    anything else raises LabelError.
     """
-    vocab = DEFAULT_LABEL_VOCAB if label_vocab is None else label_vocab
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -126,12 +125,12 @@ def load_csv(
 
     feature_cols = [c for c in range(ncol) if c != label_idx]
     try:
-        data, labels = _convert_columns(rows, ncol, feature_cols, label_idx, vocab)
+        data, labels = _convert_columns(rows, ncol, feature_cols, label_idx)
     except (ValueError, KeyError):
         # the row-major loop names the first bad row or cell
         header_offset = 2 if has_header else 1
         data, labels = _convert_rows(
-            rows, ncol, feature_cols, label_idx, vocab, header_offset
+            rows, ncol, feature_cols, label_idx, header_offset
         )
     if not np.isfinite(data).all():
         raise ParseError(f"{path} holds non-finite values")
@@ -142,10 +141,10 @@ def load_csv(
     return PointSet(points=data, labels=labels, feature_names=names)
 
 
-def _convert_columns(rows, ncol, feature_cols, label_idx, vocab):
+def _convert_columns(rows, ncol, feature_cols, label_idx):
     """(data, labels) converted a whole column at a time. Raises ValueError
     on a row of the wrong length or a cell float rejects, KeyError on a
-    label outside vocab."""
+    label outside _LABEL_VOCAB."""
     if any(len(row) != ncol for row in rows):
         raise ValueError("ragged rows")
     columns = list(zip(*rows))
@@ -155,11 +154,11 @@ def _convert_columns(rows, ncol, feature_cols, label_idx, vocab):
     labels = None
     if label_idx is not None:
         cells = columns[label_idx]
-        labels = np.array([vocab[cell.strip()] for cell in cells], dtype=np.int64)
+        labels = np.array([_LABEL_VOCAB[cell.strip()] for cell in cells], dtype=np.int64)
     return data, labels
 
 
-def _convert_rows(rows, ncol, feature_cols, label_idx, vocab, header_offset):
+def _convert_rows(rows, ncol, feature_cols, label_idx, header_offset):
     """(data, labels) converted cell by cell in row-major order, raising
     ParseError or LabelError at the first row or cell that fails."""
     data = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
@@ -180,12 +179,12 @@ def _convert_rows(rows, ncol, feature_cols, label_idx, vocab, header_offset):
                 ) from None
         if labels is not None:
             cell = row[label_idx].strip()
-            if cell not in vocab:
+            if cell not in _LABEL_VOCAB:
                 raise LabelError(
                     f"unknown label {cell!r} at row {r + header_offset}; "
-                    f"expected one of {sorted(vocab)}"
+                    f"expected one of {sorted(_LABEL_VOCAB)}"
                 )
-            labels[r] = vocab[cell]
+            labels[r] = _LABEL_VOCAB[cell]
     return data, labels
 
 

@@ -26,6 +26,13 @@ UN_APPROX = "un-approx"
 # a cluster to join.
 ATTACH_FACTOR = 3.0
 
+# rk-approx: the one-sided significance of the binomial envelope.
+RK_SIGNIFICANCE = 0.01
+# un-approx: each radius is UN_MULTIPLIER times the UN_QUANTILE of the
+# 1-NN distances among the point's k nearest neighbors.
+UN_QUANTILE = 0.5
+UN_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class RadiusStrategy:
@@ -37,41 +44,24 @@ class RadiusStrategy:
 
     kind: str
     k: int | None = None
-    significance: float = 0.01
-    quantile: float = 0.5
-    multiplier: float = 2.0
 
     def __post_init__(self):
         if self.kind not in (FIXED_K, RK_APPROX, UN_APPROX):
             raise ConfigError(f"unknown radius strategy {self.kind!r}")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be positive")
-        if not 0 < self.significance < 1:
-            raise ConfigError("significance must be in (0, 1)")
-        if 1.0 - self.significance == 1.0:
-            # the envelope's z would be inf, and inf * 0 puts NaN into it
-            raise ConfigError(
-                f"significance {self.significance!r} is too small: "
-                "1 - significance rounds to 1"
-            )
-        if not 0 <= self.quantile <= 1:
-            raise ConfigError("quantile must be in [0, 1]")
-        if self.multiplier <= 0:
-            raise ConfigError("multiplier must be positive")
 
 
 def fixed_k(k: int | None = None) -> RadiusStrategy:
     return RadiusStrategy(kind=FIXED_K, k=k)
 
 
-def rk_approx(significance: float = 0.01, k: int | None = None) -> RadiusStrategy:
-    return RadiusStrategy(kind=RK_APPROX, significance=significance, k=k)
+def rk_approx(k: int | None = None) -> RadiusStrategy:
+    return RadiusStrategy(kind=RK_APPROX, k=k)
 
 
-def un_approx(
-    quantile: float = 0.5, multiplier: float = 2.0, k: int | None = None
-) -> RadiusStrategy:
-    return RadiusStrategy(kind=UN_APPROX, quantile=quantile, multiplier=multiplier, k=k)
+def un_approx(k: int | None = None) -> RadiusStrategy:
+    return RadiusStrategy(kind=UN_APPROX, k=k)
 
 
 def default_k(n: int) -> int:
@@ -114,17 +104,13 @@ def estimate_radii(
         nnd = dists[:, 0]
         radii = np.empty(n, dtype=np.float64)
         for sl in row_chunks(n, k):
-            radii[sl] = strategy.multiplier * np.quantile(
-                nnd[ids[sl]], strategy.quantile, axis=1
-            )
+            radii[sl] = UN_MULTIPLIER * np.quantile(nnd[ids[sl]], UN_QUANTILE, axis=1)
     else:
-        radii = _rk_radii(ps, idx, k, strategy.significance)
+        radii = _rk_radii(ps, idx, k)
     return _positive_floor(ps, radii)
 
 
-def _rk_radii(
-    ps: PointSet, idx: NeighborIndex, k: int, significance: float
-) -> np.ndarray:
+def _rk_radii(ps: PointSet, idx: NeighborIndex, k: int) -> np.ndarray:
     """Largest of each point's k nearest-neighbor distances at which the
     local count still reaches the count expected under complete spatial
     randomness, up to a binomial envelope. Falls back to the 1-NN distance
@@ -135,7 +121,7 @@ def _rk_radii(
     sides = ps.points.max(axis=0) - ps.points.min(axis=0)
     volume = float(np.prod(sides))
     vball = unit_ball_volume(d)
-    z = float(ndtri(1.0 - significance))
+    z = float(ndtri(1.0 - RK_SIGNIFICANCE))
     _, cand = idx.knn_table(k)
     radii = cand[:, 0].copy()
     if volume <= 0:

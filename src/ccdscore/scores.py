@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -35,40 +36,30 @@ from .graph import (
     fixed_k,
 )
 
+# the density formula's name in the report's params
 RATIO_ROOT = "ratio-root"
-COUNT_OVER_RD = "count-over-rd"
 
 
-def vicinity_density(dg: CatchDigraph, mode: str = RATIO_ROOT) -> np.ndarray:
-    """Density of each point's covering ball.
-
-    The default mode takes the d-th root of occupancy over radius. The
-    alternative divides occupancy by radius to the d-th power, for the
-    reading where only the radius carries the dimension exponent.
+def vicinity_density(dg: CatchDigraph) -> np.ndarray:
+    """Density of each point's covering ball: the d-th root of occupancy
+    over radius, rho = (|B| / r)^(1 / d).
 
     The scores add up to n densities or their reciprocals and square the
     results (the naive SD), so every density must lie in
     [n / sqrt(M), sqrt(M) / n], M the largest float. Outside that range
     DegenerateDataError is raised, which covers every density that reads
-    zero, subnormal or infinite (with count-over-rd, a radius whose d-th
-    power leaves float64 range).
+    zero, subnormal or infinite (at d=1, balls far below unit scale).
     """
     counts = dg.covered_count.astype(np.float64)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        if mode == RATIO_ROOT:
-            rho = (counts / dg.radii) ** (1.0 / dg.dim)
-        elif mode == COUNT_OVER_RD:
-            rho = counts / dg.radii**dg.dim
-        else:
-            raise ConfigError(f"unknown density mode {mode!r}")
+        rho = (counts / dg.radii) ** (1.0 / dg.dim)
     top = np.sqrt(np.finfo(np.float64).max) / rho.size
     bad = ~((rho >= 1.0 / top) & (rho <= top))
     if bad.any():
         raise DegenerateDataError(
-            f"density mode {mode!r} puts the density of {int(bad.sum())} of "
-            f"{rho.size} points outside [{1.0 / top:.3g}, {top:.3g}], where "
-            "the scores' float64 arithmetic holds; rescale the points or use "
-            "another density mode"
+            f"the ball density of {int(bad.sum())} of {rho.size} points lies "
+            f"outside [{1.0 / top:.3g}, {top:.3g}], where the scores' float64 "
+            "arithmetic holds; rescale the points"
         )
     return rho
 
@@ -340,14 +331,20 @@ def int_text(a: np.ndarray) -> map:
     return map(str, a.astype(np.int64).tolist())
 
 
-def write_report_csv(path, *columns) -> None:
+def write_report_csv(path, **columns) -> None:
     """Write a scores.csv: the REPORT_COLUMNS header, then one line per
-    point from the columns' text. Each cell is an int's str, a float's
-    repr or empty, none of which CSV quotes, so the lines are those of
+    point from the text of the columns named; a column not named is left
+    empty, and id is required. Each cell is an int's str, a float's repr
+    or empty, none of which CSV quotes, so the lines are those of
     csv.writer without its per-cell scan."""
+    if "id" not in columns:
+        raise ValueError("a report needs its id column")
+    cells = [columns.pop(name, repeat("")) for name in REPORT_COLUMNS]
+    if columns:
+        raise ValueError(f"not report columns: {sorted(columns)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 class JsonText:
@@ -442,19 +439,19 @@ class ScoreReport:
         text = self._float_text
         write_report_csv(
             path,
-            map(str, range(self.n)),
-            int_text(self.cluster_of),
-            text(self.rho),
-            text(self.oos),
-            text(self.ios_raw),
-            text(self.ios_std),
-            int_text(self.oos_rank),
-            int_text(self.ios_rank),
-            int_text(self.oos_flag),
-            int_text(self.ios_flag),
-            text(score),
-            int_text(flag),
-            int_text(rank),
+            id=map(str, range(self.n)),
+            cluster=int_text(self.cluster_of),
+            rho=text(self.rho),
+            oos=text(self.oos),
+            ios_raw=text(self.ios_raw),
+            ios_std=text(self.ios_std),
+            oos_rank=int_text(self.oos_rank),
+            ios_rank=int_text(self.ios_rank),
+            oos_flag=int_text(self.oos_flag),
+            ios_flag=int_text(self.ios_flag),
+            score=text(score),
+            flag=int_text(flag),
+            rank=int_text(rank),
         )
 
     def _json_doc(self, method: str) -> dict:
@@ -561,7 +558,6 @@ def score_point_set(
     ps: PointSet,
     strategy: RadiusStrategy | None = None,
     *,
-    density_mode: str = RATIO_ROOT,
     attach_factor: float = ATTACH_FACTOR,
     cluster_shape: str = "uniform",
     oos_threshold: float | None = None,
@@ -584,7 +580,7 @@ def score_point_set(
     radii = estimate_radii(ps, idx, strategy)
     dg = build_catch_digraph(ps, idx, radii)
     cl = cluster_digraph(dg, ps, attach_factor=attach_factor, idx=idx)
-    rho = vicinity_density(dg, mode=density_mode)
+    rho = vicinity_density(dg)
     oos_scores = oos(dg, rho)
     ios_scores = ios_raw(dg, cl, rho)
     ios_std = break_ties(cl, standardize_ios(cl, ios_scores), rho)
@@ -607,7 +603,7 @@ def score_point_set(
         params={
             "strategy": strategy.kind,
             "k": strategy.k,
-            "density_mode": density_mode,
+            "density_mode": RATIO_ROOT,
             "cluster_shape": cluster_shape,
             "attach_factor": attach_factor,
         },

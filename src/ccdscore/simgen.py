@@ -56,6 +56,10 @@ class SimConfig:
     collective_group: int = 0
 
     def __post_init__(self):
+        for name in ("d", "n", "seed", "n_clusters", "collective_group"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"

@@ -85,17 +85,14 @@ def brute_components(points, radii):
     return np.array([find(i) for i in range(n)], dtype=np.int64)
 
 
-def brute_scores(points, radii, cluster_of, d, ratio_root=True):
+def brute_scores(points, radii, cluster_of, d):
     """rho, oos, ci and raw ios recomputed from scratch with double loops."""
     n = len(points)
     covers = brute_covers(points, radii)
     rho = np.empty(n)
     for i in range(n):
         count = len(covers[i]) + 1
-        if ratio_root:
-            rho[i] = (count / radii[i]) ** (1.0 / d)
-        else:
-            rho[i] = count / radii[i] ** d
+        rho[i] = (count / radii[i]) ** (1.0 / d)
     oos = np.empty(n)
     for i in range(n):
         if not covers[i]:
@@ -183,7 +180,9 @@ def loop_positive_floor(points, radii):
 
 
 def loop_radii(ps, idx, strategy):
-    """estimate_radii for all three strategies, one point at a time."""
+    """estimate_radii for all three strategies, one point at a time, with
+    the rk significance 0.01 and the un rule's multiplier 2 and quantile
+    0.5 written out rather than read from the package."""
     from ccdscore.graph import default_k, unit_ball_volume
 
     n, d = ps.n, ps.d
@@ -196,13 +195,11 @@ def loop_radii(ps, idx, strategy):
         nnd = np.array([idx.knn(i, 1)[1][0] for i in range(n)])
         for i in range(n):
             ids, _ = idx.knn(i, k)
-            radii[i] = strategy.multiplier * float(
-                np.quantile(nnd[ids], strategy.quantile)
-            )
+            radii[i] = 2.0 * float(np.quantile(nnd[ids], 0.5))
     else:
         sides = ps.points.max(axis=0) - ps.points.min(axis=0)
         volume = float(np.prod(sides))
-        z = float(norm.ppf(1.0 - strategy.significance))
+        z = float(norm.ppf(1.0 - 0.01))
         log_lam_ball = (
             math.log(n) - math.log(volume) + math.log(unit_ball_volume(d))
             if volume > 0 else None

@@ -213,6 +213,17 @@ def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_grid_with_non_integer_dimension_or_size_exits_2(tmp_path, capsys):
+    # numpy would reject the float deep inside every cell, and the bench exit 4
+    grid = tmp_path / "grid.json"
+    for bad in ({"d": 2.5}, {"n": 60.5}):
+        write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60, **bad}], 1)
+        rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+        assert rc == 2, bad
+        assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_zero_replicates_exits_2(tmp_path, capsys):
     # 0 is a count, not a missing option: it must not fall back to the grid's 2
     grid = tmp_path / "grid.json"
@@ -303,19 +314,34 @@ def test_score_tiny_scale_without_normalization_exits_3(tmp_path, capsys):
         assert "underflows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d, scale, normalize", [(400, 1.0, True), (300, 1.0, True),
-                                                (50, 1e-7, False)])
+@pytest.mark.parametrize("d,scale,normalize", [(400, 1.0, True), (300, 1.0, True), (50, 1e-7, False)])
 def test_score_density_out_of_float_range_exits_3(tmp_path, capsys, d, scale, normalize):
-    # r**d under count-over-rd leaves float64 range: a data error, not a
-    # report of NaN OOS and NaN ios_std
+    # r**d leaves float64 range on these points, the d-th root does not:
+    # they score without NaN
     pts = np.random.default_rng(1).standard_normal((300, d)) * scale
     write_csv(PointSet(pts), tmp_path / "x.csv")
-    argv = ["score", "--input", tmp_path / "x.csv", "--density-mode", "count-over-rd",
-            "--out", tmp_path / "s"]
-    rc = run(argv + ([] if normalize else ["--no-normalize"]))
+    argv = ["score", "--input", tmp_path / "x.csv", "--out", tmp_path / "ok"]
+    assert run(argv + ([] if normalize else ["--no-normalize"])) == 0
+    rows = read_rows(tmp_path / "ok.scores.csv")
+    assert len(rows) == 300
+    assert not any(np.isnan(float(r[c])) for r in rows for c in ("rho", "oos", "ios_std"))
+    # their first column as d=1 balls near 1e-151 puts the density above the
+    # range where the scores' float64 sums hold: a data error, not NaN scores
+    write_csv(PointSet(pts[:, :1] / scale * 1e-150), tmp_path / "x.csv")
+    rc = run(["score", "--input", tmp_path / "x.csv", "--no-normalize",
+              "--out", tmp_path / "s"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "DegenerateDataError" in err and "count-over-rd" in err
+    assert "DegenerateDataError" in err and "ball density" in err
+    assert not (tmp_path / "s.scores.csv").exists()
+
+
+def test_score_density_mode_is_not_an_option(tmp_path, capsys):
+    write_csv(PointSet(np.random.default_rng(1).random((30, 2))), tmp_path / "x.csv")
+    with pytest.raises(SystemExit) as exc:
+        run(["score", "--input", tmp_path / "x.csv", "--density-mode", "ratio-root",
+             "--out", tmp_path / "s"])
+    assert exc.value.code == 2
     assert not (tmp_path / "s.scores.csv").exists()
 
 

@@ -24,16 +24,11 @@ def make(points):
 
 
 def test_strategy_validation():
+    for make in (fixed_k, rk_approx, un_approx):
+        with pytest.raises(ConfigError):
+            make(k=0)
     with pytest.raises(ConfigError):
-        fixed_k(k=0)
-    with pytest.raises(ConfigError):
-        rk_approx(significance=0.0)
-    with pytest.raises(ConfigError):
-        rk_approx(significance=1e-17)  # 1 - s rounds to 1, so z would be inf
-    with pytest.raises(ConfigError):
-        un_approx(quantile=1.5)
-    with pytest.raises(ConfigError):
-        un_approx(multiplier=0.0)
+        graph.RadiusStrategy(kind="knn")
 
 
 def test_default_k():
@@ -87,14 +82,6 @@ def test_rk_radii_track_uniform_density():
     k = default_k(500)
     target = np.sqrt(k / (500.0 * np.pi))
     assert 0.5 * target <= np.median(radii) <= 2.0 * target
-
-
-def test_un_radii_scale_with_multiplier():
-    rng = np.random.default_rng(13)
-    ps, idx = make(rng.random((80, 2)))
-    base = estimate_radii(ps, idx, un_approx(multiplier=1.0))
-    doubled = estimate_radii(ps, idx, un_approx(multiplier=2.0))
-    np.testing.assert_allclose(doubled, 2.0 * base, rtol=1e-12)
 
 
 def test_digraph_line_adjacency():

@@ -170,7 +170,7 @@ def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
     # fixed-k radii of the duplicated points are zero and get floored
     ps = PointSet(points())
     ref_idx = build_index(ps)
-    rk = [rk_approx(k=4)] + [rk_approx(k=4, significance=s) for s in (1e-6, 0.05, 0.3)]
+    rk = [rk_approx(k=k) for k in (3, 4, 6)]
     for strategy in (fixed_k(k=4), *rk, un_approx(k=4), fixed_k()):
         radii = loop_radii(ps, ref_idx, strategy)
         rep = score_point_set(ps, strategy)

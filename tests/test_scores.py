@@ -6,7 +6,6 @@ from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import CatchDigraph, Clustering, fixed_k, un_approx
 from ccdscore.scores import (
-    COUNT_OVER_RD,
     _row_sums,
     THRESHOLDS,
     break_ties,
@@ -44,14 +43,9 @@ def test_density_worked_values():
     # occupancy 16, radius 1, d=4
     dg = make_dg([1.0] * 16, [list(range(1, 16))] + [[]] * 15, dim=4)
     assert vicinity_density(dg)[0] == pytest.approx(2.0)
-
-
-def test_density_count_over_rd_mode():
+    # occupancy 9, radius 2, d=2: the root of the ratio, not 9 / 2**2
     dg = make_dg([2.0] + [9.0] * 8, [list(range(1, 9))] + [[]] * 8, dim=2)
     assert vicinity_density(dg)[0] == pytest.approx(np.sqrt(4.5))
-    assert vicinity_density(dg, mode=COUNT_OVER_RD)[0] == pytest.approx(9.0 / 4.0)
-    with pytest.raises(ConfigError):
-        vicinity_density(dg, mode="bogus")
 
 
 def test_oos_mean_over_own():
@@ -490,25 +484,28 @@ def test_small_normal_scale_ranks_like_the_unscaled_points():
 
 @pytest.mark.parametrize("scale", [1e70, 1e-70])
 def test_density_out_of_float_range_is_a_data_error(scale):
-    # r**5 leaves float64 range, so count-over-rd densities read 0 or inf
-    # and every OOS would be NaN; ratio-root stays in range on the same data
+    # r**5 leaves float64 range on these points, the d-th root does not
     pts = np.random.default_rng(0).random((200, 5)) * scale
-    with pytest.raises(DegenerateDataError, match="count-over-rd"):
-        score_point_set(PointSet(pts), density_mode=COUNT_OVER_RD)
     rep = score_point_set(PointSet(pts))
+    assert np.isfinite(rep.rho).all() and not np.isnan(rep.oos).any()
+    # at d=1 the density is occupancy over radius, so radii near 1e-151
+    # put it above sqrt(M) / n, where the scores' sums of squares overflow
+    tiny = np.random.default_rng(0).standard_normal((300, 1)) * 1e-150
+    with pytest.raises(DegenerateDataError, match="ball density"):
+        score_point_set(PointSet(tiny))
+    rep = score_point_set(PointSet(tiny * 1e150))
     assert np.isfinite(rep.rho).all() and not np.isnan(rep.oos).any()
 
 
 def test_density_rejects_subnormal_values():
-    # radius 1e-80 at d=4: 1e-320 is subnormal, so 1 / 1e-320 overflows
-    dg = make_dg([1e-80, 1.0], [[], []], dim=4)
-    with pytest.raises(DegenerateDataError, match="count-over-rd"):
-        vicinity_density(dg, mode=COUNT_OVER_RD)
-    # radius 1e80 at d=4: the density 1e-320 is subnormal
-    dg = make_dg([1e80, 1.0], [[], []], dim=4)
-    with pytest.raises(DegenerateDataError, match="count-over-rd"):
-        vicinity_density(dg, mode=COUNT_OVER_RD)
-    assert np.isfinite(vicinity_density(dg)).all()
+    # radius 1e-310 is subnormal, so 1 / 1e-310 overflows
+    dg = make_dg([1e-310, 1.0], [[], []], dim=1)
+    with pytest.raises(DegenerateDataError, match="density of 1 of 2 points"):
+        vicinity_density(dg)
+    # radius 1e308: the density 1e-308 is subnormal
+    dg = make_dg([1e308, 1.0], [[], []], dim=1)
+    with pytest.raises(DegenerateDataError, match="density of 1 of 2 points"):
+        vicinity_density(dg)
 
 
 def test_score_point_set_takes_an_index_over_the_same_point_set_only():

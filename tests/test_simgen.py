@@ -55,6 +55,16 @@ def test_config_validation():
         SimConfig(regime="uniform", d=2, n=100, outlier_fraction=0.001)
 
 
+@pytest.mark.parametrize("field, value", [("d", 2.5), ("n", 60.5), ("n", 60.0),
+                                          ("seed", 1.5), ("n_clusters", True),
+                                          ("collective_group", "2")])
+def test_config_rejects_non_integer_counts(field, value):
+    raw = {"regime": "uniform", "d": 2, "n": 60, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SimConfig.from_dict(raw)
+    assert SimConfig(**{**raw, field: np.int64(2)}).to_dict()[field] == 2
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"regime": "uniform", "d": 2, "n": 50, "sigma": 1.0})
