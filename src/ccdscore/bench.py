@@ -24,11 +24,18 @@ from .simgen import SimConfig, generate
 
 BETA = 2.0
 
-CCD_METHODS = ("oos-fixed", "ios-fixed", "oos-rk", "ios-rk", "oos-un", "ios-un")
+# Each CCD method, "<score>-<family>", and the score kind, radius family and
+# radius rule it reads. The two scores of a family flag on one shared
+# report, which timings.csv times as method report-<family>.
+_CCD_TABLE = {
+    f"{score}-{family}": (score, family, strategy)
+    for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
+    for score in ("oos", "ios")
+}
+CCD_METHODS = tuple(_CCD_TABLE)
 BASELINE_METHODS = ("lof", "odin")
 ALL_METHODS = CCD_METHODS + BASELINE_METHODS
 
-_STRATEGY_BY_SUFFIX = {"fixed": fixed_k, "rk": rk_approx, "un": un_approx}
 _SHAPE_BY_REGIME = {
     "uniform": "uniform",
     "matern": "uniform",
@@ -108,24 +115,12 @@ def evaluate_method(
         if method == "lof":
             return lof(ps, idx)[1]
         return odin(ps, idx)[1]
-    if method not in CCD_METHODS:
+    if method not in _CCD_TABLE:
         raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    score_kind, suffix = method.split("-")
-    report = _ccd_report(ps, suffix, regime, s_min, idx)
-    return report.flags_for(score_kind)
-
-
-def _ccd_report(
-    ps: PointSet, suffix: str, regime: str, s_min: float, idx: NeighborIndex | None
-):
-    shape = _SHAPE_BY_REGIME[regime]
-    return score_point_set(
-        ps,
-        _STRATEGY_BY_SUFFIX[suffix](),
-        cluster_shape=shape,
-        s_min=s_min,
-        idx=idx,
-    )
+    score, _, strategy = _CCD_TABLE[method]
+    report = score_point_set(ps, strategy, cluster_shape=_SHAPE_BY_REGIME[regime],
+                             s_min=s_min, idx=idx)
+    return report.flags_for(score)
 
 
 @dataclass
@@ -194,18 +189,20 @@ def _run_cell(args) -> list[BenchRow]:
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
     rows = []
+    shape = _SHAPE_BY_REGIME[cfg.regime]
     reports: dict[str, object] = {}
     for m in methods:
         t0 = time.perf_counter()
         report_time = None
         try:
-            if m in CCD_METHODS:
-                score_kind, suffix = m.split("-")
-                if suffix not in reports:
-                    reports[suffix] = _ccd_report(ps, suffix, cfg.regime, s_min, idx)
+            if m in _CCD_TABLE:
+                score, family, strategy = _CCD_TABLE[m]
+                if family not in reports:
+                    reports[family] = score_point_set(ps, strategy, cluster_shape=shape,
+                                                      s_min=s_min, idx=idx)
                     report_time = time.perf_counter() - t0
                     t0 += report_time
-                flags = reports[suffix].flags_for(score_kind)
+                flags = reports[family].flags_for(score)
             else:
                 flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
             conf = Confusion.from_flags(ps.labels, flags)
@@ -321,17 +318,11 @@ def rank_methods(agg: list[AggregateRow]) -> list[RankRow]:
     return out
 
 
-def _w(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_table(rows, cols, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        writer.writerows([_w(getattr(r, c)) for c in cols] for r in rows)
+        writer.writerows([getattr(r, c) for c in cols] for r in rows)
 
 
 def write_raw_csv(rows: list[BenchRow], path) -> None:
@@ -349,10 +340,10 @@ def write_timings_csv(rows: list[BenchRow], path) -> None:
         writer.writerow(["config_index", "replicate", "method", "wall_time"])
         for r in rows:
             if r.report_time is not None:
-                family = r.method.split("-")[1]
+                family = _CCD_TABLE[r.method][1]
                 writer.writerow([r.config_index, r.replicate, f"report-{family}",
-                                 _w(r.report_time)])
-            writer.writerow([r.config_index, r.replicate, r.method, _w(r.wall_time)])
+                                 r.report_time])
+            writer.writerow([r.config_index, r.replicate, r.method, r.wall_time])
 
 
 def write_aggregate_csv(agg: list[AggregateRow], path) -> None:
@@ -376,4 +367,4 @@ def write_ranking_csv(ranks: list[RankRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["config_index", "method", "f2", "rank", "top3"])
         for r in ranks:
-            writer.writerow([r.config_index, r.method, _w(r.f2), r.rank, int(r.top3)])
+            writer.writerow([r.config_index, r.method, r.f2, r.rank, int(r.top3)])

@@ -12,6 +12,8 @@ import csv
 import json
 import platform
 import sys
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -19,6 +21,7 @@ import scipy
 from . import __version__
 from .bench import (
     ALL_METHODS,
+    BETA,
     DEFAULT_S_MIN,
     Confusion,
     aggregate,
@@ -39,8 +42,9 @@ from .errors import (
     BadKError,
     DegenerateLabelsError,
 )
-from .graph import fixed_k, rk_approx, un_approx
+from .graph import FIXED_K, RADIUS_KINDS, RadiusStrategy
 from .scores import (
+    CLUSTER_SHAPES,
     JSON_NONFINITE_QUOTED,
     _cluster_medians,
     _descending_ranks,
@@ -51,9 +55,12 @@ from .scores import (
     write_report_csv,
 )
 from .scores import score_point_set
-from .simgen import SimConfig, generate, masking_fixture
+from .simgen import REGIMES, SimConfig, generate, masking_fixture
 
-_STRATEGIES = {"fixed-k": fixed_k, "rk-approx": rk_approx, "un-approx": un_approx}
+# gen takes one option per SimConfig field, --<field> with dashes, except
+# these two spellings.
+_GEN_SPELLINGS = {"outlier_min_separation": "min-separation",
+                  "collective_group": "collective"}
 
 
 def _manifest(path, args, params: dict) -> None:
@@ -88,21 +95,7 @@ def _out_prefix(out: str) -> str:
 
 
 def cmd_gen(args) -> int:
-    raw = {
-        "regime": args.regime,
-        "d": args.d,
-        "n": args.n,
-        "seed": args.seed,
-        "n_clusters": args.n_clusters,
-        "parent_intensity": args.parent_intensity,
-        "cluster_radius": args.cluster_radius,
-        "gaussian_scale": args.gaussian_scale,
-        "correlation": args.correlation,
-        "outlier_fraction": args.outlier_fraction,
-        "outlier_min_separation": args.min_separation,
-        "collective_group": args.collective,
-    }
-    cfg = SimConfig.from_dict(raw)
+    cfg = SimConfig.from_dict({f.name: getattr(args, f.name) for f in fields(SimConfig)})
     ps = generate(cfg)
     out = _out_prefix(args.out)
     write_csv(ps, f"{out}.csv")
@@ -201,10 +194,9 @@ def cmd_score(args) -> int:
         "normalization": norm_report,
     }
     if args.method in ("oos", "ios"):
-        strategy = _STRATEGIES[args.digraph](k=args.k)
         report = score_point_set(
             ps,
-            strategy,
+            RadiusStrategy(args.digraph, args.k),
             cluster_shape=args.shape,
             oos_threshold=args.threshold,
             ios_threshold=args.threshold,
@@ -250,11 +242,9 @@ def _write_plot_data(prefix: str, report) -> None:
             if finite.size == 0:
                 continue
             counts, edges = np.histogram(finite, bins=30)
-            for b in range(counts.size):
-                writer.writerow(
-                    [kind, repr(float(edges[b])), repr(float(edges[b + 1])),
-                     int(counts[b])]
-                )
+            edges = edges.tolist()
+            writer.writerows([kind, lo, hi, count] for lo, hi, count
+                             in zip(edges, edges[1:], counts.tolist()))
     with open(f"{prefix}.clusters.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "size", "median_ios_raw", "n_oos_flagged",
@@ -264,7 +254,7 @@ def _write_plot_data(prefix: str, report) -> None:
         n_oos = np.bincount(c[report.oos_flag], minlength=sizes.size)
         n_ios = np.bincount(c[report.ios_flag], minlength=sizes.size)
         for cid, med in enumerate(_cluster_medians(c, report.ios_raw).tolist()):
-            writer.writerow([cid, int(sizes[cid]), repr(med), int(n_oos[cid]), int(n_ios[cid])])
+            writer.writerow([cid, int(sizes[cid]), med, int(n_oos[cid]), int(n_ios[cid])])
 
 
 def cmd_bench(args) -> int:
@@ -376,7 +366,7 @@ def cmd_eval(args) -> int:
         for path, conf, ms in out_rows:
             writer.writerow(
                 [path, conf.tp, conf.fp, conf.tn, conf.fn,
-                 repr(ms.tpr), repr(ms.tnr), repr(ms.ba), repr(ms.f_beta)]
+                 ms.tpr, ms.tnr, ms.ba, ms.f_beta]
             )
     for path, conf, ms in out_rows:
         print(
@@ -395,19 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic labeled dataset")
-    g.add_argument("--regime", required=True,
-                   choices=["uniform", "gaussian", "matern", "thomas", "mixed"])
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n-clusters", type=int, default=3)
-    g.add_argument("--parent-intensity", type=float, default=5.0)
-    g.add_argument("--cluster-radius", type=float, default=0.15)
-    g.add_argument("--gaussian-scale", type=float, default=0.06)
-    g.add_argument("--correlation", type=float, default=0.0)
-    g.add_argument("--outlier-fraction", type=float, default=0.0)
-    g.add_argument("--min-separation", type=float, default=2.0)
-    g.add_argument("--collective", type=int, default=0)
+    types = get_type_hints(SimConfig)
+    for f in fields(SimConfig):
+        spelling = _GEN_SPELLINGS.get(f.name, f.name.replace("_", "-"))
+        choices = REGIMES if f.name == "regime" else None
+        g.add_argument(f"--{spelling}", dest=f.name, type=types[f.name],
+                       required=f.default is MISSING,
+                       default=None if f.default is MISSING else f.default,
+                       choices=choices,
+                       metavar=None if choices else spelling.replace("-", "_").upper())
     g.add_argument("--out", required=True, help="output path prefix")
     g.set_defaults(func=cmd_gen)
 
@@ -422,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--label-column", default=None,
                    help="name or 0-based index of a label column to set aside")
     s.add_argument("--method", default="ios", choices=["oos", "ios", "lof", "odin"])
-    s.add_argument("--digraph", default="fixed-k", choices=sorted(_STRATEGIES))
-    s.add_argument("--shape", default="uniform",
-                   choices=["uniform", "gaussian", "mixed"],
+    s.add_argument("--digraph", default=FIXED_K, choices=RADIUS_KINDS)
+    s.add_argument("--shape", default="uniform", choices=CLUSTER_SHAPES,
                    help="cluster shape assumption for threshold lookup")
     s.add_argument("--threshold", type=float, default=None,
                    help="override the tabulated threshold")
@@ -452,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--no-header", action="store_true")
     e.add_argument("--label-column", default="label")
-    e.add_argument("--beta", type=float, default=2.0)
+    e.add_argument("--beta", type=float, default=BETA)
     e.add_argument("--out", required=True, help="output path prefix")
     e.add_argument("reports", nargs="+", help="score-report CSVs with a flag column")
     e.set_defaults(func=cmd_eval)

@@ -191,7 +191,8 @@ def _convert_rows(rows, ncol, feature_cols, label_idx, header_offset):
 def write_csv(ps: PointSet, path) -> None:
     """Write a PointSet in the same dialect load_csv reads.
 
-    Floats are written with repr so a reload reproduces the array bit for bit.
+    csv writes each float as its repr, so a reload reproduces the array bit
+    for bit.
     """
     names = ps.feature_names or [f"x{j}" for j in range(ps.d)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -200,7 +201,7 @@ def write_csv(ps: PointSet, path) -> None:
         if ps.labels is not None:
             head.append("label")
         writer.writerow(head)
-        columns = [map(repr, col) for col in ps.points.T.tolist()]
+        columns = ps.points.T.tolist()
         if ps.labels is not None:
             columns.append(ps.labels.tolist())
         writer.writerows(zip(*columns))

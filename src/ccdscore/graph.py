@@ -21,6 +21,7 @@ from .errors import ConfigError, DegenerateDataError
 FIXED_K = "fixed-k"
 RK_APPROX = "rk-approx"
 UN_APPROX = "un-approx"
+RADIUS_KINDS = (FIXED_K, RK_APPROX, UN_APPROX)
 
 # How far (in multiples of its own radius) an isolated vertex may look for
 # a cluster to join.
@@ -46,9 +47,13 @@ class RadiusStrategy:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (FIXED_K, RK_APPROX, UN_APPROX):
+        if self.kind not in RADIUS_KINDS:
             raise ConfigError(f"unknown radius strategy {self.kind!r}")
-        if self.k is not None and self.k < 1:
+        if self.k is None:
+            return
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
             raise ConfigError("k must be positive")
 
 

@@ -27,6 +27,9 @@ from .dataset import (
 from .errors import ConfigError, DegenerateDataError
 from .graph import (
     ATTACH_FACTOR,
+    FIXED_K,
+    RK_APPROX,
+    UN_APPROX,
     CatchDigraph,
     Clustering,
     RadiusStrategy,
@@ -222,6 +225,7 @@ def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarr
 # dimension). Lookups snap to the nearest tabulated dimension, preferring
 # the smaller one on ties; the mixed shape averages the other two.
 TABULATED_DIMS = (2, 3, 5, 10, 20, 50, 100)
+CLUSTER_SHAPES = ("uniform", "gaussian", "mixed")
 
 THRESHOLDS: dict[tuple[str, str, str], dict[int, float]] = {
     ("oos", "rk", "uniform"): {2: 6, 3: 6.5, 5: 5, 10: 4, 20: 4, 50: 14, 100: 13},
@@ -236,13 +240,7 @@ THRESHOLDS: dict[tuple[str, str, str], dict[int, float]] = {
 
 # The fixed-k strategy builds balls from plain neighbor distances, which
 # behaves like the un family, so it borrows that column.
-_DIGRAPH_FAMILY = {
-    "rk": "rk",
-    "un": "un",
-    "rk-approx": "rk",
-    "un-approx": "un",
-    "fixed-k": "un",
-}
+_DIGRAPH_FAMILY = {RK_APPROX: "rk", UN_APPROX: "un", FIXED_K: "un"}
 
 
 def nearest_tabulated_dim(d: int) -> int:
@@ -271,7 +269,7 @@ def default_threshold(
     family = _DIGRAPH_FAMILY.get(digraph_kind)
     if family is None:
         raise ConfigError(f"unknown digraph kind {digraph_kind!r}")
-    if cluster_shape not in ("uniform", "gaussian", "mixed"):
+    if cluster_shape not in CLUSTER_SHAPES:
         raise ConfigError(f"unknown cluster shape {cluster_shape!r}")
     dt = nearest_tabulated_dim(d)
     if cluster_shape == "mixed":

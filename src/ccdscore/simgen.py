@@ -254,9 +254,8 @@ def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
     scale = cluster_scale(cfg)
     sep = cfg.outlier_min_separation * scale
     lo, hi = -_DOMAIN_PAD, 1.0 + _DOMAIN_PAD
-    rng = _rng(cfg.seed, _S_OUTLIERS)
 
-    def draw(min_dist: float) -> np.ndarray:
+    def draw(rng: np.random.Generator, min_dist: float) -> np.ndarray:
         for _ in range(_OUTLIER_ATTEMPTS):
             cand = rng.uniform(lo, hi, size=cfg.d)
             gap = np.min(np.linalg.norm(ps.points - cand, axis=1))
@@ -267,19 +266,12 @@ def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
             "lower outlier_min_separation or the cluster extent"
         )
 
-    new_points = [draw(sep) for _ in range(n_single)]
+    rng = _rng(cfg.seed, _S_OUTLIERS)
+    new_points = [draw(rng, sep) for _ in range(n_single)]
     if g > 0:
         group_rng = _rng(cfg.seed, _S_COLLECTIVE)
         group_radius = 0.25 * scale
-        center = None
-        for _ in range(_OUTLIER_ATTEMPTS):
-            cand = group_rng.uniform(lo, hi, size=cfg.d)
-            gap = np.min(np.linalg.norm(ps.points - cand, axis=1))
-            if gap >= sep + group_radius:
-                center = cand
-                break
-        if center is None:
-            raise ConfigError("could not place the collective group")
+        center = draw(group_rng, sep + group_radius)
         new_points.extend(
             center + _uniform_ball(group_rng, g, cfg.d, group_radius)
         )

@@ -1,16 +1,19 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccdscore.cli import main
+from ccdscore.cli import build_parser, main
 from ccdscore.dataset import PointSet, write_csv
+from ccdscore.simgen import SimConfig
 
 
 def run(argv):
@@ -35,6 +38,21 @@ def test_gen_writes_deterministic_outputs(tmp_path):
     rows = read_rows(tmp_path / "a.csv")
     assert len(rows) == 120
     assert sum(int(r["label"]) for r in rows) == 6
+
+
+def test_gen_defaults_are_the_sim_config_defaults(tmp_path):
+    assert run(["gen", "--regime", "thomas", "--d", "3", "--n", "80",
+                "--out", tmp_path / "g"]) == 0
+    cfg = json.loads((tmp_path / "g.config.json").read_text())
+    assert cfg == SimConfig("thomas", 3, 80).to_dict()
+
+
+def test_gen_has_one_option_per_sim_config_field():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub.choices["gen"]._actions
+             if a.dest not in ("help", "out")]
+    assert dests == [f.name for f in fields(SimConfig)]
 
 
 def test_gen_forgives_csv_suffix_on_out(tmp_path):

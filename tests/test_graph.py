@@ -31,6 +31,21 @@ def test_strategy_validation():
         graph.RadiusStrategy(kind="knn")
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+def test_strategy_rejects_a_k_that_is_not_an_integer(k):
+    for factory in (fixed_k, rk_approx, un_approx):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            factory(k=k)
+
+
+def test_strategy_takes_a_numpy_integer_k():
+    ps, idx = make(np.random.default_rng(0).random((30, 2)))
+    for kind in graph.RADIUS_KINDS:
+        want = estimate_radii(ps, idx, graph.RadiusStrategy(kind, 4))
+        got = estimate_radii(ps, idx, graph.RadiusStrategy(kind, np.int64(4)))
+        assert np.array_equal(got, want)
+
+
 def test_default_k():
     assert default_k(4) == 2
     assert default_k(200) == 14
