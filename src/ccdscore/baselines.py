@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NeighborIndex, PointSet
+from .dataset import NeighborIndex
 from .errors import BadKError
 
 
@@ -32,21 +32,25 @@ class OdinParams:
     k: int | None = None
     t: int | None = None
 
+    def k_for(self, n: int) -> int:
+        return self.k if self.k is not None else int(round(n**0.5))
+
 
 def lof(
-    ps: PointSet, idx: NeighborIndex, params: LofParams = LofParams()
+    idx: NeighborIndex, params: LofParams = LofParams()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local outlier factor, maximized over the configured k range.
 
     Neighborhoods are exactly k points, ties broken by ascending id, the
     same convention the rest of the package uses. Returns (scores, flags).
     """
+    n = idx.ps.n
     if params.k_min < 1 or params.k_min > params.k_max:
         raise BadKError(f"bad k range [{params.k_min}, {params.k_max}]")
-    if ps.n <= params.k_max:
-        raise BadKError(f"need n > {params.k_max}, got n={ps.n}")
+    if n <= params.k_max:
+        raise BadKError(f"need n > {params.k_max}, got n={n}")
     nbr_ids, nbr_dists = idx.knn_table(params.k_max)
-    best = np.full(ps.n, -np.inf)
+    best = np.full(n, -np.inf)
     for k in range(params.k_min, params.k_max + 1):
         ids_k = nbr_ids[:, :k]
         d_k = nbr_dists[:, :k]
@@ -57,20 +61,20 @@ def lof(
         nbr_lrd = np.mean(lrd[ids_k], axis=1)
         both_inf = np.isinf(lrd) & np.isinf(nbr_lrd)
         # a copy among copies has its neighbors' (infinite) density: not outlying
-        lof_k = np.divide(nbr_lrd, lrd, out=np.ones(ps.n), where=~both_inf)
+        lof_k = np.divide(nbr_lrd, lrd, out=np.ones(n), where=~both_inf)
         best = np.maximum(best, lof_k)
     return best, best > params.threshold
 
 
 def odin(
-    ps: PointSet, idx: NeighborIndex, params: OdinParams = OdinParams()
+    idx: NeighborIndex, params: OdinParams = OdinParams()
 ) -> tuple[np.ndarray, np.ndarray]:
     """In-degree of the directed kNN graph; low in-degree means outlying.
 
     Returns (in_degrees, flags) with flags set where in-degree <= t.
     """
-    n = ps.n
-    k = params.k if params.k is not None else int(round(n**0.5))
+    n = idx.ps.n
+    k = params.k_for(n)
     t = params.t if params.t is not None else int(round(n**0.33))
     if not 1 <= k <= n - 1:
         raise BadKError(f"k={k} out of range for n={n}")

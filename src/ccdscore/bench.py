@@ -15,12 +15,12 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .baselines import LofParams, lof, odin
+from .baselines import LofParams, OdinParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
-from .scores import dump_json, score_point_set
-from .simgen import SimConfig, generate
+from .scores import SCORE_KINDS, dump_json, score_point_set
+from .simgen import CLUSTER_SHAPE_OF, SimConfig, generate
 
 BETA = 2.0
 
@@ -30,19 +30,11 @@ BETA = 2.0
 _CCD_TABLE = {
     f"{score}-{family}": (score, family, strategy)
     for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
-    for score in ("oos", "ios")
+    for score in SCORE_KINDS
 }
 CCD_METHODS = tuple(_CCD_TABLE)
 BASELINE_METHODS = ("lof", "odin")
 ALL_METHODS = CCD_METHODS + BASELINE_METHODS
-
-_SHAPE_BY_REGIME = {
-    "uniform": "uniform",
-    "matern": "uniform",
-    "gaussian": "gaussian",
-    "thomas": "gaussian",
-    "mixed": "mixed",
-}
 
 # Fraction below which a cluster counts as too small to be real; applied
 # to the inbound score only.
@@ -106,19 +98,21 @@ def evaluate_method(
 ) -> np.ndarray:
     """Run one named method on a labeled point set; returns boolean flags.
 
-    idx, when given, is a neighbor index over ps that the other methods of
-    the same cell share; called alone, the method builds its own.
+    idx, when given, is a neighbor index over this very ps that the other
+    methods of the same cell share; called alone, the method builds its own.
     """
-    if method in BASELINE_METHODS:
-        if idx is None:
-            idx = build_index(ps)
-        if method == "lof":
-            return lof(ps, idx)[1]
-        return odin(ps, idx)[1]
-    if method not in _CCD_TABLE:
+    if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    if idx is None:
+        idx = build_index(ps)
+    elif idx.ps is not ps:
+        raise ValueError("idx must be a neighbor index built over ps itself")
+    if method == "lof":
+        return lof(idx)[1]
+    if method == "odin":
+        return odin(idx)[1]
     score, _, strategy = _CCD_TABLE[method]
-    report = score_point_set(ps, strategy, cluster_shape=_SHAPE_BY_REGIME[regime],
+    report = score_point_set(ps, strategy, cluster_shape=CLUSTER_SHAPE_OF[regime],
                              s_min=s_min, idx=idx)
     return report.flags_for(score)
 
@@ -161,14 +155,14 @@ def _derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
 
 def _cell_table_k(methods, n: int) -> int:
     """The widest neighbor table the cell's methods read, clipped to
-    [1, n - 1] for n >= 2: LOF's k_max, ODIN's round(sqrt(n)) and the CCD
+    [1, n - 1] for n >= 2: LOF's k_max, ODIN's default k and the CCD
     radii's default_k(n). Built first, it serves every narrower k as a
     prefix."""
     widths = [1]
     if "lof" in methods:
         widths.append(LofParams().k_max)
     if "odin" in methods:
-        widths.append(int(round(n**0.5)))
+        widths.append(OdinParams().k_for(n))
     if any(m in CCD_METHODS for m in methods):
         widths.append(default_k(n))
     return min(max(widths), n - 1)
@@ -189,7 +183,7 @@ def _run_cell(args) -> list[BenchRow]:
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
     rows = []
-    shape = _SHAPE_BY_REGIME[cfg.regime]
+    shape = CLUSTER_SHAPE_OF[cfg.regime]
     reports: dict[str, object] = {}
     for m in methods:
         t0 = time.perf_counter()

@@ -21,6 +21,7 @@ import scipy
 from . import __version__
 from .bench import (
     ALL_METHODS,
+    BASELINE_METHODS,
     BETA,
     DEFAULT_S_MIN,
     Confusion,
@@ -46,6 +47,7 @@ from .graph import FIXED_K, RADIUS_KINDS, RadiusStrategy
 from .scores import (
     CLUSTER_SHAPES,
     JSON_NONFINITE_QUOTED,
+    SCORE_KINDS,
     _cluster_medians,
     _descending_ranks,
     dump_json,
@@ -75,9 +77,7 @@ def _manifest(path, args, params: dict) -> None:
             "python": platform.python_version(),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
+    dump_json(doc, path)
 
 
 def _label_column(value: str | None):
@@ -193,7 +193,7 @@ def cmd_score(args) -> int:
         "normalize": not args.no_normalize,
         "normalization": norm_report,
     }
-    if args.method in ("oos", "ios"):
+    if args.method in SCORE_KINDS:
         report = score_point_set(
             ps,
             RadiusStrategy(args.digraph, args.k),
@@ -220,10 +220,10 @@ def cmd_score(args) -> int:
     else:
         idx = build_index(ps)
         if args.method == "lof":
-            scores, flags = lof(ps, idx)
+            scores, flags = lof(idx)
             ranks = _descending_ranks(scores)
         else:
-            scores, flags = odin(ps, idx)
+            scores, flags = odin(idx)
             ranks = _descending_ranks(-scores)
         out = _out_prefix(args.out)
         _write_baseline_report(out, args.method, scores, flags, ranks)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-header", action="store_true")
     s.add_argument("--label-column", default=None,
                    help="name or 0-based index of a label column to set aside")
-    s.add_argument("--method", default="ios", choices=["oos", "ios", "lof", "odin"])
+    s.add_argument("--method", default="ios", choices=SCORE_KINDS + BASELINE_METHODS)
     s.add_argument("--digraph", default=FIXED_K, choices=RADIUS_KINDS)
     s.add_argument("--shape", default="uniform", choices=CLUSTER_SHAPES,
                    help="cluster shape assumption for threshold lookup")

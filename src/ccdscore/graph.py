@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 
-from .dataset import NeighborIndex, PointSet, pair_distance_blocks, row_chunks
+from .dataset import NeighborIndex, pair_distance_blocks, row_chunks
 from .errors import ConfigError, DegenerateDataError
 
 FIXED_K = "fixed-k"
@@ -77,13 +77,13 @@ def unit_ball_volume(d: int) -> float:
     return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
-def _positive_floor(ps: PointSet, radii: np.ndarray) -> np.ndarray:
+def _positive_floor(idx: NeighborIndex, radii: np.ndarray) -> np.ndarray:
     """Replace zero radii by the point's smallest positive neighbor distance."""
     if (radii > 0).all():
         return radii
     out = radii.copy()
     zero = np.flatnonzero(radii == 0)
-    for sl, block in pair_distance_blocks(ps.points, zero, np.arange(ps.n)):
+    for sl, block in pair_distance_blocks(idx.ps.points, zero, np.arange(idx.ps.n)):
         block[block <= 0] = np.inf
         low = block.min(axis=1)
         if np.isinf(low).any():
@@ -92,11 +92,9 @@ def _positive_floor(ps: PointSet, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_radii(
-    ps: PointSet, idx: NeighborIndex, strategy: RadiusStrategy
-) -> np.ndarray:
-    """Per-point covering radii under the given strategy. Always positive."""
-    n = ps.n
+def estimate_radii(idx: NeighborIndex, strategy: RadiusStrategy) -> np.ndarray:
+    """Covering radii of idx.ps under the given strategy. Always positive."""
+    n = idx.ps.n
     if n < 2:
         raise DegenerateDataError("radius estimation needs at least 2 points")
     k = strategy.k if strategy.k is not None else default_k(n)
@@ -111,17 +109,18 @@ def estimate_radii(
         for sl in row_chunks(n, k):
             radii[sl] = UN_MULTIPLIER * np.quantile(nnd[ids[sl]], UN_QUANTILE, axis=1)
     else:
-        radii = _rk_radii(ps, idx, k)
-    return _positive_floor(ps, radii)
+        radii = _rk_radii(idx, k)
+    return _positive_floor(idx, radii)
 
 
-def _rk_radii(ps: PointSet, idx: NeighborIndex, k: int) -> np.ndarray:
+def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     """Largest of each point's k nearest-neighbor distances at which the
     local count still reaches the count expected under complete spatial
     randomness, up to a binomial envelope. Falls back to the 1-NN distance
     when nothing passes. Candidates stop at the k-th neighbor so radii stay
     on the local scale instead of swallowing the whole window.
     """
+    ps = idx.ps
     n, d = ps.n, ps.d
     sides = ps.points.max(axis=0) - ps.points.min(axis=0)
     volume = float(np.prod(sides))
@@ -208,10 +207,8 @@ class CatchDigraph:
         return [self.out_ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def build_catch_digraph(
-    ps: PointSet, idx: NeighborIndex, radii: np.ndarray
-) -> CatchDigraph:
-    """The coverage digraph of the closed balls B(x_i, radii[i]).
+def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
+    """The coverage digraph of the closed balls B(x_i, radii[i]) of idx.ps.
 
     Where the index holds a neighbor table whose row i is proven complete
     and radii[i] does not pass the row's last distance, i's ball is a
@@ -219,12 +216,12 @@ def build_catch_digraph(
     Both sources emit their edges ordered by (source, target), so
     from_edges finds them in two sorted runs.
     """
+    n = idx.ps.n
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.shape != (ps.n,):
+    if radii.shape != (n,):
         raise ValueError("radii must have one entry per point")
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
-    n = ps.n
     src, dst = [], []
     prefix = np.zeros(n, dtype=bool)
     if idx.last_table is not None:
@@ -246,7 +243,7 @@ def build_catch_digraph(
         src.append(s)
         dst.append(t)
     src, dst = np.concatenate(src), np.concatenate(dst)
-    return CatchDigraph.from_edges(radii, ps.d, src, dst)
+    return CatchDigraph.from_edges(radii, idx.ps.d, src, dst)
 
 
 @dataclass
@@ -266,25 +263,19 @@ class Clustering:
 
 
 def cluster_digraph(
-    dg: CatchDigraph,
-    ps: PointSet,
-    attach_factor: float = ATTACH_FACTOR,
-    *,
-    idx: NeighborIndex | None = None,
+    dg: CatchDigraph, idx: NeighborIndex, attach_factor: float = ATTACH_FACTOR
 ) -> Clustering:
-    """Connected components of the mutual-coverage graph.
+    """Connected components of the mutual-coverage graph of dg over idx.ps.
 
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
     attach_factor times their own radius; otherwise they stay singletons.
-    idx, when given, is the neighbor index over ps that built the radii.
-    Where row i of its kept table is complete and holds an anchored id,
-    the first such id is the nearest anchored point, ties going to the
-    smallest id, at the distance the gather would compute. Only the other
-    rows gather their distances to every anchored point.
+    Where row i of the index's kept table is complete and holds an anchored
+    id, the first such id is the nearest anchored point, ties going to the
+    smallest id, at the distance the gather would compute. The other rows,
+    all of them without a table, gather their distances to every anchored
+    point.
     """
-    if idx is not None and idx.ps is not ps:
-        raise ValueError("idx must be a neighbor index built over ps itself")
     n = dg.n
     one = np.ones(dg.out_ids.size, dtype=np.int8)
     adj = sparse.csr_matrix((one, dg.out_ids, dg.out_ptr), shape=(n, n))
@@ -305,7 +296,7 @@ def cluster_digraph(
         nearest = np.empty(isolated.size, dtype=np.int64)
         near = np.empty(isolated.size, dtype=np.float64)
         gather = np.arange(isolated.size)
-        if idx is not None and idx.last_table is not None:
+        if idx.last_table is not None:
             ids, dists, complete = idx.last_table
             row_ids = ids[isolated]
             hit = anchored[row_ids]
@@ -315,7 +306,7 @@ def cluster_digraph(
             near[ok] = dists[isolated[ok], first]
             gather = np.flatnonzero(~ok)
         members = np.flatnonzero(anchored)
-        for sl, block in pair_distance_blocks(ps.points, isolated[gather], members):
+        for sl, block in pair_distance_blocks(idx.ps.points, isolated[gather], members):
             # argmin takes the first, so the smallest id on ties
             best = np.argmin(block, axis=1)
             nearest[gather[sl]] = members[best]

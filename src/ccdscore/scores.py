@@ -226,6 +226,7 @@ def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarr
 # the smaller one on ties; the mixed shape averages the other two.
 TABULATED_DIMS = (2, 3, 5, 10, 20, 50, 100)
 CLUSTER_SHAPES = ("uniform", "gaussian", "mixed")
+SCORE_KINDS = ("oos", "ios")
 
 THRESHOLDS: dict[tuple[str, str, str], dict[int, float]] = {
     ("oos", "rk", "uniform"): {2: 6, 3: 6.5, 5: 5, 10: 4, 20: 4, 50: 14, 100: 13},
@@ -264,7 +265,7 @@ def default_threshold(
     """
     if override is not None:
         return float(override)
-    if score_kind not in ("oos", "ios"):
+    if score_kind not in SCORE_KINDS:
         raise ConfigError(f"unknown score kind {score_kind!r}")
     family = _DIGRAPH_FAMILY.get(digraph_kind)
     if family is None:
@@ -575,9 +576,9 @@ def score_point_set(
     elif idx.ps is not ps:
         raise ValueError("idx must be a neighbor index built over ps itself")
     strategy = strategy or fixed_k()
-    radii = estimate_radii(ps, idx, strategy)
-    dg = build_catch_digraph(ps, idx, radii)
-    cl = cluster_digraph(dg, ps, attach_factor=attach_factor, idx=idx)
+    radii = estimate_radii(idx, strategy)
+    dg = build_catch_digraph(idx, radii)
+    cl = cluster_digraph(dg, idx, attach_factor=attach_factor)
     rho = vicinity_density(dg)
     oos_scores = oos(dg, rho)
     ios_scores = ios_raw(dg, cl, rho)

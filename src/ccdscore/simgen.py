@@ -16,7 +16,11 @@ import numpy as np
 from .dataset import PointSet
 from .errors import ConfigError
 
-REGIMES = ("uniform", "gaussian", "matern", "thomas", "mixed")
+# The cluster shape each regime draws: it sets the outlier separation
+# scale here and the threshold table in the bench.
+CLUSTER_SHAPE_OF = {"uniform": "uniform", "gaussian": "gaussian", "matern": "uniform",
+                    "thomas": "gaussian", "mixed": "mixed"}
+REGIMES = tuple(CLUSTER_SHAPE_OF)
 
 # Stream ids, one per independent purpose.
 _S_CENTERS = 0
@@ -117,9 +121,10 @@ def planned_outliers(cfg: SimConfig) -> int:
 
 def cluster_scale(cfg: SimConfig) -> float:
     """Linear extent of one cluster, used to calibrate outlier separation."""
-    if cfg.regime in ("uniform", "matern"):
+    shape = CLUSTER_SHAPE_OF[cfg.regime]
+    if shape == "uniform":
         return cfg.cluster_radius
-    if cfg.regime in ("gaussian", "thomas"):
+    if shape == "gaussian":
         return 3.0 * cfg.gaussian_scale
     return max(cfg.cluster_radius, 3.0 * cfg.gaussian_scale)
 

@@ -192,7 +192,7 @@ def test_criterion_07_baseline_sanity():
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     ps = PointSet(pts)
     idx = build_index(ps)
-    scores, _ = lof(ps, idx, LofParams(k_min=5, k_max=10))
+    scores, _ = lof(idx, LofParams(k_min=5, k_max=10))
     interior = (
         (pts[:, 0] >= 5) & (pts[:, 0] <= 14) & (pts[:, 1] >= 5) & (pts[:, 1] <= 14)
     )
@@ -202,13 +202,13 @@ def test_criterion_07_baseline_sanity():
     upts = rng.uniform(size=(80, 3))
     ups = PointSet(upts)
     uidx = build_index(ups)
-    indeg, _ = odin(ups, uidx, OdinParams(k=6, t=0))
+    indeg, _ = odin(uidx, OdinParams(k=6, t=0))
     odin_ok = int(indeg.sum()) == 80 * 6
 
     opts = rng.uniform(size=(40, 2))
     ops = PointSet(opts)
     oidx = build_index(ops)
-    got, _ = lof(ops, oidx, LofParams(k_min=5, k_max=5))
+    got, _ = lof(oidx, LofParams(k_min=5, k_max=5))
     oracle_ok = bool(np.allclose(got, brute_lof(opts, 5), rtol=1e-9))
 
     ok = lof_ok and odin_ok and oracle_ok

@@ -161,6 +161,15 @@ def test_shared_index_rows_do_not_depend_on_method_order():
         assert (conf.tp, conf.fp, conf.tn, conf.fn) == (r.tp, r.fp, r.tn, r.fn), r
 
 
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_evaluate_method_rejects_an_index_over_other_points(method):
+    # an equal copy is still another point set: the index must be built
+    # over the very ps the method scores
+    ps, twin = (generate(SimConfig.from_dict(CFG_A)) for _ in range(2))
+    with pytest.raises(ValueError, match="built over ps itself"):
+        evaluate_method(method, ps, "uniform", DEFAULT_S_MIN, dataset.build_index(twin))
+
+
 @pytest.mark.parametrize("cfg, source", [
     (CFG_A, "_tree_table_candidates"),
     (CFG_DENSE, "_dense_table_candidates"),

@@ -67,10 +67,10 @@ def test_digraph_csr_matches_brute_covers(case, make):
     ps = PointSet(points)
     try:
         idx = build_index(ps)
-        radii = estimate_radii(ps, idx, make(k=k))
+        radii = estimate_radii(idx, make(k=k))
     except CcdScoreError:
         return
-    dg = build_catch_digraph(ps, idx, radii)
+    dg = build_catch_digraph(idx, radii)
     n = ps.n
     for arr in (dg.out_ptr, dg.out_ids, dg.in_ptr, dg.in_ids):
         assert arr.dtype == np.int64
@@ -130,7 +130,7 @@ def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
         mp.setattr(dataset, "_dense_table", lambda d: dense)
         ids, dists = idx.knn_table(k)
         try:
-            radii = estimate_radii(ps, idx, make(k=k))
+            radii = estimate_radii(idx, make(k=k))
         except CcdScoreError:
             radii = None
     for i in range(ps.n):
@@ -138,7 +138,7 @@ def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
         assert np.array_equal(ids[i], want_ids), i
         assert np.array_equal(dists[i], want_dists), i
     if radii is not None:
-        dg = build_catch_digraph(ps, idx, radii)
+        dg = build_catch_digraph(idx, radii)
         assert csr_rows(dg.out_ptr, dg.out_ids) == brute_covers(points, radii)
 
 
@@ -173,7 +173,7 @@ def graph_case(case, dense, make):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_dense_table", lambda d: dense)
         try:
-            radii = estimate_radii(ps, idx, make(k=k))
+            radii = estimate_radii(idx, make(k=k))
         except CcdScoreError:
             return None
     return ps, idx, radii * shrink
@@ -210,7 +210,7 @@ def test_csrs_equal_the_key_sort_reference_in_any_edge_order(case, dense, make, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CatchDigraph, "from_edges", classmethod(recording))
-        dg = build_catch_digraph(ps, idx, radii)
+        dg = build_catch_digraph(idx, radii)
     src, dst = edges[0]
     # the prefix rows, then the ball rows, each ordered by (source, target)
     assert np.count_nonzero(np.diff(src * n + dst) < 0) <= 1
@@ -235,12 +235,12 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
     if built is None:
         return
     ps, idx, radii = built
-    dg = build_catch_digraph(ps, idx, radii)
+    dg = build_catch_digraph(idx, radii)
     want = gather_cluster_of(dg, ps.points, factor)
-    assert np.array_equal(cluster_digraph(dg, ps, factor).cluster_of, want)
+    assert np.array_equal(cluster_digraph(dg, build_index(ps), factor).cluster_of, want)
     with pytest.MonkeyPatch.context() as mp:
         rows = gathered_rows(mp)
-        got = cluster_digraph(dg, ps, factor, idx=idx).cluster_of
+        got = cluster_digraph(dg, idx, factor).cluster_of
     assert np.array_equal(got, want)
     # the table answers exactly the isolated rows that are complete and
     # hold an anchored id; only the others are gathered
@@ -265,7 +265,7 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
         # zero wherever more than the column's rank of copies share a point
         radii = idx.knn_table(k)[1][:, column].copy()
     try:
-        got = graph._positive_floor(ps, radii)
+        got = graph._positive_floor(idx, radii)
     except DegenerateDataError:
         assert (points == points[0]).all()
         return

@@ -41,8 +41,8 @@ def test_strategy_rejects_a_k_that_is_not_an_integer(k):
 def test_strategy_takes_a_numpy_integer_k():
     ps, idx = make(np.random.default_rng(0).random((30, 2)))
     for kind in graph.RADIUS_KINDS:
-        want = estimate_radii(ps, idx, graph.RadiusStrategy(kind, 4))
-        got = estimate_radii(ps, idx, graph.RadiusStrategy(kind, np.int64(4)))
+        want = estimate_radii(idx, graph.RadiusStrategy(kind, 4))
+        got = estimate_radii(idx, graph.RadiusStrategy(kind, np.int64(4)))
         assert np.array_equal(got, want)
 
 
@@ -60,13 +60,13 @@ def test_unit_ball_volume():
 
 def test_fixed_k_line_radii():
     ps, idx = make([[0.0], [1.0], [3.0]])
-    radii = estimate_radii(ps, idx, fixed_k(k=1))
+    radii = estimate_radii(idx, fixed_k(k=1))
     assert radii.tolist() == [1.0, 1.0, 2.0]
 
 
 def test_coincident_pair_radius_floored():
     ps, idx = make([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    radii = estimate_radii(ps, idx, fixed_k(k=1))
+    radii = estimate_radii(idx, fixed_k(k=1))
     assert (radii > 0).all()
     # the coincident pair falls back to its nearest distinct neighbor
     assert radii[0] == pytest.approx(1.0)
@@ -76,7 +76,7 @@ def test_coincident_pair_radius_floored():
 def test_all_coincident_degenerate():
     ps, idx = make(np.zeros((4, 2)))
     with pytest.raises(DegenerateDataError):
-        estimate_radii(ps, idx, fixed_k(k=1))
+        estimate_radii(idx, fixed_k(k=1))
 
 
 def test_radii_positive_for_every_strategy():
@@ -86,14 +86,14 @@ def test_radii_positive_for_every_strategy():
         pts[5] = pts[17]  # plant a duplicate
         ps, idx = make(pts)
         for strat in (fixed_k(), rk_approx(), un_approx()):
-            radii = estimate_radii(ps, idx, strat)
+            radii = estimate_radii(idx, strat)
             assert (radii > 0).all()
 
 
 def test_rk_radii_track_uniform_density():
     rng = np.random.default_rng(12)
     ps, idx = make(rng.random((500, 2)))
-    radii = estimate_radii(ps, idx, rk_approx())
+    radii = estimate_radii(idx, rk_approx())
     k = default_k(500)
     target = np.sqrt(k / (500.0 * np.pi))
     assert 0.5 * target <= np.median(radii) <= 2.0 * target
@@ -101,8 +101,8 @@ def test_rk_radii_track_uniform_density():
 
 def test_digraph_line_adjacency():
     ps, idx = make([[0.0], [1.0], [3.0]])
-    radii = estimate_radii(ps, idx, fixed_k(k=1))
-    dg = build_catch_digraph(ps, idx, radii)
+    radii = estimate_radii(idx, fixed_k(k=1))
+    dg = build_catch_digraph(idx, radii)
     assert [c.tolist() for c in dg.covers] == [[1], [0], [1]]
     assert dg.covered_count.tolist() == [2, 2, 2]
     # 2 reaches 1 but not the other way around
@@ -115,7 +115,7 @@ def test_digraph_matches_brute():
     pts = rng.random((60, 2))
     radii = rng.random(60) * 0.3 + 0.01
     ps = PointSet(pts, None)
-    dg = build_catch_digraph(ps, build_index(ps), radii)
+    dg = build_catch_digraph(build_index(ps), radii)
     assert [c.tolist() for c in dg.covers] == brute_covers(pts, radii)
 
 
@@ -124,8 +124,8 @@ def test_two_blobs_two_clusters():
     # covered with its neighbors under fixed-k radii
     grid = np.array([[i * 0.02, j * 0.02] for i in range(4) for j in range(5)])
     ps, idx = make(np.vstack([grid, grid + 5.0]))
-    radii = estimate_radii(ps, idx, fixed_k())
-    cl = cluster_digraph(build_catch_digraph(ps, idx, radii), ps)
+    radii = estimate_radii(idx, fixed_k())
+    cl = cluster_digraph(build_catch_digraph(idx, radii), build_index(ps))
     assert cl.n_clusters == 2
     assert np.bincount(cl.cluster_of).tolist() == [20, 20]
     # id 0 belongs to one blob, id 20 to the other
@@ -134,8 +134,8 @@ def test_two_blobs_two_clusters():
 
 def test_isolated_point_beyond_reach_is_singleton():
     ps, idx = make([[0.0], [1.0], [50.0]])
-    dg = build_catch_digraph(ps, idx, np.array([1.0, 1.0, 2.0]))
-    cl = cluster_digraph(dg, ps)
+    dg = build_catch_digraph(idx, np.array([1.0, 1.0, 2.0]))
+    cl = cluster_digraph(dg, build_index(ps))
     assert cl.n_clusters == 2
     # bigger cluster takes id 0
     assert cl.cluster_of.tolist() == [0, 0, 1]
@@ -145,16 +145,16 @@ def test_isolated_point_attaches_within_reach():
     # mutual pair at 0,1; the point at 3 has no mutual edge but the pair
     # is within 3 times its radius
     ps, idx = make([[0.0], [1.0], [3.0]])
-    dg = build_catch_digraph(ps, idx, np.array([1.0, 1.0, 1.0]))
-    cl = cluster_digraph(dg, ps)
+    dg = build_catch_digraph(idx, np.array([1.0, 1.0, 1.0]))
+    cl = cluster_digraph(dg, build_index(ps))
     assert cl.n_clusters == 1
     assert cl.cluster_of.tolist() == [0, 0, 0]
 
 
 def test_mutual_triangle_single_cluster():
     ps, idx = make([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    dg = build_catch_digraph(ps, idx, np.array([2.0, 2.0, 2.0]))
-    cl = cluster_digraph(dg, ps)
+    dg = build_catch_digraph(idx, np.array([2.0, 2.0, 2.0]))
+    cl = cluster_digraph(dg, build_index(ps))
     assert cl.n_clusters == 1
     assert np.bincount(cl.cluster_of).tolist() == [3]
 
@@ -163,8 +163,8 @@ def test_cluster_ids_ordered_by_size_then_member():
     # two mutual pairs of equal size; the one holding the smaller id
     # must become cluster 0
     ps, idx = make([[10.0], [11.0], [0.0], [1.0]])
-    dg = build_catch_digraph(ps, idx, np.array([1.0, 1.0, 1.0, 1.0]))
-    cl = cluster_digraph(dg, ps)
+    dg = build_catch_digraph(idx, np.array([1.0, 1.0, 1.0, 1.0]))
+    cl = cluster_digraph(dg, build_index(ps))
     assert cl.cluster_of.tolist() == [0, 0, 1, 1]
 
 
@@ -175,8 +175,8 @@ def test_components_match_brute_union_find():
         radii = rng.random(40) * 0.25 + 0.02
         ps = PointSet(pts, None)
         idx = build_index(ps)
-        dg = build_catch_digraph(ps, idx, radii)
-        cl = cluster_digraph(dg, ps, attach_factor=0.0)
+        dg = build_catch_digraph(idx, radii)
+        cl = cluster_digraph(dg, build_index(ps), attach_factor=0.0)
         labels = brute_components(pts, radii)
         # same partition, allowing for different label names
         for i in range(40):
@@ -193,9 +193,9 @@ def test_build_deterministic_across_fresh_indexes():
     for _ in range(2):
         ps = PointSet(pts, None)
         idx = build_index(ps)
-        radii = estimate_radii(ps, idx, un_approx())
-        dg = build_catch_digraph(ps, idx, radii)
-        cl = cluster_digraph(dg, ps)
+        radii = estimate_radii(idx, un_approx())
+        dg = build_catch_digraph(idx, radii)
+        cl = cluster_digraph(dg, build_index(ps))
         results.append((radii, [c.tolist() for c in dg.covers], cl.cluster_of))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1] == brute_covers(pts, results[0][0])
@@ -210,7 +210,7 @@ def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, stra
         simgen.SimConfig(regime="gaussian", d=d, n=400, seed=1, outlier_fraction=0.05)
     )
     idx = build_index(ps)
-    dg = build_catch_digraph(ps, idx, estimate_radii(ps, idx, strategy()))
+    dg = build_catch_digraph(idx, estimate_radii(idx, strategy()))
     want = gather_cluster_of(dg, ps.points)
     gathered = []
     gather = graph.pair_distance_blocks
@@ -220,17 +220,9 @@ def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, stra
         return gather(points, rows, targets)
 
     monkeypatch.setattr(graph, "pair_distance_blocks", recording)
-    cl = cluster_digraph(dg, ps, idx=idx)
+    cl = cluster_digraph(dg, idx)
     assert np.array_equal(cl.cluster_of, want)
     assert sum(gathered) == 0
     mutual = np.zeros((ps.n, ps.n), dtype=bool)
     mutual[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
     assert (~(mutual & mutual.T).any(axis=1)).sum() >= 16
-
-
-def test_cluster_digraph_rejects_an_index_over_other_points():
-    ps, idx = make([[0.0], [1.0], [3.0]])
-    _, other_idx = make([[0.0], [1.0], [3.0]])
-    dg = build_catch_digraph(ps, idx, np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        cluster_digraph(dg, ps, idx=other_idx)

@@ -118,8 +118,8 @@ def test_baselines_equal_reference_loops(regime, d):
     ref_idx = build_index(ps)
     ref_lof = loop_lof(ref_idx)
     ref_odin = loop_odin(ref_idx, int(round(ps.n**0.5)))
-    got_lof, _ = lof(ps, build_index(ps), LofParams())
-    got_odin, _ = odin(ps, build_index(ps), OdinParams())
+    got_lof, _ = lof(build_index(ps), LofParams())
+    got_odin, _ = odin(build_index(ps), OdinParams())
     assert np.array_equal(got_lof, ref_lof, equal_nan=True)
     assert np.array_equal(got_odin, ref_odin)
 
@@ -277,13 +277,13 @@ def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
         assert np.array_equal(dists, want_dists), k
     assert all(a is b for a, b in zip(wide.last_table, widest))
     for strategy in (fixed_k(k=4), rk_approx(k=4), un_approx(k=4)):
-        radii = estimate_radii(ps, wide, strategy)
+        radii = estimate_radii(wide, strategy)
         narrow = build_index(ps)
-        assert np.array_equal(estimate_radii(ps, narrow, strategy), radii)
+        assert np.array_equal(estimate_radii(narrow, strategy), radii)
         assert narrow.last_table[0].shape[1] == 4
-        want = build_catch_digraph(ps, narrow, radii)
-        assert_same_digraph(build_catch_digraph(ps, wide, radii), want)
-        assert_same_digraph(build_catch_digraph(ps, build_index(ps), radii), want)
+        want = build_catch_digraph(narrow, radii)
+        assert_same_digraph(build_catch_digraph(wide, radii), want)
+        assert_same_digraph(build_catch_digraph(build_index(ps), radii), want)
 
 
 def test_digraph_without_a_table_uses_ball_queries():
@@ -291,7 +291,7 @@ def test_digraph_without_a_table_uses_ball_queries():
     radii = loop_radii(ps, build_index(ps), fixed_k())
     fresh = build_index(ps)
     assert fresh.last_table is None
-    dg = build_catch_digraph(ps, fresh, radii)
+    dg = build_catch_digraph(fresh, radii)
     covers, covered_by = loop_digraph(ps, build_index(ps), radii)
     assert same_rows(dg.covers, covers)
     assert same_rows(in_rows(dg), covered_by)
@@ -321,7 +321,7 @@ def assert_screen_equals_range_queries(ps, radii, monkeypatch):
     from the screen alone."""
     fresh = build_index(ps)
     monkeypatch.setattr(fresh, "_tree", None)
-    dg = build_catch_digraph(ps, fresh, radii)
+    dg = build_catch_digraph(fresh, radii)
     covers, covered_by = loop_digraph(ps, build_index(ps), radii)
     assert same_rows(dg.covers, covers)
     assert same_rows(in_rows(dg), covered_by)

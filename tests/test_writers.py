@@ -201,12 +201,12 @@ def test_baseline_writers_match_the_row_loops(tmp_path, method):
     ps = PointSet(np.vstack([rng.random((60, 2)), np.repeat(rng.random((1, 2)), 40, axis=0)]))
     idx = build_index(ps)
     if method == "lof":
-        scores, flags = lof(ps, idx)
+        scores, flags = lof(idx)
         assert np.isinf(scores).any()
         scores[-1] = np.nan
         ranks = _descending_ranks(scores)
     else:
-        scores, flags = odin(ps, idx)
+        scores, flags = odin(idx)
         assert scores.dtype.kind == "i"
         ranks = _descending_ranks(-scores)
 
