@@ -268,6 +268,16 @@ def row_chunks(n_rows: int, width: int):
         yield slice(start, min(start + step, n_rows))
 
 
+def row_blocks(ptr: np.ndarray):
+    """Slices over the rows of the CSR row pointers ptr, each row block
+    holding about GATHER_CHUNK entries; a longer row is a block alone."""
+    n = ptr.size - 1
+    cuts = np.searchsorted(ptr, np.arange(GATHER_CHUNK, int(ptr[-1]), GATHER_CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        yield slice(a, b)
+
+
 def _dense_table(d: int) -> bool:
     """Whether knn_table takes its candidates from the dense screen rather
     than the k-d tree. From d = 8 up the tree prunes too little to beat one

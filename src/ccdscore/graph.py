@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 
-from .dataset import NeighborIndex, pair_distance_blocks, row_chunks
+from .dataset import NeighborIndex, pair_distance_blocks, row_blocks, row_chunks
 from .errors import ConfigError, DegenerateDataError
 
 FIXED_K = "fixed-k"
@@ -147,14 +147,32 @@ def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     return radii
 
 
+# The CSR arrays are int32, the index dtype scipy.sparse uses, so both
+# the point count and the edge count must fit in it.
+INDEX_MAX = int(np.iinfo(np.int32).max)
+
+
+def check_index_range(n: int, edges: int) -> None:
+    """Raise DegenerateDataError unless n points and that many edges fit
+    the digraph's int32 ids and row pointers."""
+    if n > INDEX_MAX or edges > INDEX_MAX:
+        raise DegenerateDataError(
+            f"{n} points with {edges} coverage edges pass the digraph's int32 "
+            f"limit of {INDEX_MAX}; at that size the edge arrays alone would "
+            "need at least 17 GB"
+        )
+
+
 @dataclass
 class CatchDigraph:
     """Directed coverage structure: i -> j when j is inside B(x_i, r_i), i != j.
 
-    The edges are held twice in CSR (compressed sparse row) form, int64,
-    with ids ascending in every row. The targets of i are
-    out_ids[out_ptr[i]:out_ptr[i + 1]]; the sources reaching j are
-    in_ids[in_ptr[j]:in_ptr[j + 1]], so the in-CSR is the out-CSR transposed.
+    The edges are held twice in CSR (compressed sparse row) form, all four
+    arrays int32 as scipy.sparse indexes them, with ids ascending in every
+    row. The targets of i are out_ids[out_ptr[i]:out_ptr[i + 1]]; the
+    sources reaching j are in_ids[in_ptr[j]:in_ptr[j + 1]], so the in-CSR
+    is the out-CSR transposed. Arithmetic on the ids, such as edge keys,
+    must widen them to int64 first.
     """
 
     radii: np.ndarray
@@ -165,20 +183,28 @@ class CatchDigraph:
     in_ids: np.ndarray
 
     @classmethod
-    def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
-        """The digraph of the int64 edges src[e] -> dst[e], any order, no repeats.
+    def from_keys(cls, radii: np.ndarray, dim: int, keys: np.ndarray) -> CatchDigraph:
+        """The digraph of the int64 edge keys src * n + dst, any order, no
+        repeats. keys is sorted in place and then dropped.
 
-        The out-CSR comes from one stable sort of the keys src * n + dst,
-        which costs about one pass when the edges arrive in a few sorted
-        runs, as build_catch_digraph emits them. The in-CSR is its
-        transpose by a counting sort.
+        One stable sort orders the keys, which costs about one pass when
+        they arrive in a few sorted runs, as build_catch_digraph emits
+        them. The row pointers come from one searchsorted of the row
+        starts and the ids from subtracting each row's start, a block of
+        rows at a time. The in-CSR is the transpose by a counting sort.
         """
         n = radii.shape[0]
-        out_ids = src * n + dst
-        out_ids.sort(kind="stable")
+        check_index_range(n, keys.size)
+        keys.sort(kind="stable")
         starts = np.arange(0, (n + 1) * n, n, dtype=np.int64)
-        out_ptr = np.searchsorted(out_ids, starts).astype(np.int64, copy=False)
-        out_ids -= np.repeat(starts[:-1], np.diff(out_ptr))
+        ptr = np.searchsorted(keys, starts)
+        counts = np.diff(ptr)
+        out_ids = np.empty(keys.size, dtype=np.int32)
+        for sl in row_blocks(ptr):
+            a, b = ptr[sl.start], ptr[sl.stop]
+            out_ids[a:b] = keys[a:b] - np.repeat(starts[sl], counts[sl])
+        del keys
+        out_ptr = ptr.astype(np.int32)
         inv = sparse.csr_matrix(
             (np.ones(out_ids.size, dtype=np.int8), out_ids, out_ptr), shape=(n, n)
         ).tocsc()
@@ -187,9 +213,17 @@ class CatchDigraph:
             dim=dim,
             out_ptr=out_ptr,
             out_ids=out_ids,
-            in_ptr=inv.indptr.astype(np.int64, copy=False),
-            in_ids=inv.indices.astype(np.int64, copy=False),
+            in_ptr=inv.indptr,
+            in_ids=inv.indices,
         )
+
+    @classmethod
+    def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
+        """The digraph of the edges src[e] -> dst[e], any order, no repeats:
+        from_keys of their keys, taken in int64."""
+        n = radii.shape[0]
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        return cls.from_keys(radii, dim, src * n + dst)
 
     @property
     def n(self) -> int:
@@ -213,8 +247,9 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
     Where the index holds a neighbor table whose row i is proven complete
     and radii[i] does not pass the row's last distance, i's ball is a
     prefix of that row. Every other ball comes from one batched ball query.
-    Both sources emit their edges ordered by (source, target), so
-    from_edges finds them in two sorted runs.
+    Each block from either source becomes the int64 keys src * n + dst at
+    once, ordered by (source, target), so from_keys finds them in two
+    sorted runs.
     """
     n = idx.ps.n
     radii = np.asarray(radii, dtype=np.float64)
@@ -222,7 +257,7 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
         raise ValueError("radii must have one entry per point")
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
-    src, dst = [], []
+    keys = []
     prefix = np.zeros(n, dtype=bool)
     if idx.last_table is not None:
         ids, dists, complete = idx.last_table
@@ -236,14 +271,11 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
             sub = np.where(inside, ids[r], n)
             sub.sort(axis=1)
             a, c = np.nonzero(inside)
-            src.append(r[a])
-            dst.append(sub[a, c])
+            keys.append(r[a] * n + sub[a, c])
     rest = np.flatnonzero(~prefix)
     for s, t in idx.balls(rest, radii[rest]):
-        src.append(s)
-        dst.append(t)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    return CatchDigraph.from_edges(radii, idx.ps.d, src, dst)
+        keys.append(s * n + t)
+    return CatchDigraph.from_keys(radii, idx.ps.d, np.concatenate(keys))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .dataset import (
     NeighborIndex,
     PointSet,
     build_index,
+    row_blocks,
     row_chunks,
 )
 from .errors import ConfigError, DegenerateDataError
@@ -71,15 +72,19 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The sum of each run of values, the runs laid end to end with lengths
     counts; 0.0 for an empty run.
 
-    Runs of equal length are gathered into one (rows, length) block and
-    summed along axis 1 by np.add.reduce. numpy sums each contiguous row
-    with the same pairwise summation as a 1-D call, so every result equals
-    np.sum of that run alone to the last bit, and dividing by the length
-    gives np.mean. Segmented sums (np.add.reduceat, a CSR matrix product)
+    Runs of equal length are gathered into one (rows, length) block, each
+    row copied whole from a sliding-window view of values rather than
+    element by element through an index matrix, and summed along axis 1
+    by np.add.reduce. numpy sums each contiguous row with the same
+    pairwise summation as a 1-D call, so every result equals np.sum of
+    that run alone to the last bit, and dividing by the length gives
+    np.mean. Segmented sums (np.add.reduceat, a CSR matrix product)
     add left to right instead and differ in the last bits, which would
     break the bitwise ties ios_raw promises.
     """
     out = np.zeros(counts.size, dtype=np.float64)
+    values = np.ascontiguousarray(values)
+    step = values.itemsize
     starts = np.cumsum(counts) - counts
     order = np.argsort(counts, kind="stable")
     lengths, first = np.unique(counts[order], return_index=True)
@@ -88,9 +93,14 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         if length == 0:
             continue
         rows = order[bounds[g] : bounds[g + 1]]
+        # the view sliding_window_view makes, built directly: that function
+        # costs about 16 us a call, which many small groups add up to
+        windows = np.ndarray(
+            (values.size - length + 1, length), values.dtype, values, 0, (step, step)
+        )
         for sl in row_chunks(rows.size, length):
             r = rows[sl]
-            out[r] = np.add.reduce(values[starts[r, None] + np.arange(length)], axis=1)
+            out[r] = np.add.reduce(windows[starts[r]], axis=1)
     return out
 
 
@@ -98,31 +108,42 @@ def oos(dg: CatchDigraph, rho: np.ndarray) -> np.ndarray:
     """Outbound outlyingness: mean density over the points a ball covers,
     divided by the ball's own density. Empty balls score +inf.
     """
-    counts = np.diff(dg.out_ptr)
-    sums = _row_sums(rho[dg.out_ids], counts)
+    ptr = dg.out_ptr
+    counts = np.diff(ptr)
+    sums = np.empty(dg.n, dtype=np.float64)
+    for sl in row_blocks(ptr):
+        # numpy gathers by int64 ids about three times as fast as by int32
+        # ones, so each block widens its ids once
+        ids = dg.out_ids[ptr[sl.start] : ptr[sl.stop]].astype(np.int64)
+        sums[sl] = _row_sums(rho[ids], counts[sl])
     out = np.full(dg.n, np.inf)
     covered = counts > 0
     out[covered] = sums[covered] / counts[covered] / rho[covered]
     return out
 
 
-def _same_cluster_sources(
-    dg: CatchDigraph, cl: Clustering
-) -> tuple[np.ndarray, np.ndarray]:
-    """(source, target) of every edge that stays inside one cluster,
-    ascending by target, then by source."""
-    src = dg.in_ids
-    dst = np.repeat(np.arange(dg.n), np.diff(dg.in_ptr))
-    same = cl.cluster_of[src] == cl.cluster_of[dst]
-    return src[same], dst[same]
+def _same_cluster_sources(dg: CatchDigraph, cl: Clustering):
+    """Per block of rows by target: (rows, src, dst) of the edges into
+    those rows that stay inside one cluster, ascending by target, then by
+    source, the ids int64."""
+    c = cl.cluster_of
+    ptr = dg.in_ptr
+    for sl in row_blocks(ptr):
+        src = dg.in_ids[ptr[sl.start] : ptr[sl.stop]].astype(np.int64)
+        dst = np.repeat(np.arange(sl.start, sl.stop), np.diff(ptr[sl.start : sl.stop + 1]))
+        same = c[src] == c[dst]
+        yield sl, src[same], dst[same]
 
 
 def cumulative_influence(
     dg: CatchDigraph, cl: Clustering, rho: np.ndarray
 ) -> np.ndarray:
     """Summed density of the same-cluster points whose balls reach each point."""
-    src, dst = _same_cluster_sources(dg, cl)
-    return _row_sums(rho[src], np.bincount(dst, minlength=dg.n))
+    out = np.empty(dg.n, dtype=np.float64)
+    for sl, src, dst in _same_cluster_sources(dg, cl):
+        counts = np.bincount(dst - sl.start, minlength=sl.stop - sl.start)
+        out[sl] = _row_sums(rho[src], counts)
+    return out
 
 
 def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
@@ -134,11 +155,14 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     tie-break pass depends on that.
     """
     n = dg.n
-    src, dst = _same_cluster_sources(dg, cl)
-    # the keys ascend already, so each point's own key only needs merging in
-    pos = np.searchsorted(dst * n + src, np.arange(n) * (n + 1))
-    counts = np.bincount(dst, minlength=n) + 1
-    return 1.0 / _row_sums(np.insert(rho[src], pos, rho), counts)
+    out = np.empty(n, dtype=np.float64)
+    for sl, src, dst in _same_cluster_sources(dg, cl):
+        own = np.arange(sl.start, sl.stop)
+        # the keys ascend already, so each point's own key only needs merging in
+        pos = np.searchsorted(dst * n + src, own * (n + 1))
+        counts = np.bincount(dst - sl.start, minlength=own.size) + 1
+        out[sl] = 1.0 / _row_sums(np.insert(rho[src], pos, rho[sl]), counts)
+    return out
 
 
 def _cluster_medians(cluster_of: np.ndarray, vals: np.ndarray) -> np.ndarray:

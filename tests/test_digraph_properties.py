@@ -18,7 +18,8 @@ from ccdscore.graph import (
     fixed_k, rk_approx, un_approx,
 )
 from ccdscore.scores import (
-    break_ties, flag_outliers, score_point_set, standardize_ios, standardize_naive,
+    break_ties, cumulative_influence, flag_outliers, ios_raw, oos, score_point_set,
+    standardize_ios, standardize_naive, vicinity_density,
 )
 
 from _oracles import (
@@ -26,6 +27,9 @@ from _oracles import (
     gather_cluster_of,
     keysort_csr,
     loop_break_ties,
+    loop_cumulative_influence,
+    loop_ios_raw,
+    loop_oos,
     loop_positive_floor,
     loop_small_cluster_flags,
     loop_standardize_ios,
@@ -73,7 +77,7 @@ def test_digraph_csr_matches_brute_covers(case, make):
     dg = build_catch_digraph(idx, radii)
     n = ps.n
     for arr in (dg.out_ptr, dg.out_ids, dg.in_ptr, dg.in_ids):
-        assert arr.dtype == np.int64
+        assert arr.dtype == np.int32
     out_rows = csr_rows(dg.out_ptr, dg.out_ids)
     in_rows = csr_rows(dg.in_ptr, dg.in_ids)
     expect = brute_covers(points, radii)
@@ -201,19 +205,22 @@ def test_csrs_equal_the_key_sort_reference_in_any_edge_order(case, dense, make, 
         return
     ps, idx, radii = built
     n = ps.n
-    edges = []
-    from_edges = CatchDigraph.from_edges.__func__
+    calls = []
+    from_keys = CatchDigraph.from_keys.__func__
 
-    def recording(cls, r, dim, src, dst):
-        edges.append((src, dst))
-        return from_edges(cls, r, dim, src, dst)
+    def recording(cls, r, dim, keys):
+        # from_keys sorts its keys in place, so keep them as they came
+        calls.append(keys.copy())
+        return from_keys(cls, r, dim, keys)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CatchDigraph, "from_edges", classmethod(recording))
+        mp.setattr(CatchDigraph, "from_keys", classmethod(recording))
         dg = build_catch_digraph(idx, radii)
-    src, dst = edges[0]
+    (keys,) = calls
+    assert keys.dtype == np.int64
     # the prefix rows, then the ball rows, each ordered by (source, target)
-    assert np.count_nonzero(np.diff(src * n + dst) < 0) <= 1
+    assert np.count_nonzero(np.diff(keys) < 0) <= 1
+    src, dst = keys // n, keys % n
     want = keysort_csr(n, src, dst)
     order = list(range(src.size))
     rnd.shuffle(order)
@@ -221,8 +228,69 @@ def test_csrs_equal_the_key_sort_reference_in_any_edge_order(case, dense, make, 
     for got in (dg, shuffled):
         arrays = (got.out_ptr, got.out_ids, got.in_ptr, got.in_ids)
         for arr, ref in zip(arrays, want):
-            assert arr.dtype == np.int64
+            assert arr.dtype == np.int32
             assert np.array_equal(arr, ref)
+
+
+def test_index_range_guard_takes_the_int32_limit():
+    top = 2**31 - 1
+    graph.check_index_range(top, top)
+    for n, edges in ((top + 1, 0), (10, top + 1), (top + 1, top + 1)):
+        with pytest.raises(DegenerateDataError):
+            graph.check_index_range(n, edges)
+
+
+def test_ids_past_the_int32_square_root_keep_their_keys():
+    # n * n passes 2**31, so a key src * n + dst taken in int32 wraps
+    n = 60_000
+    top = np.arange(n - 10, n)
+    src = np.repeat(top, 3).astype(np.int32)
+    dst = np.concatenate([np.roll(top, -s)[:, None] for s in (1, 2, 5)], axis=1)
+    dst = np.sort(dst, axis=1).ravel().astype(np.int32)
+    dg = CatchDigraph.from_edges(np.ones(n), 2, src, dst)
+    want = keysort_csr(n, src.astype(np.int64), dst.astype(np.int64))
+    for arr, ref in zip((dg.out_ptr, dg.out_ids, dg.in_ptr, dg.in_ids), want):
+        assert np.array_equal(arr, ref)
+    # the ten top ids in two clusters, with edges within and across them
+    cluster_of = np.full(n, 2)
+    cluster_of[top] = np.repeat([0, 1], 5)
+    cl = Clustering(cluster_of=cluster_of)
+    rho = np.random.default_rng(3).uniform(0.5, 2.0, n)
+    covered_by = [dg.in_ids[a:b] for a, b in zip(dg.in_ptr[:-1], dg.in_ptr[1:])]
+    assert np.array_equal(oos(dg, rho), loop_oos(dg.covers, rho))
+    assert np.array_equal(
+        cumulative_influence(dg, cl, rho),
+        loop_cumulative_influence(covered_by, cluster_of, rho),
+    )
+    assert np.array_equal(ios_raw(dg, cl, rho), loop_ios_raw(covered_by, cluster_of, rho))
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES), st.sampled_from([5, 64]))
+def test_scores_do_not_depend_on_the_row_blocks(case, dense, make, size):
+    built = graph_case(case, dense, make)
+    if built is None:
+        return
+    ps, idx, radii = built
+    dg = build_catch_digraph(idx, radii)
+    cl = cluster_digraph(dg, idx)
+    try:
+        rho = vicinity_density(dg)
+    except CcdScoreError:
+        return
+
+    def run():
+        return (oos(dg, rho), ios_raw(dg, cl, rho), cumulative_influence(dg, cl, rho))
+
+    whole = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "GATHER_CHUNK", size)
+        blocks = len(list(dataset.row_blocks(dg.in_ptr)))
+        blocked = run()
+    # one block would mean that every row but the last starts before size
+    assert blocks > 1 or dg.in_ids.size < size + np.diff(dg.in_ptr).max()
+    for got, want in zip(blocked, whole):
+        assert np.array_equal(got, want)
 
 
 @SETTINGS
