@@ -270,9 +270,12 @@ def row_chunks(n_rows: int, width: int):
 
 def row_blocks(ptr: np.ndarray):
     """Slices over the rows of the CSR row pointers ptr, each row block
-    holding about GATHER_CHUNK entries; a longer row is a block alone."""
+    holding about GATHER_CHUNK / 4 entries; a longer row is a block alone.
+    A walk over the entries keeps a few int64 or float64 arrays of the
+    block's size, so each holds about 1 to 4 MiB at once."""
     n = ptr.size - 1
-    cuts = np.searchsorted(ptr, np.arange(GATHER_CHUNK, int(ptr[-1]), GATHER_CHUNK))
+    step = max(1, GATHER_CHUNK >> 2)
+    cuts = np.searchsorted(ptr, np.arange(step, int(ptr[-1]), step))
     bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
         yield slice(a, b)
@@ -519,25 +522,26 @@ class NeighborIndex:
     def balls(self, rows: np.ndarray, radii: np.ndarray):
         """Coverage edges of the closed balls B(x_i, radii[a]) for i = rows[a].
 
-        Yields (src, dst) blocks of point ids: sources come in rows order,
-        targets ascend within each source, and each center is left out, so
-        a source's targets equal range_query(rows[a], radii[a]) without
-        rows[a]. Candidates come per block of rows from a dense screen. A
-        candidate the screen proves a member is taken as it is; only the
-        others, in the screen's rounding band, are rechecked with the
-        package's distance formula.
+        Yields one (sources, counts, targets) block per screen block:
+        sources is a run of rows, counts[q] the number of targets of
+        sources[q], and targets their int32 ids laid end to end, ascending
+        within each source. Each center is left out, so a source's targets
+        equal range_query(rows[a], radii[a]) without rows[a]. Candidates
+        come per block of rows from a dense screen. A candidate the screen
+        proves a member is taken as it is; only the others, in the screen's
+        rounding band, are rechecked with the package's distance formula.
         """
         points = self.ps.points
-        for owner, cand, inside in self._screen_candidates(rows, radii):
+        for sl, owner, cand, inside in self._screen_candidates(rows, radii):
+            src = rows[sl]
             check = np.flatnonzero(~inside)
             for part in row_chunks(check.size, self.ps.d):
                 c = check[part]
                 o = owner[c]
-                dd = _row_distances(points, rows[o], cand[c, None])[:, 0]
-                inside[c] = dd <= radii[o]
-            src = rows[owner]
-            inside &= src != cand
-            yield src[inside], cand[inside]
+                dd = _row_distances(points, src[o], cand[c, None])[:, 0]
+                inside[c] = dd <= radii[sl][o]
+            counts = np.bincount(owner[inside], minlength=src.size)
+            yield src, counts, cand[inside].astype(np.int32)
 
     def _shifted(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(x, sq, slack, floor): the points shifted by their column minima,
@@ -552,12 +556,13 @@ class NeighborIndex:
         return x, sq, _SCREEN_C * (d + 2) * fi.eps, _SCREEN_C * (d + 2) * fi.tiny
 
     def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
-        """(owner, candidate, sure) arrays per block of rows, from one
-        matrix product per block: j is a candidate of row a when
-        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
+        """(slice into rows, owner, candidate, sure) per block of rows, from
+        one matrix product per block: j != rows[a] is a candidate of row a
+        when g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
         candidates with g <= r^2 - band, which are members for certain.
         Here x = points[rows[a]], y = points[j] and r = radii[a], all after
-        shifting the points by their column minima.
+        shifting the points by their column minima. owner holds positions
+        in the block, and the pairs ascend by owner, then by candidate.
 
         The band bounds the rounding, so every pair the distance formula
         accepts is a candidate, and every pair it rejects is not sure.
@@ -588,6 +593,9 @@ class NeighborIndex:
         sure side an overflowed term proves nothing, so a pair is sure only
         when -2 x.y, r^2 and both scaled norms are finite; NaN from
         inf - inf only ever fails a test, and the warnings are silenced.
+        Each center is cleared in the hit mask rather than by a value
+        written into g: where r^2 overflows, the limit is +inf and would
+        pass any such value.
         """
         x, sq, slack, floor = self._shifted()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -598,14 +606,19 @@ class NeighborIndex:
             lo = (1.0 - slack) * r2 - floor - sq_hi[rows]
         lo[~np.isfinite(lo)] = -np.inf  # an overflowed r^2 or norm proves nothing
         for sl in row_chunks(rows.size, self.n):
+            r = rows[sl]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = x[rows[sl]] @ x.T
+                g = x[r] @ x.T
                 g *= -2.0
-                hit = np.flatnonzero(g + sq_lo <= hi[sl, None])
-                a, j = np.divmod(hit, self.n)
+                hit = g + sq_lo <= hi[sl, None]
+                hit[np.arange(r.size), r] = False
+                # one flat index and a division beat a 2-d nonzero 3 to 1
+                hit = np.flatnonzero(hit)
+                a = hit // self.n
+                j = hit - a * self.n
                 g = g.ravel()[hit] + sq_hi[j]
                 sure = (g <= lo[sl][a]) & (g > -np.inf)
-            yield a + sl.start, j, sure
+            yield sl, a, j, sure
 
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded).

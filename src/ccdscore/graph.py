@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -183,28 +184,13 @@ class CatchDigraph:
     in_ids: np.ndarray
 
     @classmethod
-    def from_keys(cls, radii: np.ndarray, dim: int, keys: np.ndarray) -> CatchDigraph:
-        """The digraph of the int64 edge keys src * n + dst, any order, no
-        repeats. keys is sorted in place and then dropped.
-
-        One stable sort orders the keys, which costs about one pass when
-        they arrive in a few sorted runs, as build_catch_digraph emits
-        them. The row pointers come from one searchsorted of the row
-        starts and the ids from subtracting each row's start, a block of
-        rows at a time. The in-CSR is the transpose by a counting sort.
-        """
+    def from_csr(
+        cls, radii: np.ndarray, dim: int, out_ptr: np.ndarray, out_ids: np.ndarray
+    ) -> CatchDigraph:
+        """The digraph of the int32 out-CSR (out_ptr, out_ids), ids
+        ascending in every row; the in-CSR is its transpose by scipy's
+        counting sort."""
         n = radii.shape[0]
-        check_index_range(n, keys.size)
-        keys.sort(kind="stable")
-        starts = np.arange(0, (n + 1) * n, n, dtype=np.int64)
-        ptr = np.searchsorted(keys, starts)
-        counts = np.diff(ptr)
-        out_ids = np.empty(keys.size, dtype=np.int32)
-        for sl in row_blocks(ptr):
-            a, b = ptr[sl.start], ptr[sl.stop]
-            out_ids[a:b] = keys[a:b] - np.repeat(starts[sl], counts[sl])
-        del keys
-        out_ptr = ptr.astype(np.int32)
         inv = sparse.csr_matrix(
             (np.ones(out_ids.size, dtype=np.int8), out_ids, out_ptr), shape=(n, n)
         ).tocsc()
@@ -219,11 +205,14 @@ class CatchDigraph:
 
     @classmethod
     def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
-        """The digraph of the edges src[e] -> dst[e], any order, no repeats:
-        from_keys of their keys, taken in int64."""
+        """The digraph of the edges src[e] -> dst[e], any order, no repeats."""
         n = radii.shape[0]
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        return cls.from_keys(radii, dim, src * n + dst)
+        check_index_range(n, src.size)
+        order = np.lexsort((dst, src))
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+        return cls.from_csr(radii, dim, ptr, dst[order].astype(np.int32))
 
     @property
     def n(self) -> int:
@@ -241,15 +230,34 @@ class CatchDigraph:
         return [self.out_ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
+def _table_balls(idx: NeighborIndex, rows: np.ndarray, radii: np.ndarray):
+    """(rows, counts, targets) blocks of the balls around rows that are
+    prefixes of the kept table's rows, targets int32 and ascending in each
+    row, as NeighborIndex.balls yields them."""
+    ids, dists, _ = idx.last_table
+    for sl in row_chunks(rows.size, ids.shape[1]):
+        r = rows[sl]
+        inside = dists[r] <= radii[r, None]
+        # the ball is a prefix in distance order; sorted by id, with the
+        # sentinel n pushing the rest of the row behind it, the members
+        # keep the places inside marks
+        sub = np.where(inside, ids[r], idx.ps.n)
+        sub.sort(axis=1)
+        yield r, inside.sum(axis=1), sub[inside].astype(np.int32)
+
+
 def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
     """The coverage digraph of the closed balls B(x_i, radii[i]) of idx.ps.
 
     Where the index holds a neighbor table whose row i is proven complete
     and radii[i] does not pass the row's last distance, i's ball is a
     prefix of that row. Every other ball comes from one batched ball query.
-    Each block from either source becomes the int64 keys src * n + dst at
-    once, ordered by (source, target), so from_keys finds them in two
-    sorted runs.
+    The blocks from both sources are kept as they come, int32 targets with
+    per-row counts, while the running edge count is checked against the
+    int32 limit. The row pointers then follow from the counts, and each
+    block is placed into the one out_ids array: a block whose rows sit
+    side by side in the CSR as one slice copy, any other through the
+    positions of its rows.
     """
     n = idx.ps.n
     radii = np.asarray(radii, dtype=np.float64)
@@ -257,25 +265,36 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
         raise ValueError("radii must have one entry per point")
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
-    keys = []
+    check_index_range(n, 0)
     prefix = np.zeros(n, dtype=bool)
+    table_balls = ()
     if idx.last_table is not None:
-        ids, dists, complete = idx.last_table
+        _, dists, complete = idx.last_table
         prefix = complete & (radii <= dists[:, -1])
-        rows = np.flatnonzero(prefix)
-        for sl in row_chunks(rows.size, ids.shape[1]):
-            r = rows[sl]
-            inside = dists[r] <= radii[r, None]
-            # the ball is a prefix in distance order; sorted by id, with
-            # the sentinel n pushing the rest of the row behind it
-            sub = np.where(inside, ids[r], n)
-            sub.sort(axis=1)
-            a, c = np.nonzero(inside)
-            keys.append(r[a] * n + sub[a, c])
+        table_balls = _table_balls(idx, np.flatnonzero(prefix), radii)
     rest = np.flatnonzero(~prefix)
-    for s, t in idx.balls(rest, radii[rest]):
-        keys.append(s * n + t)
-    return CatchDigraph.from_keys(radii, idx.ps.d, np.concatenate(keys))
+    blocks = []
+    edges = 0
+    for block in chain(table_balls, idx.balls(rest, radii[rest])):
+        edges += block[2].size
+        check_index_range(n, edges)
+        blocks.append(block)
+    counts = np.zeros(n, dtype=np.int64)
+    for rows, c, _ in blocks:
+        counts[rows] = c
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    out_ids = np.empty(edges, dtype=np.int32)
+    while blocks:
+        # each block is freed once placed
+        rows, c, targets = blocks.pop()
+        start = ptr[rows[0]]
+        if ptr[rows[-1] + 1] - start == targets.size:
+            out_ids[start : start + targets.size] = targets
+        else:
+            first = np.cumsum(c) - c
+            out_ids[np.repeat(ptr[rows] - first, c) + np.arange(targets.size)] = targets
+    return CatchDigraph.from_csr(radii, idx.ps.d, ptr.astype(np.int32), out_ids)
 
 
 @dataclass
@@ -294,6 +313,60 @@ class Clustering:
         return int(self.cluster_of.max()) + 1
 
 
+def _csr_rows(ptr: np.ndarray, ids: np.ndarray, rows: slice, n: int) -> sparse.csr_matrix:
+    """Rows rows of the int32 CSR (ptr, ids) as an int8 matrix of views."""
+    a, b = ptr[rows.start], ptr[rows.stop]
+    sub = ptr[rows.start : rows.stop + 1] - a
+    return sparse.csr_matrix(
+        (np.ones(b - a, dtype=np.int8), ids[a:b], sub), shape=(sub.size - 1, n)
+    )
+
+
+def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
+    """(count, comp): the connected components of the mutual graph of dg,
+    comp[i] in [0, count) the component of i, some ids possibly unused.
+
+    The graph is read one row block at a time: the block's out-rows
+    multiplied elementwise by its in-rows are its mutual edges. The
+    components of the first block's edges seed a label array; each later
+    block merges into it. A mutual edge shows up in the rows of both
+    ends, so only the ones with i < j count, and only those whose labels
+    still differ go to connected_components, on the labels.
+    """
+    n = dg.n
+    label = None
+    # blocks over the summed row pointers bound the out- and in-entries
+    # together, whatever the in-degrees
+    both = dg.out_ptr.astype(np.int64) + dg.in_ptr
+    for sl in row_blocks(both):
+        mutual = _csr_rows(dg.out_ptr, dg.out_ids, sl, n).multiply(
+            _csr_rows(dg.in_ptr, dg.in_ids, sl, n)
+        ).tocsr()
+        if label is None:
+            # the first block starts at row 0; padded to n x n, no row
+            # after it holds an edge
+            ptr = np.full(n + 1, mutual.nnz, dtype=mutual.indptr.dtype)
+            ptr[: sl.stop + 1] = mutual.indptr
+            seed = sparse.csr_matrix((mutual.data, mutual.indices, ptr), shape=(n, n))
+            _, label = connected_components(seed, directed=False)
+            continue
+        j = mutual.indices
+        # np.take gathers by int32 ids about twice as fast as indexing
+        lj = np.take(label, j)
+        li = np.repeat(label[sl], np.diff(mutual.indptr))
+        cross = np.flatnonzero(li != lj)
+        if cross.size == 0:
+            continue
+        i = sl.start + np.searchsorted(mutual.indptr, cross, side="right") - 1
+        cross = cross[i < j[cross]]
+        merge = sparse.csr_matrix(
+            (np.ones(cross.size, dtype=np.int8), (li[cross], lj[cross])), shape=(n, n)
+        )
+        _, merged = connected_components(merge, directed=False)
+        label = merged[label]
+    return int(label.max()) + 1, label
+
+
 def cluster_digraph(
     dg: CatchDigraph, idx: NeighborIndex, attach_factor: float = ATTACH_FACTOR
 ) -> Clustering:
@@ -309,15 +382,7 @@ def cluster_digraph(
     point.
     """
     n = dg.n
-    one = np.ones(dg.out_ids.size, dtype=np.int8)
-    adj = sparse.csr_matrix((one, dg.out_ids, dg.out_ptr), shape=(n, n))
-    # the in-CSR is the transpose of adj, already in CSR form
-    adj_t = sparse.csr_matrix((one, dg.in_ids, dg.in_ptr), shape=(n, n))
-    # the mutual graph is symmetric, so its strong components are its
-    # components, found without the symmetrizing pass of directed=False
-    n_comp, comp = connected_components(
-        adj.multiply(adj_t), directed=True, connection="strong"
-    )
+    n_comp, comp = _mutual_components(dg)
     comp_sizes = np.bincount(comp, minlength=n_comp)
 
     labels = comp.copy()

@@ -196,6 +196,13 @@ def gathered_rows(mp):
     return rows
 
 
+def edge_arrays(covers):
+    """(src, dst) int64 of the edges of the covers rows, in row order."""
+    src = np.repeat(np.arange(len(covers)), [len(c) for c in covers])
+    dst = np.array([j for c in covers for j in c], dtype=np.int64)
+    return src, dst
+
+
 @SETTINGS
 @given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES),
        st.randoms(use_true_random=False))
@@ -204,24 +211,9 @@ def test_csrs_equal_the_key_sort_reference_in_any_edge_order(case, dense, make, 
     if built is None:
         return
     ps, idx, radii = built
-    n = ps.n
-    calls = []
-    from_keys = CatchDigraph.from_keys.__func__
-
-    def recording(cls, r, dim, keys):
-        # from_keys sorts its keys in place, so keep them as they came
-        calls.append(keys.copy())
-        return from_keys(cls, r, dim, keys)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CatchDigraph, "from_keys", classmethod(recording))
-        dg = build_catch_digraph(idx, radii)
-    (keys,) = calls
-    assert keys.dtype == np.int64
-    # the prefix rows, then the ball rows, each ordered by (source, target)
-    assert np.count_nonzero(np.diff(keys) < 0) <= 1
-    src, dst = keys // n, keys % n
-    want = keysort_csr(n, src, dst)
+    dg = build_catch_digraph(idx, radii)
+    src, dst = edge_arrays(brute_covers(ps.points, radii))
+    want = keysort_csr(ps.n, src, dst)
     order = list(range(src.size))
     rnd.shuffle(order)
     shuffled = CatchDigraph.from_edges(radii, ps.d, src[order], dst[order])
@@ -238,6 +230,59 @@ def test_index_range_guard_takes_the_int32_limit():
     for n, edges in ((top + 1, 0), (10, top + 1), (top + 1, top + 1)):
         with pytest.raises(DegenerateDataError):
             graph.check_index_range(n, edges)
+
+
+def test_edge_guard_fires_while_ball_blocks_still_arrive(monkeypatch):
+    # every ball holds the other 299 points, 10 rows to a screen block
+    ps = PointSet(np.random.default_rng(4).random((300, 3)))
+    idx = build_index(ps)
+    radii = np.full(ps.n, 10.0)
+    served = []
+    balls = idx.balls
+
+    def counting(rows, r):
+        for block in balls(rows, r):
+            served.append(block[2].size)
+            yield block
+
+    monkeypatch.setattr(dataset, "GATHER_CHUNK", 10 * ps.n)
+    monkeypatch.setattr(idx, "balls", counting)
+    assert build_catch_digraph(idx, radii).out_ids.size == 300 * 299
+    blocks = len(served)
+    assert blocks == 30
+    served.clear()
+    monkeypatch.setattr(graph, "INDEX_MAX", 5000)
+    with pytest.raises(DegenerateDataError):
+        build_catch_digraph(idx, radii)
+    # the running count passes 5000 in the second block of 2990 edges
+    assert served == [2990, 2990]
+
+
+def test_balls_leave_out_centers_whose_squared_radius_overflows():
+    # squared radii of 1e155 overflow, so the screen's limit reads +inf for
+    # those rows and passes every pair, the center's own among them
+    rng = np.random.default_rng(6)
+    points = 5e153 * rng.random((40, 2))
+    points[30:] = points[:10]
+    ps = PointSet(points)
+    idx = build_index(ps)
+    radii = np.where(np.arange(ps.n) % 2 == 0, 1e155, 5e153 * rng.random(ps.n))
+    with np.errstate(over="ignore"):
+        assert np.isinf(radii**2).any()
+    rows = rng.permutation(ps.n)
+    got = [[] for _ in range(ps.n)]
+    for src, counts, targets in idx.balls(rows, radii[rows]):
+        assert targets.dtype == np.int32
+        starts = np.cumsum(counts) - counts
+        for i, a, c in zip(src.tolist(), starts.tolist(), counts.tolist()):
+            row = targets[a : a + c]
+            assert i not in row
+            assert np.all(np.diff(row) > 0)
+            got[i] = row.tolist()
+    want = brute_covers(points, radii)
+    assert got == want
+    dg = build_catch_digraph(idx, radii)
+    assert csr_rows(dg.out_ptr, dg.out_ids) == want
 
 
 def test_ids_past_the_int32_square_root_keep_their_keys():
@@ -268,29 +313,46 @@ def test_ids_past_the_int32_square_root_keep_their_keys():
 @SETTINGS
 @given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES), st.sampled_from([5, 64]))
 def test_scores_do_not_depend_on_the_row_blocks(case, dense, make, size):
+    """The partition and the scores equal, bit for bit, those at the
+    default chunk and the loop references, with row blocks of 1 or 16
+    entries: the label merge spans many blocks, and rows longer than a
+    block make blocks of their own."""
     built = graph_case(case, dense, make)
     if built is None:
         return
     ps, idx, radii = built
     dg = build_catch_digraph(idx, radii)
-    cl = cluster_digraph(dg, idx)
     try:
         rho = vicinity_density(dg)
     except CcdScoreError:
-        return
+        rho = None
 
     def run():
-        return (oos(dg, rho), ios_raw(dg, cl, rho), cumulative_influence(dg, cl, rho))
+        cl = cluster_digraph(dg, idx)
+        if rho is None:
+            return (cl.cluster_of,)
+        return (cl.cluster_of, oos(dg, rho), ios_raw(dg, cl, rho),
+                cumulative_influence(dg, cl, rho))
 
     whole = run()
+    both = dg.out_ptr.astype(np.int64) + dg.in_ptr
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "GATHER_CHUNK", size)
-        blocks = len(list(dataset.row_blocks(dg.in_ptr)))
+        blocks = len(list(dataset.row_blocks(both)))
         blocked = run()
-    # one block would mean that every row but the last starts before size
-    assert blocks > 1 or dg.in_ids.size < size + np.diff(dg.in_ptr).max()
+    # one block would mean that all rows but the last end before the step
+    assert blocks > 1 or both[-2] < size >> 2
     for got, want in zip(blocked, whole):
         assert np.array_equal(got, want)
+    cluster_of = gather_cluster_of(dg, ps.points)
+    assert np.array_equal(blocked[0], cluster_of)
+    if rho is not None:
+        covered_by = [dg.in_ids[a:b] for a, b in zip(dg.in_ptr[:-1], dg.in_ptr[1:])]
+        assert np.array_equal(blocked[1], loop_oos(dg.covers, rho))
+        assert np.array_equal(blocked[2], loop_ios_raw(covered_by, cluster_of, rho))
+        assert np.array_equal(
+            blocked[3], loop_cumulative_influence(covered_by, cluster_of, rho)
+        )
 
 
 @SETTINGS
