@@ -9,6 +9,7 @@ numbers.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
@@ -19,7 +20,7 @@ from .baselines import LofParams, OdinParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
-from .scores import SCORE_KINDS, dump_json, score_point_set
+from .scores import SCORE_KINDS, check_s_min, dump_json, score_point_set
 from .simgen import CLUSTER_SHAPE_OF, SimConfig, generate
 
 BETA = 2.0
@@ -221,7 +222,8 @@ def run_monte_carlo(
     """All methods on all configs, `replicates` fresh datasets each.
 
     Raw rows come back sorted by (config, replicate, method position);
-    per-cell failures are recorded in their rows, not raised.
+    per-cell failures are recorded in their rows, not raised. The pool
+    starts no more processes than there are cells or CPUs.
     """
     methods = list(methods) if methods is not None else list(ALL_METHODS)
     for m in methods:
@@ -229,6 +231,9 @@ def run_monte_carlo(
             raise ConfigError(f"unknown method {m!r}; choose from {ALL_METHODS}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    check_s_min(s_min)
     cfg_dicts = []
     for c in configs:
         d = c.to_dict() if isinstance(c, SimConfig) else SimConfig.from_dict(c).to_dict()
@@ -238,6 +243,7 @@ def run_monte_carlo(
         for ci in range(len(cfg_dicts))
         for ri in range(replicates)
     ]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         per_cell = [_run_cell(t) for t in tasks]
     else:

@@ -46,9 +46,7 @@ from .errors import (
 from .graph import FIXED_K, RADIUS_KINDS, RadiusStrategy
 from .scores import (
     CLUSTER_SHAPES,
-    JSON_NONFINITE_QUOTED,
     SCORE_KINDS,
-    _cluster_medians,
     _descending_ranks,
     dump_json,
     float_text,
@@ -128,7 +126,7 @@ def _write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> No
             "n": scores.size,
             "method": method,
             "points": {
-                "score": json_floats(scores, text, JSON_NONFINITE_QUOTED),
+                "score": json_floats(scores, text),
                 "flag": flags.astype(int).tolist(),
                 "rank": ranks.tolist(),
             },
@@ -198,8 +196,7 @@ def cmd_score(args) -> int:
             ps,
             RadiusStrategy(args.digraph, args.k),
             cluster_shape=args.shape,
-            oos_threshold=args.threshold,
-            ios_threshold=args.threshold,
+            threshold=args.threshold,
             s_min=args.s_min,
         )
         out = _out_prefix(args.out)
@@ -215,8 +212,6 @@ def cmd_score(args) -> int:
         note = _s_min_note(report)
         if note:
             print(note, file=sys.stderr)
-        if args.plot_data:
-            _write_plot_data(out, report)
     else:
         idx = build_index(ps)
         if args.method == "lof":
@@ -231,30 +226,6 @@ def cmd_score(args) -> int:
     _manifest(f"{out}.manifest.json", args, params)
     print(f"scored {ps.n} points with {args.method}; {n_flagged} flagged")
     return 0
-
-
-def _write_plot_data(prefix: str, report) -> None:
-    with open(f"{prefix}.hist.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score_kind", "bin_lo", "bin_hi", "count"])
-        for kind, vals in (("oos", report.oos), ("ios_std", report.ios_std)):
-            finite = vals[np.isfinite(vals)]
-            if finite.size == 0:
-                continue
-            counts, edges = np.histogram(finite, bins=30)
-            edges = edges.tolist()
-            writer.writerows([kind, lo, hi, count] for lo, hi, count
-                             in zip(edges, edges[1:], counts.tolist()))
-    with open(f"{prefix}.clusters.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "size", "median_ios_raw", "n_oos_flagged",
-                         "n_ios_flagged"])
-        c = report.cluster_of
-        sizes = np.bincount(c)
-        n_oos = np.bincount(c[report.oos_flag], minlength=sizes.size)
-        n_ios = np.bincount(c[report.ios_flag], minlength=sizes.size)
-        for cid, med in enumerate(_cluster_medians(c, report.ios_raw).tolist()):
-            writer.writerow([cid, int(sizes[cid]), med, int(n_oos[cid]), int(n_ios[cid])])
 
 
 def cmd_bench(args) -> int:
@@ -412,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shape", default="uniform", choices=CLUSTER_SHAPES,
                    help="cluster shape assumption for threshold lookup")
     s.add_argument("--threshold", type=float, default=None,
-                   help="override the tabulated threshold")
+                   help="override the tabulated thresholds of both scores")
     s.add_argument("--s-min", type=float, default=DEFAULT_S_MIN,
                    help="small-cluster fraction filter for ios (0 disables)")
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--no-normalize", action="store_true")
-    s.add_argument("--plot-data", action="store_true",
-                   help="also write histogram and per-cluster CSVs")
     s.add_argument("--out", required=True, help="output path prefix")
     s.set_defaults(func=cmd_score)
 

@@ -203,17 +203,6 @@ class CatchDigraph:
             in_ids=inv.indices,
         )
 
-    @classmethod
-    def from_edges(cls, radii: np.ndarray, dim: int, src, dst) -> CatchDigraph:
-        """The digraph of the edges src[e] -> dst[e], any order, no repeats."""
-        n = radii.shape[0]
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        check_index_range(n, src.size)
-        order = np.lexsort((dst, src))
-        ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-        return cls.from_csr(radii, dim, ptr, dst[order].astype(np.int32))
-
     @property
     def n(self) -> int:
         return self.radii.shape[0]

@@ -281,14 +281,8 @@ def default_threshold(
     digraph_kind: str,
     cluster_shape: str,
     d: int,
-    override: float | None = None,
 ) -> float:
-    """Cutoff for flagging, resolved from the calibration tables.
-
-    An explicit override always wins.
-    """
-    if override is not None:
-        return float(override)
+    """Cutoff for flagging, resolved from the calibration tables."""
     if score_kind not in SCORE_KINDS:
         raise ConfigError(f"unknown score kind {score_kind!r}")
     family = _DIGRAPH_FAMILY.get(digraph_kind)
@@ -302,6 +296,12 @@ def default_threshold(
         g = THRESHOLDS[(score_kind, family, "gaussian")][dt]
         return (u + g) / 2.0
     return float(THRESHOLDS[(score_kind, family, cluster_shape)][dt])
+
+
+def check_s_min(s_min: float) -> None:
+    """Raise ConfigError unless s_min is a cluster share in [0, 1]."""
+    if not 0.0 <= s_min <= 1.0:
+        raise ConfigError(f"s_min must lie in [0, 1], got {s_min}")
 
 
 def flag_outliers(
@@ -329,7 +329,7 @@ def _descending_ranks(scores: np.ndarray) -> np.ndarray:
 
 
 # The report writers format each value once: a float column's repr text
-# serves scores.csv and, with its non-finite tokens mapped, scores.json;
+# serves scores.csv and, with its non-finite tokens quoted, scores.json;
 # the cover rows take their ids from one table of the n id texts.
 
 REPORT_COLUMNS = [
@@ -386,20 +386,18 @@ def float_text(a: np.ndarray) -> list[str]:
     return list(map(repr, np.asarray(a, dtype=np.float64).tolist()))
 
 
-# repr's non-finite tokens as json.dump writes them, and as the strings
-# that keep a score column strict JSON
-JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-JSON_NONFINITE_QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+# repr's non-finite tokens as the JSON strings that keep a report strict JSON
+JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
-def json_floats(a: np.ndarray, text: list[str], tokens: dict = JSON_NONFINITE) -> JsonText:
+def json_floats(a: np.ndarray, text: list[str]) -> JsonText:
     """The values of a as a JSON list, from their float_text; inf, -inf
-    and nan become their entries in tokens."""
+    and nan become the strings "inf", "-inf" and "nan"."""
     bad = np.flatnonzero(~np.isfinite(a)).tolist()
     if bad:
         text = text.copy()
         for i in bad:
-            text[i] = tokens[text[i]]
+            text[i] = JSON_NONFINITE[text[i]]
     return JsonText(text)
 
 
@@ -451,8 +449,8 @@ class ScoreReport:
             text = self._text[key] = float_text(a)
         return text
 
-    def _json_floats(self, a: np.ndarray, tokens: dict = JSON_NONFINITE) -> JsonText:
-        return json_floats(a, self._float_text(a), tokens)
+    def _json_floats(self, a: np.ndarray) -> JsonText:
+        return json_floats(a, self._float_text(a))
 
     def write_csv(self, path, method: str = "ios") -> None:
         score, flag, rank = {
@@ -495,9 +493,9 @@ class ScoreReport:
             "points": {
                 "cluster": self.cluster_of.tolist(),
                 "rho": floats(self.rho),
-                "oos": floats(self.oos, JSON_NONFINITE_QUOTED),
+                "oos": floats(self.oos),
                 "ios_raw": floats(self.ios_raw),
-                "ios_std": floats(self.ios_std, JSON_NONFINITE_QUOTED),
+                "ios_std": floats(self.ios_std),
                 "ios_std_naive": floats(self.ios_std_naive),
                 "oos_flag": self.oos_flag.astype(int).tolist(),
                 "ios_flag": self.ios_flag.astype(int).tolist(),
@@ -583,18 +581,22 @@ def score_point_set(
     *,
     attach_factor: float = ATTACH_FACTOR,
     cluster_shape: str = "uniform",
-    oos_threshold: float | None = None,
-    ios_threshold: float | None = None,
+    threshold: float | None = None,
     s_min: float = 0.0,
     idx: NeighborIndex | None = None,
 ) -> ScoreReport:
     """Run the whole scoring pipeline on one point set.
 
     Radii, digraph, clustering, both scores, standardization with tie
-    separation, threshold resolution, and flags, in one pass. idx, when
-    given, is a neighbor index over this very ps that other callers share;
-    its tables serve the radii and the digraph. Otherwise one is built.
+    separation, threshold resolution, and flags, in one pass. threshold,
+    when given, is the cutoff of both scores in place of the tabulated
+    ones; it may be infinite but not NaN. idx, when given, is a neighbor
+    index over this very ps that other callers share; its tables serve the
+    radii and the digraph. Otherwise one is built.
     """
+    if threshold is not None and np.isnan(threshold):
+        raise ConfigError("threshold must be a number, not NaN")
+    check_s_min(s_min)
     if idx is None:
         idx = build_index(ps)
     elif idx.ps is not ps:
@@ -607,8 +609,11 @@ def score_point_set(
     oos_scores = oos(dg, rho)
     ios_scores = ios_raw(dg, cl, rho)
     ios_std = break_ties(cl, standardize_ios(cl, ios_scores), rho)
-    thr_oos = default_threshold("oos", strategy.kind, cluster_shape, ps.d, oos_threshold)
-    thr_ios = default_threshold("ios", strategy.kind, cluster_shape, ps.d, ios_threshold)
+    thr_oos, thr_ios = (
+        default_threshold(kind, strategy.kind, cluster_shape, ps.d)
+        if threshold is None else float(threshold)
+        for kind in ("oos", "ios")
+    )
     return ScoreReport(
         rho=rho,
         oos=oos_scores,

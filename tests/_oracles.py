@@ -6,7 +6,8 @@ meaningful. The loop_* functions at the end are the per-point reference
 loops for the package's batched neighbor-table code, the per-cluster
 loops for its group reductions, the per-row report writers, and the bench
 result tables with every column listed by hand; keysort_csr and
-gather_cluster_of are the sorting and gathering forms of its graph layer.
+gather_cluster_of are the sorting and gathering forms of its graph layer,
+and keysort_digraph builds a digraph from a list of edges.
 """
 
 import csv
@@ -283,6 +284,16 @@ def keysort_csr(n, src, dst):
     )
 
 
+def keysort_digraph(radii, dim, src, dst):
+    """The CatchDigraph of the edges src[e] -> dst[e], any order, no
+    repeats, its out-CSR from keysort_csr cast to int32."""
+    from ccdscore.graph import CatchDigraph
+
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    out_ptr, out_ids, _, _ = keysort_csr(radii.shape[0], src, dst)
+    return CatchDigraph.from_csr(radii, dim, out_ptr.astype(np.int32), out_ids.astype(np.int32))
+
+
 def gather_cluster_of(dg, points, attach_factor=3.0):
     """cluster_of with each isolated vertex attached by a block gather."""
     from ccdscore.dataset import pair_distance_blocks
@@ -450,16 +461,16 @@ def loop_report_json_dict(report, method="ios"):
         "params": report.params,
         "cluster_sizes": np.bincount(report.cluster_of).tolist(),
         "digraph": {
-            "radii": report.digraph.radii.tolist(),
+            "radii": [_loop_json_float(v) for v in report.digraph.radii],
             "covers": [c.tolist() for c in report.digraph.covers],
         },
         "points": {
             "cluster": report.cluster_of.tolist(),
-            "rho": report.rho.tolist(),
+            "rho": [_loop_json_float(v) for v in report.rho],
             "oos": [_loop_json_float(v) for v in report.oos],
-            "ios_raw": report.ios_raw.tolist(),
+            "ios_raw": [_loop_json_float(v) for v in report.ios_raw],
             "ios_std": [_loop_json_float(v) for v in report.ios_std],
-            "ios_std_naive": report.ios_std_naive.tolist(),
+            "ios_std_naive": [_loop_json_float(v) for v in report.ios_std_naive],
             "oos_flag": report.oos_flag.astype(int).tolist(),
             "ios_flag": report.ios_flag.astype(int).tolist(),
             "oos_rank": report.oos_rank.tolist(),

@@ -1,10 +1,11 @@
 import csv
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ccdscore import dataset
+from ccdscore import bench, dataset
 from ccdscore.bench import (
     ALL_METHODS,
     BASELINE_METHODS,
@@ -191,11 +192,52 @@ def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
     assert calls == [(source, 30), (source, 30)]
 
 
-def test_monte_carlo_validation():
+def test_monte_carlo_validation(monkeypatch):
     with pytest.raises(ConfigError):
         run_monte_carlo([CFG_A], ["knn-mean"], replicates=2)
     with pytest.raises(ConfigError):
         run_monte_carlo([CFG_A], ["odin"], replicates=0)
+
+    def no_cell(task):
+        raise AssertionError("a cell ran before the arguments were checked")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    for bad in ({"workers": 0}, {"workers": -2}, {"s_min": np.nan}, {"s_min": -0.5},
+                {"s_min": 1.5}):
+        with pytest.raises(ConfigError):
+            run_monte_carlo([CFG_A], ["ios-fixed"], replicates=2, **bad)
+
+
+def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    want = run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4)
+    assert sizes == []
+    run_monte_carlo([CFG_A], ["odin"], replicates=2, master_seed=4, workers=64)  # 2 cells
+    run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4, workers=64)  # 3 CPUs
+    assert sizes == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    got = run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4, workers=64)
+    assert sizes == [2, 3]
+    strip = lambda rows: [vars(r) | {"wall_time": 0.0} for r in rows]
+    assert strip(got) == strip(want)
 
 
 def test_failed_cell_is_recorded_not_raised():

@@ -132,22 +132,33 @@ def test_score_header_narrower_than_rows_exits_3(tmp_path, capsys):
     assert "ParseError" in err and "2 cells" in err and "rows 3" in err
 
 
-def test_score_plot_data_outputs(tmp_path):
-    run(["fixture", "--out", tmp_path / "fx"])
-    assert run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
-                "--plot-data", "--out", tmp_path / "s"]) == 0
-    hist = (tmp_path / "s.hist.csv").read_text().splitlines()
-    assert hist[0] == "score_kind,bin_lo,bin_hi,count"
-    clusters = (tmp_path / "s.clusters.csv").read_text().splitlines()
-    assert clusters[0].startswith("cluster,size")
-
-
 def test_score_threshold_override_recorded(tmp_path):
     run(["fixture", "--out", tmp_path / "fx"])
     assert run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
                 "--threshold", "3.25", "--out", tmp_path / "s"]) == 0
     rep = json.loads((tmp_path / "s.scores.json").read_text())
-    assert rep["thresholds"]["ios"] == 3.25
+    assert rep["thresholds"] == {"oos": 3.25, "ios": 3.25}
+
+
+@pytest.mark.parametrize("argv", [["--threshold", "nan"], ["--s-min", "nan"],
+                                  ["--s-min", "-0.5"], ["--s-min", "1.5"]])
+def test_score_nan_threshold_or_s_min_off_range_exits_2_without_outputs(
+        tmp_path, capsys, argv):
+    run(["fixture", "--out", tmp_path / "fx"])
+    rc = run(["score", "--input", tmp_path / "fx.csv", *argv, "--out", tmp_path / "s"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
+
+
+@pytest.mark.parametrize("value, n_flagged", [("inf", 7), ("-inf", 199)])
+def test_score_infinite_threshold_is_valid(tmp_path, capsys, value, n_flagged):
+    # +inf leaves only the s_min filter flagging; -inf flags every point
+    run(["fixture", "--out", tmp_path / "fx"])
+    capsys.readouterr()
+    assert run(["score", "--input", tmp_path / "fx.csv", f"--threshold={value}",
+                "--out", tmp_path / "s"]) == 0
+    assert f"{n_flagged} flagged" in capsys.readouterr().out
 
 
 def test_score_missing_input_exits_3_without_outputs(tmp_path, capsys):
@@ -239,6 +250,23 @@ def test_bench_grid_with_non_integer_dimension_or_size_exits_2(tmp_path, capsys)
         rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
         assert rc == 2, bad
         assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("grid_s_min, argv", [
+    (float("nan"), []), (None, ["--s-min", "nan"]), (None, ["--s-min", "1.5"]),
+    (None, ["--workers", "0"]), (None, ["--workers", "-3"])])
+def test_bench_bad_s_min_or_workers_exits_2_without_outputs(tmp_path, capsys,
+                                                           grid_s_min, argv):
+    doc = {"configs": [{"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}],
+           "replicates": 1}
+    if grid_s_min is not None:
+        doc["s_min"] = grid_s_min
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    rc = run(["bench", "--grid", tmp_path / "grid.json", "--methods", "ios-fixed",
+              *argv, "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

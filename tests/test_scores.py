@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from _oracles import brute_scores, loop_ios_raw, loop_oos, loop_standardize_naive
+from _oracles import (
+    brute_scores,
+    keysort_digraph,
+    loop_ios_raw,
+    loop_oos,
+    loop_standardize_naive,
+)
 
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
-from ccdscore.graph import CatchDigraph, Clustering, fixed_k, un_approx
+from ccdscore.graph import Clustering, fixed_k, un_approx
 from ccdscore.scores import (
     _row_sums,
     THRESHOLDS,
@@ -26,7 +32,7 @@ from ccdscore.simgen import SimConfig, generate
 def make_dg(radii, covers, dim):
     src = np.array([i for i, cs in enumerate(covers) for _ in cs], dtype=np.int64)
     dst = np.array([j for cs in covers for j in cs], dtype=np.int64)
-    return CatchDigraph.from_edges(np.asarray(radii, dtype=np.float64), dim, src, dst)
+    return keysort_digraph(np.asarray(radii, dtype=np.float64), dim, src, dst)
 
 
 def one_cluster(n):
@@ -261,7 +267,13 @@ def test_threshold_fixed_k_borrows_un_column():
 
 
 def test_threshold_override_and_validation():
-    assert default_threshold("oos", "fixed-k", "uniform", 2, override=7.25) == 7.25
+    ps = PointSet(np.random.default_rng(1).uniform(size=(30, 2)))
+    rep = score_point_set(ps, fixed_k(k=4), threshold=7.25)
+    assert rep.oos_threshold == rep.ios_threshold == 7.25
+    assert not score_point_set(ps, fixed_k(k=4), threshold=np.inf).oos_flag.any()
+    for bad in ({"threshold": np.nan}, {"s_min": np.nan}, {"s_min": -0.5}, {"s_min": 1.5}):
+        with pytest.raises(ConfigError):
+            score_point_set(ps, fixed_k(k=4), **bad)
     with pytest.raises(ConfigError):
         default_threshold("auc", "fixed-k", "uniform", 2)
     with pytest.raises(ConfigError):

@@ -16,10 +16,8 @@ from ccdscore.baselines import lof, odin
 from ccdscore.bench import aggregate, run_monte_carlo, write_results_json
 from ccdscore.cli import _write_baseline_report
 from ccdscore.dataset import PointSet, build_index, write_csv
-from ccdscore.graph import CatchDigraph, fixed_k, rk_approx, un_approx
+from ccdscore.graph import fixed_k, rk_approx, un_approx
 from ccdscore.scores import (
-    JSON_NONFINITE,
-    JSON_NONFINITE_QUOTED,
     JsonText,
     _descending_ranks,
     float_text,
@@ -30,6 +28,7 @@ from ccdscore.scores import (
 from ccdscore.simgen import SimConfig
 
 from _oracles import (
+    keysort_digraph,
     loop_baseline_json_dict,
     loop_report_json_dict,
     loop_write_baseline_csv,
@@ -60,15 +59,10 @@ json_trees = st.recursive(
 )
 
 
-def _bare_pair(values):
-    a = np.array(values, dtype=np.float64)
-    return values, json_floats(a, float_text(a), JSON_NONFINITE)
-
-
 def _quoted_pair(values):
     a = np.array(values, dtype=np.float64)
     original = [v if math.isfinite(v) else repr(v) for v in values]
-    return original, json_floats(a, float_text(a), JSON_NONFINITE_QUOTED)
+    return original, json_floats(a, float_text(a))
 
 
 def _unzip(pairs):
@@ -76,12 +70,10 @@ def _unzip(pairs):
 
 
 # (tree, the same tree with some scalar lists swapped for their JsonText):
-# float lists with the bare and the quoted non-finite maps, and any scalar
-# list with each item's json.dumps text, empty lists among them
-float_lists = st.lists(st.floats(), max_size=8)
+# float lists with their non-finite values quoted, and any scalar list with
+# each item's json.dumps text, empty lists among them
 encoded_pairs = st.one_of(
-    float_lists.map(_bare_pair),
-    float_lists.map(_quoted_pair),
+    st.lists(st.floats(), max_size=8).map(_quoted_pair),
     st.lists(json_scalars, max_size=8).map(
         lambda v: (v, JsonText([json.dumps(x) for x in v]))),
 )
@@ -147,7 +139,7 @@ def hostile_report(strategy):
         cluster_of[-1] = cluster_of.max() + 1
     for a in (radii, *cols.values()):
         a[NONFINITE_AT] = NONFINITE
-    dg = CatchDigraph.from_edges(radii, dg.dim, src[keep], dg.out_ids[keep])
+    dg = keysort_digraph(radii, dg.dim, src[keep], dg.out_ids[keep])
     return replace(rep, digraph=dg, cluster_of=cluster_of, **cols)
 
 
