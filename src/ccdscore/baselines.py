@@ -51,18 +51,18 @@ def lof(
         raise BadKError(f"need n > {params.k_max}, got n={n}")
     nbr_ids, nbr_dists = idx.knn_table(params.k_max)
     best = np.full(n, -np.inf)
-    for k in range(params.k_min, params.k_max + 1):
-        ids_k = nbr_ids[:, :k]
-        d_k = nbr_dists[:, :k]
-        kdist = nbr_dists[:, k - 1]
-        reach = np.maximum(kdist[ids_k], d_k)
-        with np.errstate(divide="ignore"):
-            lrd = 1.0 / np.mean(reach, axis=1)
-        nbr_lrd = np.mean(lrd[ids_k], axis=1)
-        both_inf = np.isinf(lrd) & np.isinf(nbr_lrd)
-        # a copy among copies has its neighbors' (infinite) density: not outlying
-        lof_k = np.divide(nbr_lrd, lrd, out=np.ones(n), where=~both_inf)
-        best = np.maximum(best, lof_k)
+    # sums over k are np.mean's steps: np.add.reduce, then a divide by k.
+    # Distances are finite (the index checks the squared spread), so a
+    # density is positive or +inf, and a NaN ratio is inf / inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(params.k_min, params.k_max + 1):
+            ids_k = nbr_ids[:, :k]
+            reach = np.maximum(nbr_dists[:, k - 1][ids_k], nbr_dists[:, :k])
+            lrd = 1.0 / (np.add.reduce(reach, axis=1) / k)
+            lof_k = (np.add.reduce(lrd[ids_k], axis=1) / k) / lrd
+            # a copy among copies has its neighbors' (infinite) density: not outlying
+            lof_k[np.isnan(lof_k)] = 1.0
+            np.maximum(best, lof_k, out=best)
     return best, best > params.threshold
 
 

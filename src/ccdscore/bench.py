@@ -12,7 +12,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -201,7 +201,9 @@ def _run_cell(args) -> list[BenchRow]:
             else:
                 flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
             conf = Confusion.from_flags(ps.labels, flags)
-            rows.append(BenchRow(ci, ri, m, *astuple(conf), *astuple(metrics(conf)),
+            ms = metrics(conf)
+            rows.append(BenchRow(ci, ri, m, conf.tp, conf.fp, conf.tn, conf.fn,
+                                 ms.tpr, ms.tnr, ms.ba, ms.f_beta,
                                  wall_time=time.perf_counter() - t0,
                                  report_time=report_time))
         except Exception as exc:  # noqa: BLE001

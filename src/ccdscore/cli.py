@@ -51,11 +51,17 @@ from .scores import (
     dump_json,
     float_text,
     int_text,
+    json_float,
     json_floats,
     write_report_csv,
 )
 from .scores import score_point_set
 from .simgen import REGIMES, SimConfig, generate, masking_fixture
+
+# The score options only the CCD scores read, with their defaults; a
+# baseline method given any of them exits 2.
+_CCD_SCORE_OPTIONS = {"digraph": FIXED_K, "shape": "uniform", "threshold": None,
+                      "s_min": DEFAULT_S_MIN, "k": None}
 
 # gen takes one option per SimConfig field, --<field> with dashes, except
 # these two spellings.
@@ -167,6 +173,18 @@ def _s_min_note(report) -> str | None:
 
 
 def cmd_score(args) -> int:
+    if args.method in BASELINE_METHODS:
+        given = [name for name in _CCD_SCORE_OPTIONS if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(
+                f"--method {args.method} takes none of "
+                + ", ".join("--" + name.replace("_", "-") for name in given)
+                + "; they apply to ios and oos only"
+            )
+    else:
+        for name, default in _CCD_SCORE_OPTIONS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     label_column = _label_column(args.label_column)
     if label_column is None and not args.no_header:
         label_column = _sniff_label_column(args.input)
@@ -204,8 +222,8 @@ def cmd_score(args) -> int:
         report.write_json(f"{out}.scores.json", method=args.method)
         params.update(report.params)
         params["thresholds"] = {
-            "oos": report.oos_threshold,
-            "ios": report.ios_threshold,
+            "oos": json_float(report.oos_threshold),
+            "ios": json_float(report.ios_threshold),
         }
         params["s_min"] = args.s_min
         n_flagged = int(report.flags_for(args.method).sum())
@@ -379,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--label-column", default=None,
                    help="name or 0-based index of a label column to set aside")
     s.add_argument("--method", default="ios", choices=SCORE_KINDS + BASELINE_METHODS)
-    s.add_argument("--digraph", default=FIXED_K, choices=RADIUS_KINDS)
-    s.add_argument("--shape", default="uniform", choices=CLUSTER_SHAPES,
+    s.add_argument("--digraph", default=None, choices=RADIUS_KINDS)
+    s.add_argument("--shape", default=None, choices=CLUSTER_SHAPES,
                    help="cluster shape assumption for threshold lookup")
     s.add_argument("--threshold", type=float, default=None,
                    help="override the tabulated thresholds of both scores")
-    s.add_argument("--s-min", type=float, default=DEFAULT_S_MIN,
+    s.add_argument("--s-min", type=float, default=None,
                    help="small-cluster fraction filter for ios (0 disables)")
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--no-normalize", action="store_true")

@@ -317,7 +317,8 @@ def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
 
     The graph is read one row block at a time: the block's out-rows
     multiplied elementwise by its in-rows are its mutual edges. The
-    components of the first block's edges seed a label array; each later
+    components of the first block's edges seed a label array (when that
+    block holds every row, its labels are the answer); each later
     block merges into it. A mutual edge shows up in the rows of both
     ends, so only the ones with i < j count, and only those whose labels
     still differ go to connected_components, on the labels.
@@ -331,6 +332,15 @@ def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
         mutual = _csr_rows(dg.out_ptr, dg.out_ids, sl, n).multiply(
             _csr_rows(dg.in_ptr, dg.in_ids, sl, n)
         ).tocsr()
+        if label is None and sl.stop == n:
+            # one block holds the whole mutual graph, which is symmetric, so
+            # its strong components are its components; the directed search
+            # on float64 data skips scipy's retyping and transpose
+            seed = sparse.csr_matrix(
+                (np.ones(mutual.nnz), mutual.indices, mutual.indptr), shape=(n, n)
+            )
+            _, label = connected_components(seed, directed=True, connection="strong")
+            continue
         if label is None:
             # the first block starts at row 0; padded to n x n, no row
             # after it holds an edge

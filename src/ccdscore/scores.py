@@ -68,39 +68,79 @@ def vicinity_density(dg: CatchDigraph) -> np.ndarray:
     return rho
 
 
+def _sum_shape(length: int):
+    """The shape of numpy's pairwise summation of length values: 0 below 8
+    (one by one), length // 8 up to 128 (that many blocks of eight partial
+    sums, then the rest one by one), and above 128 the split point h with
+    the shape of the second part (numpy sums [0, h) and [h, length) apart,
+    h = length // 2 less its remainder mod 8). Runs of one shape differ
+    in length only in their last 7 values, all of them added one by one."""
+    if length < 8:
+        return 0
+    if length <= 128:
+        return length // 8
+    half = length // 2 - length // 2 % 8
+    return half, _sum_shape(length - half)
+
+
 def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The sum of each run of values, the runs laid end to end with lengths
     counts; 0.0 for an empty run.
 
-    Runs of equal length are gathered into one (rows, length) block, each
-    row copied whole from a sliding-window view of values rather than
-    element by element through an index matrix, and summed along axis 1
-    by np.add.reduce. numpy sums each contiguous row with the same
-    pairwise summation as a 1-D call, so every result equals np.sum of
-    that run alone to the last bit, and dividing by the length gives
-    np.mean. Segmented sums (np.add.reduceat, a CSR matrix product)
-    add left to right instead and differ in the last bits, which would
-    break the bitwise ties ios_raw promises.
+    Runs of one summation shape (_sum_shape) are gathered into one
+    (rows, longest) block, each row copied whole from a sliding-window
+    view of values rather than element by element through an index
+    matrix, and summed along axis 1 by np.add.reduce. numpy sums each
+    contiguous row with the same pairwise summation as a 1-D call, and a
+    shorter run's trailing columns are set to -0.0, the one value whose
+    addition leaves every float as it is, so every result equals np.sum
+    of that run alone to the last bit, and dividing by the length gives
+    np.mean. A group of one length needs no mask. Segmented
+    sums (np.add.reduceat, a CSR matrix product) add left to right instead
+    and differ in the last bits, which would break the bitwise ties
+    ios_raw promises. tests/test_scores.py checks every length to 1,100
+    against np.sum, so a numpy whose pairwise blocks differ fails there.
     """
     out = np.zeros(counts.size, dtype=np.float64)
     values = np.ascontiguousarray(values)
     step = values.itemsize
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # the lengths of the runs that end within 7 values of the end: a group
+    # stops at such a length, so that no window passes the end of values
+    late, i = set(), counts.size
+    while i and ends[i - 1] > values.size - 7:
+        i -= 1
+        late.add(int(counts[i]))
     order = np.argsort(counts, kind="stable")
-    lengths, first = np.unique(counts[order], return_index=True)
-    bounds = np.append(first, counts.size).tolist()
-    for g, length in enumerate(lengths.tolist()):
-        if length == 0:
+    sorted_counts = counts[order]
+    lengths, first = np.unique(sorted_counts, return_index=True)
+    lengths = lengths.tolist()
+    bounds = first.tolist() + [counts.size]
+    g = 0
+    while g < len(lengths):
+        # one shape covers a range of lengths, so its group is contiguous
+        shape, h = _sum_shape(lengths[g]), g + 1
+        while (h < len(lengths) and lengths[h - 1] not in late
+               and _sum_shape(lengths[h]) == shape):
+            h += 1
+        lo, hi, a, b = lengths[g], lengths[h - 1], bounds[g], bounds[h]
+        g = h
+        if hi == 0:
             continue
-        rows = order[bounds[g] : bounds[g + 1]]
+        rows = order[a:b]
         # the view sliding_window_view makes, built directly: that function
         # costs about 16 us a call, which many small groups add up to
         windows = np.ndarray(
-            (values.size - length + 1, length), values.dtype, values, 0, (step, step)
+            (values.size - hi + 1, hi), values.dtype, values, 0, (step, step)
         )
-        for sl in row_chunks(rows.size, length):
+        for sl in row_chunks(rows.size, hi):
             r = rows[sl]
-            out[r] = np.add.reduce(windows[starts[r]], axis=1)
+            block = windows[starts[r]]
+            if lo < hi:
+                # column j of a run shorter than j + 1 is padding
+                block[:, lo:][sorted_counts[a:b][sl, None] <= np.arange(lo, hi)] = -0.0
+            out[r] = np.add.reduce(block, axis=1)
     return out
 
 
@@ -390,6 +430,14 @@ def float_text(a: np.ndarray) -> list[str]:
 JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
+def json_float(x: float) -> float | str:
+    """x as the JSON encoder should take it: a float when finite, else its
+    repr ("inf", "-inf" or "nan") as a str, which encodes as the quoted
+    text of JSON_NONFINITE."""
+    x = float(x)
+    return x if np.isfinite(x) else repr(x)
+
+
 def json_floats(a: np.ndarray, text: list[str]) -> JsonText:
     """The values of a as a JSON list, from their float_text; inf, -inf
     and nan become the strings "inf", "-inf" and "nan"."""
@@ -482,7 +530,10 @@ class ScoreReport:
         return {
             "n": self.n,
             "method": method,
-            "thresholds": {"oos": self.oos_threshold, "ios": self.ios_threshold},
+            "thresholds": {
+                "oos": json_float(self.oos_threshold),
+                "ios": json_float(self.ios_threshold),
+            },
             "s_min": self.s_min,
             "params": self.params,
             "cluster_sizes": np.bincount(self.cluster_of).tolist(),

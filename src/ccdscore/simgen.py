@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .dataset import PointSet
 from .errors import ConfigError
@@ -244,6 +245,76 @@ def gen_neyman_scott(cfg: SimConfig, return_parts: bool = False):
     raise ConfigError("process produced no points after 100 attempts")
 
 
+_NO_ROOM = (
+    "could not place an outlier at the requested separation; "
+    "lower outlier_min_separation or the cluster extent"
+)
+# Candidates drawn and tested per k-d tree query when placing the singles.
+_OUTLIER_BATCH = 64
+# The tree and np.linalg.norm add the same squares in different orders, a
+# few ulps apart; a tree distance further than this (relative) from the
+# separation decides alone.
+_TREE_MARGIN = 1e-9
+
+
+def _gap(points: np.ndarray, cand: np.ndarray) -> float:
+    """The distance from cand to its nearest point: the value placement
+    decides on."""
+    return np.min(np.linalg.norm(points - cand, axis=1))
+
+
+def _place_one(
+    rng: np.random.Generator, points: np.ndarray, min_dist: float, lo: float, hi: float
+) -> np.ndarray:
+    """The first candidate of rng's uniform stream over [lo, hi)^d whose
+    _gap is at least min_dist, out of _OUTLIER_ATTEMPTS."""
+    for _ in range(_OUTLIER_ATTEMPTS):
+        cand = rng.uniform(lo, hi, size=points.shape[1])
+        if _gap(points, cand) >= min_dist:
+            return cand
+    raise ConfigError(_NO_ROOM)
+
+
+def _place_singles(
+    rng: np.random.Generator,
+    points: np.ndarray,
+    count: int,
+    min_dist: float,
+    lo: float,
+    hi: float,
+) -> list[np.ndarray]:
+    """What count calls of _place_one take, the ConfigError after
+    _OUTLIER_ATTEMPTS misses in a row included.
+
+    Candidates come _OUTLIER_BATCH at a time (one draw of shape (m, d)
+    reads the stream as m draws of d values), and one k-d tree query finds
+    each one's nearest point; only a tree distance within _TREE_MARGIN of
+    min_dist goes to _gap. The stream is read past the last candidate
+    taken, which is harmless: nothing reads it after.
+    """
+    placed: list[np.ndarray] = []
+    if count == 0:
+        return placed
+    tree = cKDTree(points)
+    misses = 0
+    while True:
+        cands = rng.uniform(lo, hi, size=(_OUTLIER_BATCH, points.shape[1]))
+        near = tree.query(cands)[0]
+        ok = near > min_dist * (1.0 + _TREE_MARGIN)
+        for i in np.flatnonzero(~ok & (near >= min_dist * (1.0 - _TREE_MARGIN))).tolist():
+            ok[i] = _gap(points, cands[i]) >= min_dist
+        for cand, hit in zip(cands, ok.tolist()):
+            if hit:
+                placed.append(cand)
+                if len(placed) == count:
+                    return placed
+                misses = 0
+            else:
+                misses += 1
+                if misses == _OUTLIER_ATTEMPTS:
+                    raise ConfigError(_NO_ROOM)
+
+
 def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
     """Append planted outliers to an inlier set.
 
@@ -260,23 +331,14 @@ def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
     sep = cfg.outlier_min_separation * scale
     lo, hi = -_DOMAIN_PAD, 1.0 + _DOMAIN_PAD
 
-    def draw(rng: np.random.Generator, min_dist: float) -> np.ndarray:
-        for _ in range(_OUTLIER_ATTEMPTS):
-            cand = rng.uniform(lo, hi, size=cfg.d)
-            gap = np.min(np.linalg.norm(ps.points - cand, axis=1))
-            if gap >= min_dist:
-                return cand
-        raise ConfigError(
-            "could not place an outlier at the requested separation; "
-            "lower outlier_min_separation or the cluster extent"
-        )
-
     rng = _rng(cfg.seed, _S_OUTLIERS)
-    new_points = [draw(rng, sep) for _ in range(n_single)]
+    new_points = _place_singles(rng, ps.points, n_single, sep, lo, hi)
     if g > 0:
         group_rng = _rng(cfg.seed, _S_COLLECTIVE)
         group_radius = 0.25 * scale
-        center = draw(group_rng, sep + group_radius)
+        # the group's points follow its center in this stream, so the center
+        # is drawn one candidate at a time
+        center = _place_one(group_rng, ps.points, sep + group_radius, lo, hi)
         new_points.extend(
             center + _uniform_ball(group_rng, g, cfg.d, group_radius)
         )

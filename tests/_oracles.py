@@ -7,7 +7,8 @@ loops for the package's batched neighbor-table code, the per-cluster
 loops for its group reductions, the per-row report writers, and the bench
 result tables with every column listed by hand; keysort_csr and
 gather_cluster_of are the sorting and gathering forms of its graph layer,
-and keysort_digraph builds a digraph from a list of edges.
+keysort_digraph builds a digraph from a list of edges, and
+loop_inject_outliers places outliers one candidate at a time.
 """
 
 import csv
@@ -656,3 +657,44 @@ def greedy_pick_centers(rng, count, d, extent):
             if len(centers) == count:
                 return np.asarray(centers)
     raise ConfigError(f"could not place {count} cluster centers")
+
+
+# Outlier placement as it was before batching: one candidate and one norm
+# over every inlier per attempt, the singles first, then the group's center.
+
+
+def loop_inject_outliers(ps, cfg):
+    from ccdscore import simgen
+    from ccdscore.dataset import PointSet
+    from ccdscore.errors import ConfigError
+
+    n_single = int(round(cfg.outlier_fraction * cfg.n))
+    g = cfg.collective_group
+    if n_single == 0 and g == 0:
+        return ps
+    scale = simgen.cluster_scale(cfg)
+    sep = cfg.outlier_min_separation * scale
+    lo, hi = -0.1, 1.1
+
+    def draw(rng, min_dist):
+        for _ in range(simgen._OUTLIER_ATTEMPTS):
+            cand = rng.uniform(lo, hi, size=cfg.d)
+            gap = np.min(np.linalg.norm(ps.points - cand, axis=1))
+            if gap >= min_dist:
+                return cand
+        raise ConfigError(
+            "could not place an outlier at the requested separation; "
+            "lower outlier_min_separation or the cluster extent"
+        )
+
+    rng = simgen._rng(cfg.seed, 4)
+    new_points = [draw(rng, sep) for _ in range(n_single)]
+    if g > 0:
+        group_rng = simgen._rng(cfg.seed, 5)
+        group_radius = 0.25 * scale
+        center = draw(group_rng, sep + group_radius)
+        new_points.extend(center + simgen._uniform_ball(group_rng, g, cfg.d, group_radius))
+    points = np.vstack([ps.points, np.asarray(new_points)])
+    old_labels = ps.labels if ps.labels is not None else np.zeros(ps.n, dtype=np.int64)
+    labels = np.concatenate([old_labels, np.ones(len(new_points), dtype=np.int64)])
+    return PointSet(points=points, labels=labels, feature_names=ps.feature_names)

@@ -161,6 +161,40 @@ def test_score_infinite_threshold_is_valid(tmp_path, capsys, value, n_flagged):
     assert f"{n_flagged} flagged" in capsys.readouterr().out
 
 
+def strict_json(path):
+    """json.load of path that fails on a bare NaN, Infinity or -Infinity."""
+    def reject(name):
+        raise ValueError(f"bare {name} in {path}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_score_infinite_threshold_is_written_as_strict_json(tmp_path, value):
+    run(["fixture", "--out", tmp_path / "fx"])
+    assert run(["score", "--input", tmp_path / "fx.csv", f"--threshold={value}",
+                "--out", tmp_path / "s"]) == 0
+    for doc in (strict_json(tmp_path / "s.scores.json"),
+                strict_json(tmp_path / "s.manifest.json")["params"]):
+        assert doc["thresholds"] == {"oos": value, "ios": value}
+
+
+@pytest.mark.parametrize("method", ["lof", "odin"])
+@pytest.mark.parametrize("option", [["--digraph", "rk-approx"], ["--shape", "gaussian"],
+                                    ["--threshold", "3"], ["--s-min", "0.1"],
+                                    ["--k", "5"]],
+                         ids=["digraph", "shape", "threshold", "s-min", "k"])
+def test_score_baseline_given_a_ccd_option_exits_2_without_outputs(
+        tmp_path, capsys, method, option):
+    run(["fixture", "--out", tmp_path / "fx"])
+    rc = run(["score", "--input", tmp_path / "fx.csv", "--method", method, *option,
+              "--out", tmp_path / "s"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and option[0] in err
+    assert not list(tmp_path.glob("s.*"))
+
+
 def test_score_missing_input_exits_3_without_outputs(tmp_path, capsys):
     rc = run(["score", "--input", tmp_path / "nope.csv", "--out", tmp_path / "s"])
     assert rc == 3

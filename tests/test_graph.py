@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccdscore import graph, simgen
+from ccdscore import dataset, graph, simgen
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore.graph import (
@@ -226,3 +226,27 @@ def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, stra
     mutual = np.zeros((ps.n, ps.n), dtype=bool)
     mutual[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
     assert (~(mutual & mutual.T).any(axis=1)).sum() >= 16
+
+
+@pytest.mark.parametrize("strategy", [fixed_k, rk_approx, un_approx])
+def test_one_block_clustering_equals_the_blocked_run_and_the_gather(strategy):
+    # a bench cell's graph fits one row block, so its components come from
+    # one strong search; cut into blocks it takes the undirected seed and
+    # the merges
+    ps = simgen.generate(simgen.SimConfig(
+        regime="mixed", d=2, n=400, seed=4, outlier_fraction=0.05,
+        gaussian_scale=0.05, outlier_min_separation=1.5,
+    ))
+    idx = build_index(ps)
+    dg = build_catch_digraph(idx, estimate_radii(idx, strategy()))
+    both = dg.out_ptr.astype(np.int64) + dg.in_ptr
+    assert len(list(dataset.row_blocks(both))) == 1
+    whole = cluster_digraph(dg, idx).cluster_of
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "GATHER_CHUNK", 256)
+        assert len(list(dataset.row_blocks(both))) > 10
+        blocked = cluster_digraph(dg, idx).cluster_of
+    assert np.array_equal(whole, blocked)
+    assert np.array_equal(whole, gather_cluster_of(dg, ps.points))
+    sizes = np.bincount(whole)
+    assert sizes.size >= 2 and sizes.max() >= 30

@@ -556,6 +556,27 @@ def test_row_sums_equal_np_sum_of_each_run():
     assert not np.array_equal(got, [sum(run.tolist()) for run in runs])
 
 
+def test_row_sums_equal_np_sum_bit_for_bit_at_every_length_to_1100():
+    # every length once, so each summation shape holds all of its lengths in
+    # one group; then, at lengths on both sides of the shape edges, all -0.0
+    # runs and runs holding +inf; short runs last, ending near the end
+    rng = np.random.default_rng(11)
+    special = [1, 7, 8, 9, 127, 128, 129, 248, 249, 256, 257, 1100]
+    counts = np.concatenate(
+        [rng.permutation(np.arange(1101)), special, special, [3, 0, 1]]
+    )
+    values = spread_values(rng, counts.sum())
+    starts = np.cumsum(counts) - counts
+    for a, c in zip(starts[1101 : 1101 + len(special)].tolist(), special):
+        values[a : a + c] = -0.0
+    for a, c in zip(starts[1101 + len(special) : -3].tolist(), special):
+        values[a + rng.integers(c)] = np.inf
+    got = _row_sums(values, counts)
+    want = [np.sum(values[a : a + c]) for a, c in zip(starts.tolist(), counts.tolist())]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert np.isinf(got[1101 + len(special) : -3]).all()
+
+
 def block_edge_graph(rng):
     """A digraph whose out-degrees and same-cluster in-degrees, and a
     clustering whose sizes, run through RUN_LENGTHS, ids shuffled."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccdscore import simgen
+from ccdscore.dataset import PointSet
 from ccdscore.errors import ConfigError
 from ccdscore.simgen import (
     SimConfig,
@@ -15,7 +16,7 @@ from ccdscore.simgen import (
     planned_outliers,
 )
 
-from _oracles import greedy_pick_centers
+from _oracles import greedy_pick_centers, loop_inject_outliers
 
 
 def test_generate_is_deterministic():
@@ -237,3 +238,75 @@ def test_center_placement_budget_stays_bounded():
     # 30 centers 0.45 apart cannot fit in the box: every restart fails
     with pytest.raises(ConfigError, match="could not place 30 cluster centers"):
         generate(SimConfig(regime="gaussian", d=2, n=60, n_clusters=30, seed=1))
+
+
+def outcome(make):
+    """The bytes of the points and labels make() returns, or the error it
+    raises."""
+    try:
+        ps = make()
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    return ps.points.tobytes(), ps.labels.tobytes()
+
+
+def both_outcomes(cfg):
+    """generate's outcome, and the per-attempt loop's on the same inliers."""
+    inliers = (gen_clusters(cfg) if cfg.regime in ("uniform", "gaussian")
+               else gen_neyman_scott(cfg))
+    return (outcome(lambda: generate(cfg)),
+            outcome(lambda: loop_inject_outliers(inliers, cfg)))
+
+
+@pytest.mark.parametrize("regime", simgen.REGIMES)
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("group", [0, 3])
+def test_generate_equals_the_per_attempt_placement(regime, d, group):
+    placed = 0
+    for seed in range(20):
+        cfg = SimConfig(regime, d, 200, seed=seed, outlier_fraction=0.05,
+                        collective_group=group)
+        got, want = both_outcomes(cfg)
+        assert got == want
+        placed += got[0] != "ConfigError"
+    assert placed >= 18
+
+
+@pytest.mark.parametrize("attempts, separation", [(3, 1.0), (40, 3.0), (100, 3.0)])
+def test_batched_placement_fails_where_the_loop_fails(monkeypatch, attempts, separation):
+    # few attempts at a wide separation: runs of misses straddle the
+    # batches, and some seeds give up after placing a few singles
+    monkeypatch.setattr(simgen, "_OUTLIER_ATTEMPTS", attempts)
+    failed = 0
+    for seed in range(30):
+        cfg = SimConfig("thomas", 2, 200, seed=seed, outlier_fraction=0.1,
+                        outlier_min_separation=separation)
+        got, want = both_outcomes(cfg)
+        assert got == want
+        failed += got[0] == "ConfigError"
+    assert 0 < failed < 30
+
+
+@pytest.mark.parametrize("group", [0, 3])
+def test_unplaceable_outliers_raise_the_loop_error(group):
+    cfg = SimConfig("uniform", 3, 100, seed=2, outlier_fraction=0.05 if group == 0 else 0.0,
+                    collective_group=group, outlier_min_separation=20.0)
+    got, want = both_outcomes(cfg)
+    assert got[0] == "ConfigError"
+    assert got == want
+
+
+def test_tree_distance_near_the_separation_takes_the_exact_norm():
+    # inliers at sep (1 -+ 1e-12) from the first two candidates of the
+    # singles' stream: the tree cannot tell these from sep, the exact norm
+    # rejects the first and takes the second
+    cfg = SimConfig("uniform", 3, 40, seed=7, outlier_fraction=0.05)
+    sep = cfg.outlier_min_separation * cluster_scale(cfg)
+    cands = simgen._rng(cfg.seed, simgen._S_OUTLIERS).uniform(-0.1, 1.1, size=(2, 3))
+    near = cands + [[sep * (1 - 1e-12), 0, 0], [0, sep * (1 + 1e-12), 0]]
+    ps = PointSet(points=near, labels=np.zeros(2, dtype=np.int64))
+    got = simgen.inject_outliers(ps, cfg)
+    want = loop_inject_outliers(ps, cfg)
+    assert np.array_equal(got.points, want.points)
+    assert not (got.points == cands[0]).all(axis=1).any()
+    assert np.array_equal(got.points[2], cands[1])
