@@ -79,6 +79,8 @@ def metrics(c: Confusion, beta: float = BETA) -> MetricSet:
     """Detection metrics from a confusion. Precision is defined as zero
     when nothing was flagged, and F_beta as zero when the numerator is.
     """
+    if not 0.0 <= beta < np.inf:
+        raise ConfigError(f"beta must be finite and non-negative, got {beta!r}")
     if c.tp + c.fn == 0 or c.tn + c.fp == 0:
         raise DegenerateLabelsError("confusion lacks a positive or negative class")
     tpr = c.tp / (c.tp + c.fn)
@@ -231,6 +233,10 @@ def run_monte_carlo(
     for m in methods:
         if m not in ALL_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"method {m!r} is listed more than once")
+    if isinstance(replicates, bool) or not isinstance(replicates, (int, np.integer)):
+        raise ConfigError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     if workers < 1:

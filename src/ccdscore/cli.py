@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import platform
 import sys
 from dataclasses import MISSING, fields
@@ -260,15 +261,13 @@ def cmd_bench(args) -> int:
     methods = args.methods.split(",") if args.methods else grid.get("methods")
     if methods is not None and (not isinstance(methods, list) or not methods):
         raise ConfigError('grid "methods" must be a non-empty list of method names')
+    replicates = args.replicates if args.replicates is not None else grid.get("replicates", 10)
     try:
-        replicates = args.replicates if args.replicates is not None else int(
-            grid.get("replicates", 10)
-        )
         s_min = args.s_min if args.s_min is not None else float(
             grid.get("s_min", DEFAULT_S_MIN)
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid file has a bad replicates or s_min: {exc}") from exc
+        raise ConfigError(f"grid file has a bad s_min: {exc}") from exc
     rows = run_monte_carlo(
         configs,
         methods=methods,
@@ -277,8 +276,6 @@ def cmd_bench(args) -> int:
         workers=args.workers,
         s_min=s_min,
     )
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     used_methods = methods if methods else list(ALL_METHODS)
     agg = aggregate(rows, used_methods)
@@ -308,12 +305,9 @@ def cmd_bench(args) -> int:
 
 
 def _flag_cell(report_path, line: int, cell) -> int:
-    try:
-        return int(cell)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{report_path} line {line}: flag {cell!r} is not an integer"
-        ) from None
+    if cell not in ("0", "1"):
+        raise ConfigError(f"{report_path} line {line}: flag {cell!r} is not 0 or 1")
+    return int(cell)
 
 
 def cmd_eval(args) -> int:

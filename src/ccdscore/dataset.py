@@ -522,16 +522,32 @@ class NeighborIndex:
     def balls(self, rows: np.ndarray, radii: np.ndarray):
         """Coverage edges of the closed balls B(x_i, radii[a]) for i = rows[a].
 
-        Yields one (sources, counts, targets) block per screen block:
-        sources is a run of rows, counts[q] the number of targets of
-        sources[q], and targets their int32 ids laid end to end, ascending
-        within each source. Each center is left out, so a source's targets
-        equal range_query(rows[a], radii[a]) without rows[a]. Candidates
-        come per block of rows from a dense screen. A candidate the screen
-        proves a member is taken as it is; only the others, in the screen's
-        rounding band, are rechecked with the package's distance formula.
+        Yields (sources, counts, targets) blocks: sources are some of rows,
+        counts[q] the number of targets of sources[q], and targets their
+        int32 ids laid end to end, ascending within each source. Each center
+        is left out, so a source's targets equal range_query(rows[a],
+        radii[a]) without rows[a]. Where the kept table's row i is complete
+        and radii[a] does not pass its last distance, the ball is a prefix
+        of that row. The other balls take their candidates per block of
+        rows from a dense screen. A candidate the screen proves a member is
+        taken as it is; only the others, in the screen's rounding band, are
+        rechecked with the package's distance formula.
         """
         points = self.ps.points
+        screen = np.ones(rows.size, dtype=bool)
+        if self._table is not None:
+            _, ids, dists, complete = self._table
+            screen = ~complete[rows] | (radii > dists[rows, -1])
+            prefix = np.flatnonzero(~screen)
+            for sl in row_chunks(prefix.size, ids.shape[1]):
+                a = prefix[sl]
+                inside = dists[rows[a]] <= radii[a, None]
+                # sorted by id, with the sentinel n pushing the rest of the
+                # row behind it, the members keep the places inside marks
+                sub = np.where(inside, ids[rows[a]], self.n)
+                sub.sort(axis=1)
+                yield rows[a], inside.sum(axis=1), sub[inside].astype(np.int32)
+        rows, radii = rows[screen], radii[screen]
         for sl, owner, cand, inside in self._screen_candidates(rows, radii):
             src = rows[sl]
             check = np.flatnonzero(~inside)
@@ -542,6 +558,43 @@ class NeighborIndex:
                 inside[c] = dd <= radii[sl][o]
             counts = np.bincount(owner[inside], minlength=src.size)
             yield src, counts, cand[inside].astype(np.int32)
+
+    def nearest(self, rows: np.ndarray, among: np.ndarray, positive: bool = False):
+        """(ids, dists): for each i = rows[a], the nearest point j != i with
+        among[j], only at a positive distance when positive is set, ties
+        going to the smallest id; -1 and inf where there is no such point.
+
+        Where the kept table's row i is complete and holds such a j, the
+        first one is the answer. The other rows gather their distances to
+        every point of among. Both paths compute distances by
+        _row_distances, so an answer does not depend on which one gave it.
+        """
+        ids = np.full(rows.size, -1, dtype=np.int64)
+        dists = np.full(rows.size, np.inf)
+        if not among.any():
+            return ids, dists
+        gather = np.arange(rows.size)
+        if self._table is not None:
+            _, t_ids, t_dists, complete = self._table
+            row_ids = t_ids[rows]
+            hit = among[row_ids] & (t_dists[rows] > 0 if positive else True)
+            ok = complete[rows] & hit.any(axis=1)
+            first = np.argmax(hit[ok], axis=1)
+            ids[ok] = row_ids[ok, first]
+            dists[ok] = t_dists[rows[ok], first]
+            gather = np.flatnonzero(~ok)
+        targets = np.flatnonzero(among)
+        for sl, block in pair_distance_blocks(self.ps.points, rows[gather], targets):
+            off = targets == rows[gather[sl], None]
+            if positive:
+                off |= block <= 0
+            block[off] = np.inf
+            # argmin takes the first, so the smallest id on ties
+            best = np.argmin(block, axis=1)
+            near = block[np.arange(best.size), best]
+            ids[gather[sl]] = np.where(near < np.inf, targets[best], -1)
+            dists[gather[sl]] = near
+        return ids, dists
 
     def _shifted(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(x, sq, slack, floor): the points shifted by their column minima,
@@ -626,9 +679,6 @@ class NeighborIndex:
         Read off knn_table(k), so it equals the table's last column to the
         last bit.
         """
-        n = self.n
-        if not 1 <= k <= n - 1:
-            raise BadKError(f"k={k} must be in [1, {n - 1}]")
         return self.knn_table(k)[1][:, k - 1].copy()
 
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 
-from .dataset import NeighborIndex, pair_distance_blocks, row_blocks, row_chunks
+from .dataset import NeighborIndex, row_blocks, row_chunks
 from .errors import ConfigError, DegenerateDataError
 
 FIXED_K = "fixed-k"
@@ -80,16 +79,13 @@ def unit_ball_volume(d: int) -> float:
 
 def _positive_floor(idx: NeighborIndex, radii: np.ndarray) -> np.ndarray:
     """Replace zero radii by the point's smallest positive neighbor distance."""
-    if (radii > 0).all():
+    zero = np.flatnonzero(radii == 0)
+    if zero.size == 0:
         return radii
     out = radii.copy()
-    zero = np.flatnonzero(radii == 0)
-    for sl, block in pair_distance_blocks(idx.ps.points, zero, np.arange(idx.ps.n)):
-        block[block <= 0] = np.inf
-        low = block.min(axis=1)
-        if np.isinf(low).any():
-            raise DegenerateDataError("all points coincide; radii are undefined")
-        out[zero[sl]] = low
+    _, out[zero] = idx.nearest(zero, np.ones(idx.n, dtype=bool), positive=True)
+    if np.isinf(out[zero]).any():
+        raise DegenerateDataError("all points coincide; radii are undefined")
     return out
 
 
@@ -219,34 +215,15 @@ class CatchDigraph:
         return [self.out_ids[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def _table_balls(idx: NeighborIndex, rows: np.ndarray, radii: np.ndarray):
-    """(rows, counts, targets) blocks of the balls around rows that are
-    prefixes of the kept table's rows, targets int32 and ascending in each
-    row, as NeighborIndex.balls yields them."""
-    ids, dists, _ = idx.last_table
-    for sl in row_chunks(rows.size, ids.shape[1]):
-        r = rows[sl]
-        inside = dists[r] <= radii[r, None]
-        # the ball is a prefix in distance order; sorted by id, with the
-        # sentinel n pushing the rest of the row behind it, the members
-        # keep the places inside marks
-        sub = np.where(inside, ids[r], idx.ps.n)
-        sub.sort(axis=1)
-        yield r, inside.sum(axis=1), sub[inside].astype(np.int32)
-
-
 def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
     """The coverage digraph of the closed balls B(x_i, radii[i]) of idx.ps.
 
-    Where the index holds a neighbor table whose row i is proven complete
-    and radii[i] does not pass the row's last distance, i's ball is a
-    prefix of that row. Every other ball comes from one batched ball query.
-    The blocks from both sources are kept as they come, int32 targets with
-    per-row counts, while the running edge count is checked against the
-    int32 limit. The row pointers then follow from the counts, and each
-    block is placed into the one out_ids array: a block whose rows sit
-    side by side in the CSR as one slice copy, any other through the
-    positions of its rows.
+    The balls come from one NeighborIndex.balls query. Its blocks are kept
+    as they come, int32 targets with per-row counts, while the running
+    edge count is checked against the int32 limit. The row pointers then
+    follow from the counts, and each block is placed into the one out_ids
+    array: a block whose rows sit side by side in the CSR as one slice
+    copy, any other through the positions of its rows.
     """
     n = idx.ps.n
     radii = np.asarray(radii, dtype=np.float64)
@@ -255,16 +232,9 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
     check_index_range(n, 0)
-    prefix = np.zeros(n, dtype=bool)
-    table_balls = ()
-    if idx.last_table is not None:
-        _, dists, complete = idx.last_table
-        prefix = complete & (radii <= dists[:, -1])
-        table_balls = _table_balls(idx, np.flatnonzero(prefix), radii)
-    rest = np.flatnonzero(~prefix)
     blocks = []
     edges = 0
-    for block in chain(table_balls, idx.balls(rest, radii[rest])):
+    for block in idx.balls(np.arange(n), radii):
         edges += block[2].size
         check_index_range(n, edges)
         blocks.append(block)
@@ -373,43 +343,19 @@ def cluster_digraph(
 
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
-    attach_factor times their own radius; otherwise they stay singletons.
-    Where row i of the index's kept table is complete and holds an anchored
-    id, the first such id is the nearest anchored point, ties going to the
-    smallest id, at the distance the gather would compute. The other rows,
-    all of them without a table, gather their distances to every anchored
-    point.
+    attach_factor times their own radius (NeighborIndex.nearest, ties going
+    to the smallest id); otherwise they stay singletons.
     """
-    n = dg.n
     n_comp, comp = _mutual_components(dg)
     comp_sizes = np.bincount(comp, minlength=n_comp)
 
     labels = comp.copy()
     anchored = comp_sizes[comp] >= 2
     isolated = np.flatnonzero(~anchored)
-    alone = isolated
-    if anchored.any() and isolated.size:
-        nearest = np.empty(isolated.size, dtype=np.int64)
-        near = np.empty(isolated.size, dtype=np.float64)
-        gather = np.arange(isolated.size)
-        if idx.last_table is not None:
-            ids, dists, complete = idx.last_table
-            row_ids = ids[isolated]
-            hit = anchored[row_ids]
-            ok = complete[isolated] & hit.any(axis=1)
-            first = np.argmax(hit[ok], axis=1)
-            nearest[ok] = row_ids[ok, first]
-            near[ok] = dists[isolated[ok], first]
-            gather = np.flatnonzero(~ok)
-        members = np.flatnonzero(anchored)
-        for sl, block in pair_distance_blocks(idx.ps.points, isolated[gather], members):
-            # argmin takes the first, so the smallest id on ties
-            best = np.argmin(block, axis=1)
-            nearest[gather[sl]] = members[best]
-            near[gather[sl]] = block[np.arange(best.size), best]
-        attached = near <= attach_factor * dg.radii[isolated]
-        labels[isolated[attached]] = comp[nearest[attached]]
-        alone = isolated[~attached]
+    nearest, near = idx.nearest(isolated, anchored)
+    attached = (nearest >= 0) & (near <= attach_factor * dg.radii[isolated])
+    labels[isolated[attached]] = comp[nearest[attached]]
+    alone = isolated[~attached]
     labels[alone] = n_comp + np.arange(alone.size)
 
     # first holds each label's smallest member id

@@ -181,6 +181,25 @@ def loop_positive_floor(points, radii):
     return out
 
 
+def loop_nearest(points, rows, among, positive=False):
+    """(ids, dists) of NeighborIndex.nearest, one row at a time: the
+    smallest id at the smallest distance among the points j != i with
+    among[j], positive distances only when positive; -1 and inf where no
+    such point exists."""
+    ids = np.full(len(rows), -1, dtype=np.int64)
+    dists = np.full(len(rows), np.inf)
+    for a, i in enumerate(rows):
+        d = loop_distances_to(points, points[i])
+        ok = among.copy()
+        ok[i] = False
+        if positive:
+            ok &= d > 0
+        if ok.any():
+            j = np.flatnonzero(ok)[np.argmin(d[ok])]
+            ids[a], dists[a] = j, d[j]
+    return ids, dists
+
+
 def loop_radii(ps, idx, strategy):
     """estimate_radii for all three strategies, one point at a time, with
     the rk significance 0.01 and the un rule's multiplier 2 and quantile

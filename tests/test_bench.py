@@ -73,6 +73,14 @@ def test_metrics_match_formulas_on_random_confusions():
         assert ms.f_beta == pytest.approx(want, abs=1e-15)
 
 
+def test_metrics_reject_a_nan_infinite_or_negative_beta():
+    c = Confusion(tp=8, fp=5, tn=85, fn=2)
+    for beta in (np.nan, np.inf, -np.inf, -1.0, -0.0 - 1e-300):
+        with pytest.raises(ConfigError, match="beta"):
+            metrics(c, beta=beta)
+    assert metrics(c, beta=0.0).f_beta == pytest.approx(8 / 13)
+
+
 def test_metrics_zero_flag_guards():
     ms = metrics(Confusion(tp=0, fp=0, tn=90, fn=10))
     assert ms.f_beta == 0.0 and ms.tpr == 0.0
@@ -206,6 +214,12 @@ def test_monte_carlo_validation(monkeypatch):
                 {"s_min": 1.5}):
         with pytest.raises(ConfigError):
             run_monte_carlo([CFG_A], ["ios-fixed"], replicates=2, **bad)
+    for methods in (["odin", "odin"], ["ios-fixed", "lof", "ios-fixed"]):
+        with pytest.raises(ConfigError, match="more than once"):
+            run_monte_carlo([CFG_A], methods, replicates=2)
+    for replicates in (2.5, 2.0, True, "2"):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_monte_carlo([CFG_A], ["odin"], replicates=replicates)
 
 
 def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):

@@ -276,6 +276,34 @@ def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("grid_methods, argv", [
+    (None, ["--methods", "odin,odin"]), (None, ["--methods", "ios-fixed,lof,ios-fixed"]),
+    (["odin", "odin"], [])])
+def test_bench_repeated_method_exits_2_without_outputs(tmp_path, capsys,
+                                                       grid_methods, argv):
+    doc = {"configs": [{"regime": "uniform", "d": 2, "n": 60, "outlier_fraction": 0.05}],
+           "replicates": 2}
+    if grid_methods is not None:
+        doc["methods"] = grid_methods
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    rc = run(["bench", "--grid", tmp_path / "grid.json", *argv, "--out", tmp_path / "r"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [bench] ConfigError" in err and "more than once" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("replicates", [2.7, 2.0, True, "2", None])
+def test_bench_grid_with_non_integer_replicates_value_exits_2(tmp_path, capsys,
+                                                             replicates):
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], replicates)
+    rc = run(["bench", "--grid", grid, "--methods", "odin", "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "replicates must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_grid_with_non_integer_dimension_or_size_exits_2(tmp_path, capsys):
     # numpy would reject the float deep inside every cell, and the bench exit 4
     grid = tmp_path / "grid.json"
@@ -349,7 +377,8 @@ def test_eval_scores_saved_flags(tmp_path):
     assert 0.0 <= float(rows[0]["f2"]) <= 1.0
 
 
-def test_eval_malformed_flag_cell_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("cell", ["yes", "2", "-1"])
+def test_eval_malformed_flag_cell_exits_2(tmp_path, capsys, cell):
     run(["fixture", "--out", tmp_path / "fx"])
     run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
          "--out", tmp_path / "s"])
@@ -357,14 +386,37 @@ def test_eval_malformed_flag_cell_exits_2(tmp_path, capsys):
     rows = report.read_text().splitlines()
     head = rows[0].split(",")
     cells = rows[3].split(",")
-    cells[head.index("flag")] = "yes"
+    cells[head.index("flag")] = cell
     rows[3] = ",".join(cells)
     report.write_text("\n".join(rows) + "\n")
     rc = run(["eval", "--data", tmp_path / "fx.csv", "--out", tmp_path / "m", report])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error [eval]" in err and "s.scores.csv line 4" in err and "'yes'" in err
+    assert "error [eval]" in err and "s.scores.csv line 4" in err and f"'{cell}'" in err
     assert not (tmp_path / "m.metrics.csv").exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_eval_bad_beta_exits_2_without_outputs(tmp_path, capsys, beta):
+    run(["fixture", "--out", tmp_path / "fx"])
+    run(["score", "--input", tmp_path / "fx.csv", "--out", tmp_path / "s"])
+    rc = run(["eval", "--data", tmp_path / "fx.csv", "--beta", beta,
+              "--out", tmp_path / "m", tmp_path / "s.scores.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [eval] ConfigError" in err and "beta" in err
+    assert not (tmp_path / "m.metrics.csv").exists()
+
+
+def test_eval_beta_zero_scores_precision(tmp_path):
+    run(["fixture", "--out", tmp_path / "fx"])
+    run(["score", "--input", tmp_path / "fx.csv", "--out", tmp_path / "s"])
+    rc = run(["eval", "--data", tmp_path / "fx.csv", "--beta", "0",
+              "--out", tmp_path / "m", tmp_path / "s.scores.csv"])
+    assert rc == 0
+    row = read_rows(tmp_path / "m.metrics.csv")[0]
+    tp, fp = int(row["tp"]), int(row["fp"])
+    assert float(row["f0"]) == pytest.approx(tp / (tp + fp) if tp else 0.0)
 
 
 def test_score_rejects_the_removed_backend_option(tmp_path):

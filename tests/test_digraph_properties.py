@@ -30,6 +30,7 @@ from _oracles import (
     loop_break_ties,
     loop_cumulative_influence,
     loop_ios_raw,
+    loop_nearest,
     loop_oos,
     loop_positive_floor,
     loop_small_cluster_flags,
@@ -185,15 +186,15 @@ def graph_case(case, dense, make):
 
 
 def gathered_rows(mp):
-    """Patch the graph layer's block gather to record the rows it serves."""
+    """Patch the neighbor index's block gather to record the rows it serves."""
     rows = []
-    gather = graph.pair_distance_blocks
+    gather = dataset.pair_distance_blocks
 
     def recording(points, r, targets):
         rows.extend(r.tolist())
         return gather(points, r, targets)
 
-    mp.setattr(graph, "pair_distance_blocks", recording)
+    mp.setattr(dataset, "pair_distance_blocks", recording)
     return rows
 
 
@@ -217,6 +218,37 @@ def test_csrs_equal_the_key_sort_reference(case, dense, make):
     for arr, ref in zip((dg.out_ptr, dg.out_ids, dg.in_ptr, dg.in_ids), want):
         assert arr.dtype == np.int32
         assert np.array_equal(arr, ref)
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans(), st.sampled_from(STRATEGIES), st.randoms())
+def test_balls_answer_prefix_rows_from_the_table_in_any_row_order(case, dense, make, rnd):
+    built = graph_case(case, dense, make)
+    if built is None:
+        return
+    ps, idx, radii = built
+    rows = np.array(rnd.sample(range(ps.n), rnd.randint(0, ps.n)), dtype=np.int64)
+    screened = []
+    screen = idx._screen_candidates
+
+    def recording(r, rad):
+        screened.extend(r.tolist())
+        return screen(r, rad)
+
+    got = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idx, "_screen_candidates", recording)
+        for src, counts, targets in idx.balls(rows, radii[rows]):
+            assert targets.dtype == np.int32
+            for i, row in zip(src.tolist(), np.split(targets, np.cumsum(counts)[:-1])):
+                got[i] = row.tolist()
+    want = brute_covers(ps.points, radii)
+    assert got == {i: want[i] for i in rows.tolist()}
+    # only the rows whose ball is not a prefix of a complete table row
+    # reach the dense screen
+    _, dists, complete = idx.last_table
+    prefix = complete[rows] & (radii[rows] <= dists[rows, -1])
+    assert screened == rows[~prefix].tolist()
 
 
 def test_index_range_guard_takes_the_int32_limit():
@@ -380,6 +412,36 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
 
 
 @SETTINGS
+@given(graph_sets(), st.sampled_from([True, False, None]), st.booleans(), st.data())
+def test_nearest_equals_the_loop_reference(case, dense, positive, data):
+    """Against the per-row loop, with a table from either source or none,
+    any rows in any order, and among masks from empty to full: a complete
+    table row holding a hit answers, and only the other rows are gathered."""
+    points, k, _ = case
+    n = points.shape[0]
+    idx = build_index(PointSet(points))
+    if dense is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_dense_table", lambda d: dense)
+            idx.knn_table(k)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+    mask = st.lists(st.booleans(), min_size=n, max_size=n)
+    among = np.array(data.draw(mask | st.just([False] * n) | st.just([True] * n)))
+    with pytest.MonkeyPatch.context() as mp:
+        gathered = gathered_rows(mp)
+        ids, dists = idx.nearest(rows, among, positive=positive)
+    want_ids, want_dists = loop_nearest(points, rows, among, positive)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(dists, want_dists)
+    answered = np.zeros(n, dtype=bool)
+    if idx.last_table is not None:
+        t_ids, t_dists, complete = idx.last_table
+        hit = among[t_ids] & ((t_dists > 0) | (not positive))
+        answered = complete & hit.any(axis=1)
+    assert gathered == (rows[~answered[rows]].tolist() if among.any() else [])
+
+
+@SETTINGS
 @given(graph_sets(), st.booleans(), st.sampled_from([0, -1]))
 def test_positive_floor_equals_the_loop_reference(case, dense, column):
     points, k, _ = case
@@ -389,12 +451,19 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
         mp.setattr(dataset, "_dense_table", lambda d: dense)
         # zero wherever more than the column's rank of copies share a point
         radii = idx.knn_table(k)[1][:, column].copy()
-    try:
-        got = graph._positive_floor(idx, radii)
-    except DegenerateDataError:
-        assert (points == points[0]).all()
-        return
+    with pytest.MonkeyPatch.context() as mp:
+        gathered = gathered_rows(mp)
+        try:
+            got = graph._positive_floor(idx, radii)
+        except DegenerateDataError:
+            assert (points == points[0]).all()
+            return
     assert np.array_equal(got, loop_positive_floor(points, radii))
+    # a complete table row holding a positive distance answers its zero
+    # radius; only the other zero rows are gathered
+    _, dists, complete = idx.last_table
+    zero = np.flatnonzero(radii == 0)
+    assert gathered == zero[~(complete & (dists > 0).any(axis=1))[zero]].tolist()
 
 
 @st.composite

@@ -213,13 +213,13 @@ def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, stra
     dg = build_catch_digraph(idx, estimate_radii(idx, strategy()))
     want = gather_cluster_of(dg, ps.points)
     gathered = []
-    gather = graph.pair_distance_blocks
+    gather = dataset.pair_distance_blocks
 
     def recording(points, rows, targets):
         gathered.append(rows.size)
         return gather(points, rows, targets)
 
-    monkeypatch.setattr(graph, "pair_distance_blocks", recording)
+    monkeypatch.setattr(dataset, "pair_distance_blocks", recording)
     cl = cluster_digraph(dg, idx)
     assert np.array_equal(cl.cluster_of, want)
     assert sum(gathered) == 0
