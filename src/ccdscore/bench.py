@@ -215,6 +215,14 @@ def _run_cell(args) -> list[BenchRow]:
     return rows
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, which a pinned process sets below the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(
     configs: list[SimConfig | dict],
     methods: list[str] | None = None,
@@ -227,7 +235,8 @@ def run_monte_carlo(
 
     Raw rows come back sorted by (config, replicate, method position);
     per-cell failures are recorded in their rows, not raised. The pool
-    starts no more processes than there are cells or CPUs.
+    starts no more processes than there are cells or CPUs this process
+    may run on.
     """
     methods = list(methods) if methods is not None else list(ALL_METHODS)
     for m in methods:
@@ -251,7 +260,7 @@ def run_monte_carlo(
         for ci in range(len(cfg_dicts))
         for ri in range(replicates)
     ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         per_cell = [_run_cell(t) for t in tasks]
     else:

@@ -293,11 +293,18 @@ def _dense_table(d: int) -> bool:
 def _row_distances(points: np.ndarray, centers: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Distances from points[centers[r]] to points[cand[r, c]], shape of cand.
 
-    Every row goes through the _distances_to arithmetic on a reshaped
-    block, so each value equals the per-point call to the last bit.
+    The rows are gathered with np.take along axis 0, which copies whole
+    rows of d floats where the fancy index points[cand] takes numpy's
+    general path; points must be C-contiguous, as a PointSet's are, since
+    np.take first copies a non-contiguous source whole. The centers are
+    subtracted in place. Every row then goes through the _distances_to
+    arithmetic on a reshaped block, so each value equals the per-point
+    call to the last bit.
     """
     d = points.shape[1]
-    diff = (points[cand] - points[centers][:, None, :]).reshape(-1, d)
+    diff = np.take(points, cand, axis=0)
+    diff -= np.take(points, centers, axis=0)[:, None, :]
+    diff = diff.reshape(-1, d)
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(cand.shape)
 
 
@@ -416,18 +423,21 @@ class NeighborIndex:
         good = np.flatnonzero(complete)
         for sl in row_chunks(good.size, (k + 1) * self.ps.d):
             r = good[sl]
-            c = cand[r]
+            c = cand[r]  # the tree's cand is a view, which np.take would copy whole
             dd = _row_distances(points, r, c)
             dd[c == r[:, None]] = -1.0  # the point itself sorts first
             # candidates arrive nearly sorted, and a row without two equal
             # distances has one order; only tied rows need the id key
             order = np.argsort(dd, axis=1, kind="stable")
-            sd = np.take_along_axis(dd, order, axis=1)
+            # flat positions, so that np.take gathers the sorted rows
+            base = np.arange(0, order.size, k + 1)
+            order += base[:, None]
+            sd = dd.take(order)
             tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
-            order[tied] = np.lexsort((c[tied], dd[tied]), axis=1)
+            order[tied] = np.lexsort((c[tied], dd[tied]), axis=1) + base[tied, None]
             order = order[:, 1:]
-            ids[r] = np.take_along_axis(c, order, axis=1)
-            dists[r] = np.take_along_axis(dd, order, axis=1)
+            ids[r] = c.take(order)
+            dists[r] = dd.take(order)
         for i in np.flatnonzero(~complete):
             ids[i], dists[i] = self.knn(int(i), k)
         for arr in (ids, dists, complete):
@@ -541,10 +551,10 @@ class NeighborIndex:
             prefix = np.flatnonzero(~screen)
             for sl in row_chunks(prefix.size, ids.shape[1]):
                 a = prefix[sl]
-                inside = dists[rows[a]] <= radii[a, None]
+                inside = np.take(dists, rows[a], axis=0) <= radii[a, None]
                 # sorted by id, with the sentinel n pushing the rest of the
                 # row behind it, the members keep the places inside marks
-                sub = np.where(inside, ids[rows[a]], self.n)
+                sub = np.where(inside, np.take(ids, rows[a], axis=0), self.n)
                 sub.sort(axis=1)
                 yield rows[a], inside.sum(axis=1), sub[inside].astype(np.int32)
         rows, radii = rows[screen], radii[screen]
@@ -564,10 +574,12 @@ class NeighborIndex:
         among[j], only at a positive distance when positive is set, ties
         going to the smallest id; -1 and inf where there is no such point.
 
-        Where the kept table's row i is complete and holds such a j, the
-        first one is the answer. The other rows gather their distances to
-        every point of among. Both paths compute distances by
-        _row_distances, so an answer does not depend on which one gave it.
+        Where the kept table's row i holds such a j, the first one is the
+        answer, complete row or not: every row is knn(i, k), ordered by
+        (distance, id), so no point outside it comes before its first hit.
+        The other rows gather their distances to every point of among. Both
+        paths compute distances by _row_distances, so an answer does not
+        depend on which one gave it.
         """
         ids = np.full(rows.size, -1, dtype=np.int64)
         dists = np.full(rows.size, np.inf)
@@ -575,10 +587,10 @@ class NeighborIndex:
             return ids, dists
         gather = np.arange(rows.size)
         if self._table is not None:
-            _, t_ids, t_dists, complete = self._table
+            _, t_ids, t_dists, _ = self._table
             row_ids = t_ids[rows]
             hit = among[row_ids] & (t_dists[rows] > 0 if positive else True)
-            ok = complete[rows] & hit.any(axis=1)
+            ok = hit.any(axis=1)
             first = np.argmax(hit[ok], axis=1)
             ids[ok] = row_ids[ok, first]
             dists[ok] = t_dists[rows[ok], first]
@@ -661,7 +673,7 @@ class NeighborIndex:
         for sl in row_chunks(rows.size, self.n):
             r = rows[sl]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = x[r] @ x.T
+                g = np.take(x, r, axis=0) @ x.T
                 g *= -2.0
                 hit = g + sq_lo <= hi[sl, None]
                 hit[np.arange(r.size), r] = False

@@ -222,12 +222,12 @@ def test_monte_carlo_validation(monkeypatch):
             run_monte_carlo([CFG_A], ["odin"], replicates=replicates)
 
 
-def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):
+def inline_pool(monkeypatch):
+    """Replace the bench pool by one that maps in this process; returns the
+    list of pool sizes asked for."""
     sizes = []
 
     class InlinePool:
-        """Records the pool size asked for and maps in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -241,6 +241,13 @@ def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):
+    # a platform without an affinity mask counts the host's CPUs
+    sizes = inline_pool(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     want = run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4)
     assert sizes == []
@@ -252,6 +259,18 @@ def test_pool_starts_no_more_processes_than_cells_or_cpus(monkeypatch):
     assert sizes == [2, 3]
     strip = lambda rows: [vars(r) | {"wall_time": 0.0} for r in rows]
     assert strip(got) == strip(want)
+
+
+def test_pool_is_bounded_by_the_cpus_this_process_may_run_on(monkeypatch):
+    # pinned to fewer CPUs than the host has, the pool follows the pin
+    sizes = inline_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4, workers=8)
+    assert sizes == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    run_monte_carlo([CFG_A, CFG_B], ["odin"], replicates=2, master_seed=4, workers=8)
+    assert sizes == [3]
 
 
 def test_failed_cell_is_recorded_not_raised():

@@ -149,6 +149,52 @@ def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
 
 
 @st.composite
+def distance_blocks(draw):
+    """(points, centers, cand): rows of 1 to 12 dimensions drawn from a
+    small pool, so copies are heavy, scaled by 1, 1e150 or 1e-150; and int32
+    or int64 candidates in a shape some caller passes: a full block, an
+    (m, 1) recheck column, or read-only zero-stride broadcast targets, any
+    of them possibly empty."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    coord = st.integers(-3, 3).map(float) | st.floats(
+        -1e3, 1e3, allow_nan=False, allow_infinity=False
+    )
+    pool = draw(st.integers(1, n))
+    base = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=pool, max_size=pool))
+    copies = draw(st.lists(st.integers(0, pool - 1), min_size=n - pool, max_size=n - pool))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    points = np.asarray(base, dtype=np.float64)[list(range(pool)) + copies] * scale
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+
+    def ids(size):
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                        dtype=dtype)
+
+    m = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["block", "column", "broadcast"]))
+    if shape == "broadcast":
+        targets = ids(draw(st.integers(0, n)))
+        cand = np.broadcast_to(targets, (m, targets.size))
+    else:
+        w = 1 if shape == "column" else draw(st.integers(0, 8))
+        cand = ids(m * w).reshape(m, w)
+    return points, ids(m), cand
+
+
+@SETTINGS
+@given(distance_blocks())
+def test_row_distances_equal_the_per_point_formula(case):
+    points, centers, cand = case
+    got = dataset._row_distances(points, centers, cand)
+    assert got.shape == cand.shape and got.dtype == np.float64
+    for r in range(cand.shape[0]):
+        want = dataset._distances_to(points[cand[r]], points[centers[r]])
+        assert got[r].tobytes() == want.tobytes()
+
+
+@st.composite
 def graph_sets(draw):
     """(points, k, shrink): lattice rows full of distance ties, a few rows
     copied more than k + 1 times, or float rows, in 1 to 12 dimensions;
@@ -399,13 +445,13 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
         rows = gathered_rows(mp)
         got = cluster_digraph(dg, idx, factor).cluster_of
     assert np.array_equal(got, want)
-    # the table answers exactly the isolated rows that are complete and
-    # hold an anchored id; only the others are gathered
+    # the table answers exactly the isolated rows that hold an anchored
+    # id; only the others are gathered
     adj = np.zeros((ps.n, ps.n), dtype=bool)
     adj[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
     anchored = (adj & adj.T).any(axis=1)
-    ids, _, complete = idx.last_table
-    table = complete & anchored[ids].any(axis=1)
+    ids, _, _ = idx.last_table
+    table = anchored[ids].any(axis=1)
     isolated = np.flatnonzero(~anchored)
     expect = isolated[~table[isolated]].tolist() if anchored.any() else []
     assert rows == expect
@@ -415,8 +461,9 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
 @given(graph_sets(), st.sampled_from([True, False, None]), st.booleans(), st.data())
 def test_nearest_equals_the_loop_reference(case, dense, positive, data):
     """Against the per-row loop, with a table from either source or none,
-    any rows in any order, and among masks from empty to full: a complete
-    table row holding a hit answers, and only the other rows are gathered."""
+    any rows in any order, and among masks from empty to full: a table
+    row holding a hit answers, complete or not, and only the rows without
+    one are gathered."""
     points, k, _ = case
     n = points.shape[0]
     idx = build_index(PointSet(points))
@@ -435,9 +482,9 @@ def test_nearest_equals_the_loop_reference(case, dense, positive, data):
     assert np.array_equal(dists, want_dists)
     answered = np.zeros(n, dtype=bool)
     if idx.last_table is not None:
-        t_ids, t_dists, complete = idx.last_table
+        t_ids, t_dists, _ = idx.last_table
         hit = among[t_ids] & ((t_dists > 0) | (not positive))
-        answered = complete & hit.any(axis=1)
+        answered = hit.any(axis=1)
     assert gathered == (rows[~answered[rows]].tolist() if among.any() else [])
 
 
@@ -459,11 +506,32 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
             assert (points == points[0]).all()
             return
     assert np.array_equal(got, loop_positive_floor(points, radii))
-    # a complete table row holding a positive distance answers its zero
-    # radius; only the other zero rows are gathered
-    _, dists, complete = idx.last_table
+    # a table row holding a positive distance answers its zero radius;
+    # only the other zero rows are gathered
+    _, dists, _ = idx.last_table
     zero = np.flatnonzero(radii == 0)
-    assert gathered == zero[~(complete & (dists > 0).any(axis=1))[zero]].tolist()
+    assert gathered == zero[~(dists > 0).any(axis=1)[zero]].tolist()
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_positive_floor_of_fourfold_copies_gathers_no_row(dense):
+    """Every point 4 times over: every nearest distance is zero, so are all
+    un-approx radii, and the ties between copies leave table rows
+    incomplete. Each row is knn(i, k), so its first positive distance
+    answers the floor and no row is gathered."""
+    points = np.repeat(np.random.default_rng(5).random((50, 3)), 4, axis=0)
+    idx = build_index(PointSet(points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        idx.knn_table(6)
+    assert not idx.last_table[2].all()
+    zero = np.zeros(points.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        gathered = gathered_rows(mp)
+        got = graph._positive_floor(idx, zero)
+    assert gathered == []
+    assert np.array_equal(got, loop_positive_floor(points, zero))
+    assert np.array_equal(got, estimate_radii(idx, un_approx(k=6)))
 
 
 @st.composite
