@@ -21,7 +21,7 @@ from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
 from .scores import SCORE_KINDS, check_s_min, dump_json, score_point_set
-from .simgen import CLUSTER_SHAPE_OF, SimConfig, generate
+from .simgen import CLUSTER_SHAPE_OF, SimConfig, check_seed, generate
 
 BETA = 2.0
 
@@ -250,6 +250,7 @@ def run_monte_carlo(
         raise ConfigError("replicates must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    check_seed(master_seed, "master_seed")
     check_s_min(s_min)
     cfg_dicts = []
     for c in configs:

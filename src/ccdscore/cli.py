@@ -262,12 +262,10 @@ def cmd_bench(args) -> int:
     if methods is not None and (not isinstance(methods, list) or not methods):
         raise ConfigError('grid "methods" must be a non-empty list of method names')
     replicates = args.replicates if args.replicates is not None else grid.get("replicates", 10)
-    try:
-        s_min = args.s_min if args.s_min is not None else float(
-            grid.get("s_min", DEFAULT_S_MIN)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid file has a bad s_min: {exc}") from exc
+    s_min = args.s_min if args.s_min is not None else grid.get("s_min", DEFAULT_S_MIN)
+    if isinstance(s_min, bool) or not isinstance(s_min, (int, float)):
+        raise ConfigError(f'grid "s_min" must be a number, got {s_min!r}')
+    s_min = float(s_min)
     rows = run_monte_carlo(
         configs,
         methods=methods,

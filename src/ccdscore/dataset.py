@@ -360,6 +360,7 @@ class NeighborIndex:
         The query point itself is excluded. Distances sort ascending;
         exact ties are broken by ascending point id. Asking for more
         neighbors than exist returns them all (empty for a lone point).
+        The tests compare knn_table against it; the package never calls it.
         """
         n = self.n
         if not 0 <= i < n:
@@ -384,24 +385,22 @@ class NeighborIndex:
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of every point's k nearest neighbors, (n, k) each.
 
-        Row i equals knn(i, k) to the last bit. One batched candidate
-        source fetches k+2 candidates per point: the point itself, k
-        neighbors and one slack column. Below a measured dimension it is
-        the k-d tree, above it the dense screen (see _dense_table). The
-        source also marks a row incomplete when its slack candidate is too
-        close to the (k+1)-th to be told apart (a tie that a point outside
-        the row could win). Distances are recomputed by the package's
-        formula and each row is sorted by (distance, id): by distance alone,
-        and by the id key only where two distances are equal. A row goes to the
-        per-point knn instead when it is incomplete, or when the point is
-        missing from its own candidates (more than k+1 exact duplicates).
+        Row i equals knn(i, k) to the last bit. A batched source, the k-d tree
+        below a measured dimension and the dense screen above it (see
+        _dense_table), fetches w + 1 candidates per open row, in pieces of about
+        GATHER_CHUNK. A row closes when it holds the point itself and a gap, at
+        or past candidate k, too wide for a point outside to tie with one
+        inside; it is then sorted by the distance formula, and by id where two
+        distances are equal. The first pass asks for every row at w = k. Ties
+        and more than k+1 exact duplicates leave rows open for a wider w, until
+        w = n - 1 makes every point a candidate.
 
         The result is read-only. The index keeps only its widest table: a k
         at most its width gets read-only views of the first k columns (the
         arrays themselves at the full width), since the first k entries of
         a row ordered by (distance, id) are knn(i, k); a wider k builds a
         new table and replaces it. last_table exposes the kept table
-        together with the rows whose candidate set was proven complete.
+        together with the rows the first pass closed.
         """
         n = self.n
         if not 1 <= k <= n - 1:
@@ -411,92 +410,93 @@ class NeighborIndex:
             if k == width:
                 return ids, dists
             return ids[:, :k], dists[:, :k]
-        points = self.ps.points
+        points, d = self.ps.points, self.ps.d
+        dense = _dense_table(d)
+        source = self._dense_table_candidates if dense else self._tree_table_candidates
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.float64)
-        if _dense_table(self.ps.d):
-            cand, complete = self._dense_table_candidates(k)
-        else:
-            cand, complete = self._tree_table_candidates(k)
-        rows = np.arange(n)
-        complete &= (cand == rows[:, None]).any(axis=1)
-        good = np.flatnonzero(complete)
-        for sl in row_chunks(good.size, (k + 1) * self.ps.d):
-            r = good[sl]
-            c = cand[r]  # the tree's cand is a view, which np.take would copy whole
-            dd = _row_distances(points, r, c)
-            dd[c == r[:, None]] = -1.0  # the point itself sorts first
-            # candidates arrive nearly sorted, and a row without two equal
-            # distances has one order; only tied rows need the id key
-            order = np.argsort(dd, axis=1, kind="stable")
-            # flat positions, so that np.take gathers the sorted rows
-            base = np.arange(0, order.size, k + 1)
-            order += base[:, None]
-            sd = dd.take(order)
-            tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
-            order[tied] = np.lexsort((c[tied], dd[tied]), axis=1) + base[tied, None]
-            order = order[:, 1:]
-            ids[r] = c.take(order)
-            dists[r] = dd.take(order)
-        for i in np.flatnonzero(~complete):
-            ids[i], dists[i] = self.knn(int(i), k)
+        complete = np.ones(n, dtype=bool)
+        rows, w = np.arange(n), k
+        while rows.size:
+            left = []
+            for piece in row_chunks(rows.size, w + 2):
+                r = rows[piece]
+                cand, closed = source(r, w, k)
+                closed &= (cand == r[:, None]).any(axis=1)
+                left.append(r[~closed])
+                r, cand = r[closed], cand[closed]  # a mask copies only these rows
+                for sl in row_chunks(r.size, (w + 1) * d):
+                    at, c = r[sl], cand[sl]
+                    dd = _row_distances(points, at, c)
+                    dd[c == at[:, None]] = -1.0  # the point itself sorts first
+                    # candidates arrive nearly sorted, and a row without two equal
+                    # distances has one order; only tied rows need the id key
+                    order = np.argsort(dd, axis=1, kind="stable")
+                    # flat positions, so that np.take gathers the sorted rows
+                    base = np.arange(0, order.size, w + 1)
+                    order += base[:, None]
+                    sd = dd.take(order)
+                    tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
+                    order[tied] = np.lexsort((c[tied], dd[tied]), axis=1) + base[tied, None]
+                    order = order[:, 1 : k + 1]
+                    ids[at] = c.take(order)
+                    dists[at] = dd.take(order)
+            rows = np.concatenate(left)
+            complete[rows] = False  # a later pass asks again only for such rows
+            w = min(w + max(8, w - k), n - 1)
         for arr in (ids, dists, complete):
             arr.setflags(write=False)
         self._table = (k, ids, dists, complete)
         return ids, dists
 
-    def _tree_table_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cand, complete): the k+1 nearest points of each point by one
-        batched tree query, and whether its (k+2)-th lies outside the
-        margin knn uses around the (k+1)-th tree distance."""
-        n = self.n
-        qd, qi = self._tree.query(self.ps.points, k=min(k + 2, n))
-        if qd.shape[1] > k + 1:
-            complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
-        else:
-            complete = np.ones(n, dtype=bool)  # every point is a candidate
-        return qi[:, : k + 1], complete
+    def _tree_table_candidates(self, rows: np.ndarray, w: int, k: int):
+        """(cand, closed): the w+1 nearest points of each of rows by one
+        batched tree query, and whether some tree distance past the
+        (k+1)-th lies outside the margin knn uses around the one before it."""
+        qd, qi = self._tree.query(self.ps.points[rows], k=min(w + 2, self.n))
+        if qd.shape[1] == w + 1:
+            return qi, np.ones(rows.size, dtype=bool)  # every point is a candidate
+        closed = (qd[:, k + 1 :] > qd[:, k:-1] * (1.0 + 1e-9) + 1e-300).any(axis=1)
+        return qi[:, : w + 1], closed
 
-    def _dense_table_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cand, complete): the k+1 smallest g = |x|^2 + |y|^2 - 2 x.y of
-        each point x by the dense screen's block product and argpartition,
-        and whether the (k+2)-th smallest g exceeds the (k+1)-th by more
-        than twice the screen's band.
+    def _dense_table_candidates(self, rows: np.ndarray, w: int, k: int):
+        """(cand, closed): the w+1 smallest g = |x|^2 + |y|^2 - 2 x.y of each
+        point x of rows by the dense screen's block product and argpartition,
+        and whether some g past the (k+1)-th smallest exceeds the one before
+        it by more than twice the screen's band.
 
         With the bound of _screen_candidates, g is within
-        (2d + 9)u(|x|^2 + |y|^2 + D2) of the formula's squared distance
-        D2, and |y|^2 <= 2|x|^2 + 2 D2, so within 3(2d + 9)u(|x|^2 + D2).
-        Let g1 <= g2 be the (k+1)-th and (k+2)-th smallest g. A row with
-        g2 - g1 > 2 band, band = C (d + 2) eps (|x|^2 + |g2|) plus the
-        floor, then puts every point outside the candidates farther than
-        every candidate by a margin of several u D2, which the square root
-        of the distance formula cannot close: the candidates are exactly
-        the k+1 nearest points by the formula, with no tie to break
-        against a point outside them. A row whose g values overflowed
-        (-inf among the candidates, or +inf at g2) is never complete.
+        (2d + 9)u(|x|^2 + |y|^2 + D2) of the formula's squared distance D2,
+        and |y|^2 <= 2|x|^2 + 2 D2, so within 3(2d + 9)u(|x|^2 + D2). Let
+        g1 <= g2 be the j-th and (j+1)-th smallest g, j > k. A row with
+        g2 - g1 > 2 band, band = C (d + 2) eps (|x|^2 + |g2|) plus the floor,
+        puts every point outside its first j candidates farther than each of
+        them by a margin of several u D2, which the square root of the
+        distance formula cannot close: the k+1 nearest points by the formula
+        are among them, with no tie to break against a point outside. A row
+        whose g values overflowed (-inf among them, or +inf at g2) never closes.
         """
-        n = self.n
         x, sq, slack, floor = self._shifted()
-        m = min(k + 2, n)
-        cand = np.empty((n, k + 1), dtype=np.int64)
-        complete = np.ones(n, dtype=bool)  # with m = k+1 every point is a candidate
-        for sl in row_chunks(n, n):
+        m = min(w + 2, self.n)
+        cand = np.empty((rows.size, w + 1), dtype=np.int64)
+        closed = np.ones(rows.size, dtype=bool)  # with m = w+1 every point is a candidate
+        for sl in row_chunks(rows.size, self.n):
+            r = rows[sl]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = x[sl] @ x.T
+                g = np.take(x, r, axis=0) @ x.T
                 g *= -2.0
                 g += sq
                 part = np.argpartition(g, m - 1, axis=1)[:, :m]
                 gp = np.take_along_axis(g, part, axis=1)
                 order = np.argsort(gp, axis=1)
                 part = np.take_along_axis(part, order, axis=1)
-                gp = np.take_along_axis(gp, order, axis=1) + sq[sl, None]
-                cand[sl] = part[:, : k + 1]
-                if m > k + 1:
-                    band = slack * (sq[sl] + np.abs(gp[:, k + 1])) + floor
-                    complete[sl] = (gp[:, k + 1] - gp[:, k] > 2.0 * band) & (
-                        gp[:, 0] > -np.inf
-                    )
-        return cand, complete
+                gp = np.take_along_axis(gp, order, axis=1) + sq[r, None]
+                cand[sl] = part[:, : w + 1]
+                if m > w + 1:
+                    band = slack * (sq[r, None] + np.abs(gp[:, k + 1 :])) + floor
+                    gaps = gp[:, k + 1 :] - gp[:, k:-1] > 2.0 * band
+                    closed[sl] = gaps.any(axis=1) & (gp[:, 0] > -np.inf)
+        return cand, closed
 
     @property
     def last_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

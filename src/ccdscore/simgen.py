@@ -61,10 +61,11 @@ class SimConfig:
     collective_group: int = 0
 
     def __post_init__(self):
-        for name in ("d", "n", "seed", "n_clusters", "collective_group"):
+        for name in ("d", "n", "n_clusters", "collective_group"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
@@ -110,6 +111,15 @@ class SimConfig:
             return SimConfig(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise ConfigError unless seed is a non-negative integer, the kind of
+    entropy numpy's SeedSequence takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -402,6 +412,7 @@ _FIX_SINGLES = {
 
 
 def masking_fixture(seed: int = 0) -> MaskingFixture:
+    check_seed(seed)
     rng = _rng(seed, _S_FIXTURE)
     c1 = np.asarray(_FIX_C1_CENTER) + _uniform_ball(
         rng, _FIX_C1_N, 2, _FIX_C1_RADIUS

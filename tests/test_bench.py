@@ -190,14 +190,25 @@ def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
     for name in ("_tree_table_candidates", "_dense_table_candidates"):
         real = getattr(dataset.NeighborIndex, name)
 
-        def counted(self, k, real=real, name=name):
-            calls.append((name, k))
-            return real(self, k)
+        def counted(self, rows, w, k, real=real, name=name):
+            calls.append((name, w))
+            return real(self, rows, w, k)
 
         monkeypatch.setattr(dataset.NeighborIndex, name, counted)
     rows = run_monte_carlo([cfg], list(ALL_METHODS), replicates=2, master_seed=8)
     assert not any(r.error for r in rows)
     assert calls == [(source, 30), (source, 30)]
+
+
+@pytest.mark.parametrize("master_seed", [-1, -(2**40), True, 1.5, 2.0, "3", None])
+def test_monte_carlo_rejects_a_bad_master_seed_before_any_cell(master_seed, monkeypatch):
+    # numpy's SeedSequence would raise a ValueError inside every cell
+    def no_cell(task):
+        raise AssertionError("a cell ran before the arguments were checked")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    with pytest.raises(ConfigError, match="master_seed must be"):
+        run_monte_carlo([CFG_A], ["odin"], replicates=1, master_seed=master_seed)
 
 
 def test_monte_carlo_validation(monkeypatch):

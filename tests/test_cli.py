@@ -317,7 +317,7 @@ def test_bench_grid_with_non_integer_dimension_or_size_exits_2(tmp_path, capsys)
 
 @pytest.mark.parametrize("grid_s_min, argv", [
     (float("nan"), []), (None, ["--s-min", "nan"]), (None, ["--s-min", "1.5"]),
-    (None, ["--workers", "0"]), (None, ["--workers", "-3"])])
+    (None, ["--workers", "0"]), (None, ["--workers", "-3"]), (True, []), ("0.04", [])])
 def test_bench_bad_s_min_or_workers_exits_2_without_outputs(tmp_path, capsys,
                                                            grid_s_min, argv):
     doc = {"configs": [{"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}],
@@ -330,6 +330,20 @@ def test_bench_bad_s_min_or_workers_exits_2_without_outputs(tmp_path, capsys,
     assert rc == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--regime", "uniform", "--d", "2", "--n", "60", "--seed", "-3"],
+    ["fixture", "--seed", "-1"],
+    ["bench", "--grid", "GRID", "--methods", "odin", "--seed", "-1"]])
+def test_negative_seed_exits_2_without_outputs(argv, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60, "outlier_fraction": 0.05}], 1)
+    rc = run([grid if a == "GRID" else a for a in argv] + ["--out", tmp_path / "x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "seed must be >= 0" in err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_bench_zero_replicates_exits_2(tmp_path, capsys):

@@ -24,12 +24,15 @@ from ccdscore.scores import (
 
 from _oracles import (
     brute_covers,
+    brute_knn,
+    first_pass_complete,
     gather_cluster_of,
     keysort_csr,
     keysort_digraph,
     loop_break_ties,
     loop_cumulative_influence,
     loop_ios_raw,
+    loop_knn_table,
     loop_nearest,
     loop_oos,
     loop_positive_floor,
@@ -229,6 +232,64 @@ def graph_case(case, dense, make):
         except CcdScoreError:
             return None
     return ps, idx, radii * shrink
+
+
+def no_per_point_knn(self, i, k):
+    raise AssertionError("knn_table asked the per-point knn")
+
+
+def batched_table(points, k, dense):
+    """(idx, ids, dists): knn_table(k) built by the chosen source while the
+    per-point knn raises; its complete rows must be those the first pass
+    at k+2 candidates proves."""
+    idx = build_index(PointSet(points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        mp.setattr(dataset.NeighborIndex, "knn", no_per_point_knn)
+        ids, dists = idx.knn_table(k)
+    assert np.array_equal(idx.last_table[2], first_pass_complete(idx, k, dense))
+    return idx, ids, dists
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans())
+def test_every_table_row_comes_from_the_batched_source(case, dense):
+    # lattice ties and rows copied more than k + 1 times leave rows open
+    # after the first pass; they go back to the same source, never to knn
+    points, k, _ = case
+    _, ids, dists = batched_table(points, k, dense)
+    for i in range(len(points)):
+        want_ids, want_dists = brute_knn(points, i, k)
+        assert np.array_equal(ids[i], want_ids), i
+        assert np.array_equal(dists[i], want_dists), i
+
+
+def lattice_40():
+    xs, ys = np.meshgrid(np.arange(40.0), np.arange(40.0))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def fourfold_cloud():
+    # every point 4 times: at k = 89 the (k+1)-th and (k+2)-th candidates
+    # of every row fall in one group of equal copies
+    return np.repeat(np.random.default_rng(3).random((100, 5)), 4, axis=0)
+
+
+def overflow_line():
+    # -2 x.y reads -inf for the row at 9.5e153 against itself and 1.05e154
+    return np.array([[0.0], [9.45e153], [9.5e153], [1.05e154]])
+
+
+@pytest.mark.parametrize("points, k, dense", [
+    (lattice_40, 40, False), (lattice_40, 40, True), (fourfold_cloud, 89, False),
+    (fourfold_cloud, 89, True), (overflow_line, 1, True), (overflow_line, 2, True)])
+def test_tie_heavy_tables_reask_open_rows_and_equal_the_per_point_reference(
+        points, k, dense):
+    idx, ids, dists = batched_table(points(), k, dense)
+    assert not idx.last_table[2].all()
+    want_ids, want_dists = loop_knn_table(build_index(PointSet(points())), k)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(dists, want_dists)
 
 
 def gathered_rows(mp):

@@ -145,7 +145,8 @@ def assert_table_matches_knn(idx, k):
 
 
 def test_table_on_integer_grid_ties():
-    # exact ties at the k-th distance everywhere: rows must fall back
+    # exact ties at the k-th distance everywhere: rows stay open after the
+    # first pass
     idx = build_index(PointSet(grid_points()))
     for k in (1, 4, 8, 12):
         assert_table_matches_knn(idx, k)
@@ -263,8 +264,8 @@ def assert_same_digraph(a, b):
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("points", [grid_points, duplicate_points, random_points])
 def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
-    # grid ties and more than k+1 copies send rows to the per-point knn at
-    # some widths and not at others; the prefix must not tell
+    # grid ties and more than k+1 copies leave rows open after the first
+    # pass at some widths and not at others; the prefix must not tell
     monkeypatch.setattr(dataset, "_dense_table", lambda d: dense)
     ps = PointSet(points())
     wide = build_index(ps)
@@ -411,8 +412,8 @@ def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
 def test_dense_table_where_the_product_overflows(monkeypatch):
     # on a line, -2 x.y reads -inf for the row at 9.5e153 against itself
     # and against 1.05e154, but not against its nearest point 9.45e153:
-    # the -inf sorts the farther point first, so the row must go to the
-    # per-point knn rather than count as complete
+    # the -inf sorts the farther point first, so the row must stay open for
+    # a wider pass rather than count as complete
     monkeypatch.setattr(dataset, "_dense_table", lambda d: True)
     pts = np.array([[0.0], [9.45e153], [9.5e153], [1.05e154]])
     with np.errstate(over="ignore"):

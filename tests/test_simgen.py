@@ -66,6 +66,21 @@ def test_config_rejects_non_integer_counts(field, value):
     assert SimConfig(**{**raw, field: np.int64(2)}).to_dict()[field] == 2
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**63), np.int64(-3)])
+def test_negative_seeds_raise_config_error(seed):
+    # numpy's SeedSequence takes only non-negative entropy
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SimConfig(regime="uniform", d=2, n=60, seed=seed)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        masking_fixture(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "1", None])
+def test_fixture_rejects_a_non_integer_seed(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        masking_fixture(seed=seed)
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"regime": "uniform", "d": 2, "n": 50, "sigma": 1.0})
