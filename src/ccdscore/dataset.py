@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -324,14 +325,17 @@ class NeighborIndex:
     """Neighbor queries over a PointSet with deterministic tie handling.
 
     A k-d tree only gathers candidates; every distance an answer reports
-    or decides on comes from the package's one formula. The index keeps
-    the widest table knn_table built, so radii, the digraph and the
-    baselines share one query, and a narrower k reads a prefix of it.
+    or decides on comes from the package's one formula. last_table holds
+    (ids, dists) of the one table knn_table keeps, min(k + 1, n - 1) wide
+    for the widest k asked for, so radii, the digraph and the baselines
+    share one query. Its row i is ordered by (distance, id), so no point outside it
+    lies closer than dists[i, -1], and any ball around i of a smaller
+    radius holds exactly a prefix of the row.
     """
 
     ps: PointSet
     _tree: cKDTree = field(init=False, repr=False)
-    _table: tuple | None = field(default=None, init=False, repr=False)
+    last_table: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ptp = np.ptp(self.ps.points, axis=0)
@@ -385,43 +389,37 @@ class NeighborIndex:
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of every point's k nearest neighbors, (n, k) each.
 
-        Row i equals knn(i, k) to the last bit. A batched source, the k-d tree
+        Row i equals knn(i, k) to the last bit. The index keeps one table of
+        width K = min(k + 1, n - 1) and serves any k < K, or any k once
+        K = n - 1, as read-only views of its first k columns, since the first
+        k entries of a row ordered by (distance, id) are knn(i, k); a wider k
+        builds a new table and replaces it. A batched source, the k-d tree
         below a measured dimension and the dense screen above it (see
-        _dense_table), fetches w + 1 candidates per open row, in pieces of about
-        GATHER_CHUNK. A row closes when it holds the point itself and a gap, at
-        or past candidate k, too wide for a point outside to tie with one
-        inside; it is then sorted by the distance formula, and by id where two
-        distances are equal. The first pass asks for every row at w = k. Ties
-        and more than k+1 exact duplicates leave rows open for a wider w, until
-        w = n - 1 makes every point a candidate.
-
-        The result is read-only. The index keeps only its widest table: a k
-        at most its width gets read-only views of the first k columns (the
-        arrays themselves at the full width), since the first k entries of
-        a row ordered by (distance, id) are knn(i, k); a wider k builds a
-        new table and replaces it. last_table exposes the kept table
-        together with the rows the first pass closed.
+        _dense_table), fetches w + 1 candidates per open row, in pieces of
+        about GATHER_CHUNK. A row closes when it holds the point itself and a
+        gap, at or past candidate K, too wide for a point outside to tie with
+        one inside; it is then sorted by the distance formula, and by id where
+        two distances are equal. The first pass asks for every row at w = K.
+        Ties and more than K+1 exact duplicates leave rows open for a wider w,
+        until w = n - 1 makes every point a candidate.
         """
-        n = self.n
+        n, points, d = self.n, self.ps.points, self.ps.d
         if not 1 <= k <= n - 1:
             raise BadKError(f"k={k} must be in [1, {n - 1}]")
-        if self._table is not None and k <= self._table[0]:
-            width, ids, dists, _ = self._table
-            if k == width:
-                return ids, dists
+        width = 0 if self.last_table is None else self.last_table[0].shape[1]
+        if k < width or width == n - 1:
+            ids, dists = self.last_table
             return ids[:, :k], dists[:, :k]
-        points, d = self.ps.points, self.ps.d
-        dense = _dense_table(d)
-        source = self._dense_table_candidates if dense else self._tree_table_candidates
-        ids = np.empty((n, k), dtype=np.int64)
-        dists = np.empty((n, k), dtype=np.float64)
-        complete = np.ones(n, dtype=bool)
-        rows, w = np.arange(n), k
+        width = min(k + 1, n - 1)
+        source = self._dense_table_candidates if _dense_table(d) else self._tree_table_candidates
+        ids = np.empty((n, width), dtype=np.int64)
+        dists = np.empty((n, width), dtype=np.float64)
+        rows, w = np.arange(n), width
         while rows.size:
             left = []
             for piece in row_chunks(rows.size, w + 2):
                 r = rows[piece]
-                cand, closed = source(r, w, k)
+                cand, closed = source(r, w, width)
                 closed &= (cand == r[:, None]).any(axis=1)
                 left.append(r[~closed])
                 r, cand = r[closed], cand[closed]  # a mask copies only these rows
@@ -438,16 +436,15 @@ class NeighborIndex:
                     sd = dd.take(order)
                     tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
                     order[tied] = np.lexsort((c[tied], dd[tied]), axis=1) + base[tied, None]
-                    order = order[:, 1 : k + 1]
+                    order = order[:, 1 : width + 1]
                     ids[at] = c.take(order)
                     dists[at] = dd.take(order)
             rows = np.concatenate(left)
-            complete[rows] = False  # a later pass asks again only for such rows
-            w = min(w + max(8, w - k), n - 1)
-        for arr in (ids, dists, complete):
-            arr.setflags(write=False)
-        self._table = (k, ids, dists, complete)
-        return ids, dists
+            w = min(w + max(8, w - width), n - 1)
+        ids.setflags(write=False)
+        dists.setflags(write=False)
+        self.last_table = (ids, dists)
+        return ids[:, :k], dists[:, :k]
 
     def _tree_table_candidates(self, rows: np.ndarray, w: int, k: int):
         """(cand, closed): the w+1 nearest points of each of rows by one
@@ -476,7 +473,7 @@ class NeighborIndex:
         are among them, with no tie to break against a point outside. A row
         whose g values overflowed (-inf among them, or +inf at g2) never closes.
         """
-        x, sq, slack, floor = self._shifted()
+        x, sq, slack, floor = self._shifted
         m = min(w + 2, self.n)
         cand = np.empty((rows.size, w + 1), dtype=np.int64)
         closed = np.ones(rows.size, dtype=bool)  # with m = w+1 every point is a candidate
@@ -497,16 +494,6 @@ class NeighborIndex:
                     gaps = gp[:, k + 1 :] - gp[:, k:-1] > 2.0 * band
                     closed[sl] = gaps.any(axis=1) & (gp[:, 0] > -np.inf)
         return cand, closed
-
-    @property
-    def last_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(ids, dists, complete) of the widest knn_table built, or None.
-
-        complete[i] is True when no point outside row i lies within
-        dists[i, -1], so any ball around i of at most that radius holds
-        exactly a prefix of the row.
-        """
-        return None if self._table is None else self._table[1:]
 
     def range_query(self, center, r: float) -> np.ndarray:
         """Sorted ids of all points within the closed ball B(center, r).
@@ -536,18 +523,20 @@ class NeighborIndex:
         counts[q] the number of targets of sources[q], and targets their
         int32 ids laid end to end, ascending within each source. Each center
         is left out, so a source's targets equal range_query(rows[a],
-        radii[a]) without rows[a]. Where the kept table's row i is complete
-        and radii[a] does not pass its last distance, the ball is a prefix
-        of that row. The other balls take their candidates per block of
-        rows from a dense screen. A candidate the screen proves a member is
-        taken as it is; only the others, in the screen's rounding band, are
-        rechecked with the package's distance formula.
+        radii[a]) without rows[a]. Where radii[a] is below the last distance
+        of the kept table's row i, or that table holds all n - 1 neighbors,
+        the ball is a prefix of that row. The other balls,
+        which may hold a point outside the row tied with its last distance,
+        take their candidates per block of rows from a dense screen. A
+        candidate the screen proves a member is taken as it is; only the
+        others, in the screen's rounding band, are rechecked with the
+        package's distance formula.
         """
         points = self.ps.points
         screen = np.ones(rows.size, dtype=bool)
-        if self._table is not None:
-            _, ids, dists, complete = self._table
-            screen = ~complete[rows] | (radii > dists[rows, -1])
+        if self.last_table is not None:
+            ids, dists = self.last_table
+            screen = (radii >= dists[rows, -1]) & (ids.shape[1] < self.n - 1)
             prefix = np.flatnonzero(~screen)
             for sl in row_chunks(prefix.size, ids.shape[1]):
                 a = prefix[sl]
@@ -575,8 +564,8 @@ class NeighborIndex:
         going to the smallest id; -1 and inf where there is no such point.
 
         Where the kept table's row i holds such a j, the first one is the
-        answer, complete row or not: every row is knn(i, k), ordered by
-        (distance, id), so no point outside it comes before its first hit.
+        answer: every row is ordered by (distance, id), so no point outside
+        it comes before its first hit.
         The other rows gather their distances to every point of among. Both
         paths compute distances by _row_distances, so an answer does not
         depend on which one gave it.
@@ -586,8 +575,8 @@ class NeighborIndex:
         if not among.any():
             return ids, dists
         gather = np.arange(rows.size)
-        if self._table is not None:
-            _, t_ids, t_dists, _ = self._table
+        if self.last_table is not None:
+            t_ids, t_dists = self.last_table
             row_ids = t_ids[rows]
             hit = among[row_ids] & (t_dists[rows] > 0 if positive else True)
             ok = hit.any(axis=1)
@@ -608,6 +597,7 @@ class NeighborIndex:
             dists[gather[sl]] = near
         return ids, dists
 
+    @cached_property
     def _shifted(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(x, sq, slack, floor): the points shifted by their column minima,
         their squared norms clipped to the largest float, and the relative
@@ -662,7 +652,7 @@ class NeighborIndex:
         written into g: where r^2 overflows, the limit is +inf and would
         pass any such value.
         """
-        x, sq, slack, floor = self._shifted()
+        x, sq, slack, floor = self._shifted
         with np.errstate(over="ignore", invalid="ignore"):
             sq_lo = (1.0 - slack) * sq
             sq_hi = (1.0 + slack) * sq

@@ -336,14 +336,12 @@ def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
     return int(label.max()) + 1, label
 
 
-def cluster_digraph(
-    dg: CatchDigraph, idx: NeighborIndex, attach_factor: float = ATTACH_FACTOR
-) -> Clustering:
+def cluster_digraph(dg: CatchDigraph, idx: NeighborIndex) -> Clustering:
     """Connected components of the mutual-coverage graph of dg over idx.ps.
 
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
-    attach_factor times their own radius (NeighborIndex.nearest, ties going
+    ATTACH_FACTOR times their own radius (NeighborIndex.nearest, ties going
     to the smallest id); otherwise they stay singletons.
     """
     n_comp, comp = _mutual_components(dg)
@@ -353,7 +351,7 @@ def cluster_digraph(
     anchored = comp_sizes[comp] >= 2
     isolated = np.flatnonzero(~anchored)
     nearest, near = idx.nearest(isolated, anchored)
-    attached = (nearest >= 0) & (near <= attach_factor * dg.radii[isolated])
+    attached = (nearest >= 0) & (near <= ATTACH_FACTOR * dg.radii[isolated])
     labels[isolated[attached]] = comp[nearest[attached]]
     alone = isolated[~attached]
     labels[alone] = n_comp + np.arange(alone.size)

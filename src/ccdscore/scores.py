@@ -630,7 +630,6 @@ def score_point_set(
     ps: PointSet,
     strategy: RadiusStrategy | None = None,
     *,
-    attach_factor: float = ATTACH_FACTOR,
     cluster_shape: str = "uniform",
     threshold: float | None = None,
     s_min: float = 0.0,
@@ -655,7 +654,7 @@ def score_point_set(
     strategy = strategy or fixed_k()
     radii = estimate_radii(idx, strategy)
     dg = build_catch_digraph(idx, radii)
-    cl = cluster_digraph(dg, idx, attach_factor=attach_factor)
+    cl = cluster_digraph(dg, idx)
     rho = vicinity_density(dg)
     oos_scores = oos(dg, rho)
     ios_scores = ios_raw(dg, cl, rho)
@@ -684,7 +683,7 @@ def score_point_set(
             "k": strategy.k,
             "density_mode": RATIO_ROOT,
             "cluster_shape": cluster_shape,
-            "attach_factor": attach_factor,
+            "attach_factor": ATTACH_FACTOR,
         },
         digraph=dg,
         clustering=cl,

@@ -44,7 +44,8 @@ class SimConfig:
 
     n is the total point budget; the planted outliers (round(
     outlier_fraction * n), plus collective_group members when set) come
-    out of it, the rest are inliers.
+    out of it, the rest are inliers. parent_intensity is at most max(n, 5),
+    since the parent array and loop grow with its Poisson draw.
     """
 
     regime: str
@@ -66,6 +67,15 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         check_seed(self.seed)
+        for name in ("parent_intensity", "cluster_radius", "gaussian_scale",
+                     "correlation", "outlier_fraction", "outlier_min_separation"):
+            value = getattr(self, name)  # NaN passes the range tests below
+            try:
+                ok = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
@@ -76,8 +86,9 @@ class SimConfig:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be >= 1")
-        if self.parent_intensity <= 0:
-            raise ConfigError("parent_intensity must be positive")
+        if not 0 < self.parent_intensity <= max(self.n, 5):  # 5, the default, fits any n
+            raise ConfigError("parent_intensity must be in (0, max(n, 5)], got "
+                              f"{self.parent_intensity}")
         if self.cluster_radius <= 0 or self.gaussian_scale <= 0:
             raise ConfigError("cluster extents must be positive")
         if not 0 <= self.correlation < 1:

@@ -7,10 +7,8 @@ loops for the package's batched neighbor-table code, the per-cluster
 loops for its group reductions, the per-row report writers, and the bench
 result tables with every column listed by hand; keysort_csr and
 gather_cluster_of are the sorting and gathering forms of its graph layer,
-keysort_digraph builds a digraph from a list of edges,
-loop_inject_outliers places outliers one candidate at a time, and
-first_pass_complete marks the neighbor-table rows one query of k+2
-candidates proves.
+keysort_digraph builds a digraph from a list of edges, and
+loop_inject_outliers places outliers one candidate at a time.
 """
 
 import csv
@@ -170,36 +168,6 @@ def loop_knn_table(idx, k):
     for i in range(n):
         ids[i], dists[i] = idx.knn(i, k)
     return ids, dists
-
-
-def first_pass_complete(idx, k, dense):
-    """The rows knn_table(k) marks complete: those one query of k+2
-    candidates per point proves, the point itself among its first k+1.
-    The tree's (k+2)-th distance must lie outside knn's margin around the
-    (k+1)-th; the dense screen's (k+2)-th g must exceed the (k+1)-th by
-    more than twice its band, with no g at -inf. Both over every row at
-    once, with g sorted in full rather than partitioned."""
-    n = idx.n
-    rows = np.arange(n)
-    m = min(k + 2, n)
-    if dense:
-        x, sq, slack, floor = idx._shifted()
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.take(x, rows, axis=0) @ x.T
-            g *= -2.0
-            g += sq
-            near = np.argsort(g, axis=1, kind="stable")[:, :m]
-            gs = np.take_along_axis(g, near, axis=1) + sq[:, None]
-            complete = np.ones(n, dtype=bool)
-            if m > k + 1:
-                band = slack * (sq + np.abs(gs[:, k + 1])) + floor
-                complete = (gs[:, k + 1] - gs[:, k] > 2.0 * band) & (gs[:, 0] > -np.inf)
-    else:
-        qd, near = idx._tree.query(idx.ps.points, k=m)
-        complete = np.ones(n, dtype=bool)
-        if m > k + 1:
-            complete = qd[:, k + 1] > qd[:, k] * (1.0 + 1e-9) + 1e-300
-    return complete & (near[:, : k + 1] == rows[:, None]).any(axis=1)
 
 
 def loop_positive_floor(points, radii):

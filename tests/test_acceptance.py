@@ -20,6 +20,7 @@ from ccdscore.bench import (
 )
 from ccdscore.cli import main
 from ccdscore.dataset import PointSet, build_index, madn
+from ccdscore import graph
 from ccdscore.graph import fixed_k, un_approx
 from ccdscore.scores import (
     break_ties,
@@ -73,7 +74,9 @@ def test_criterion_02_invariance_suite():
         k = int(rng.integers(2, 6))
         base = score_point_set(ps, fixed_k(k=k))
 
-        detached = score_point_set(ps, fixed_k(k=k), attach_factor=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "ATTACH_FACTOR", 0.0)
+            detached = score_point_set(ps, fixed_k(k=k))
         if not np.array_equal(base.oos, detached.oos):
             violations["cluster"] += 1
 

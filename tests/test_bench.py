@@ -184,8 +184,8 @@ def test_evaluate_method_rejects_an_index_over_other_points(method):
     (CFG_DENSE, "_dense_table_candidates"),
 ])
 def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
-    # LOF's k_max = 30 is the widest; the radii and ODIN, at k about
-    # round(sqrt(n)), read prefixes of it
+    # LOF's k_max = 30 is the widest, so the kept table is 31 wide; the
+    # radii and ODIN, at k about round(sqrt(n)), read prefixes of it
     calls = []
     for name in ("_tree_table_candidates", "_dense_table_candidates"):
         real = getattr(dataset.NeighborIndex, name)
@@ -197,7 +197,7 @@ def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
         monkeypatch.setattr(dataset.NeighborIndex, name, counted)
     rows = run_monte_carlo([cfg], list(ALL_METHODS), replicates=2, master_seed=8)
     assert not any(r.error for r in rows)
-    assert calls == [(source, 30), (source, 30)]
+    assert calls == [(source, 31), (source, 31)]
 
 
 @pytest.mark.parametrize("master_seed", [-1, -(2**40), True, 1.5, 2.0, "3", None])

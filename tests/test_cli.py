@@ -346,6 +346,39 @@ def test_negative_seed_exits_2_without_outputs(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("x*"))
 
 
+HOSTILE_SIM_FLOATS = [("parent_intensity", "inf"), ("parent_intensity", "nan"),
+                      ("parent_intensity", "1e19"), ("gaussian_scale", "nan"),
+                      ("gaussian_scale", "inf"), ("cluster_radius", "nan"),
+                      ("outlier_min_separation", "nan"), ("outlier_min_separation", "inf")]
+
+
+@pytest.mark.parametrize("field, value", HOSTILE_SIM_FLOATS)
+def test_gen_non_finite_or_huge_float_exits_2_without_outputs(field, value, tmp_path,
+                                                              capsys):
+    option = "--min-separation" if field == "outlier_min_separation" else (
+        "--" + field.replace("_", "-"))
+    rc = run(["gen", "--regime", "mixed", "--d", "2", "--n", "60", "--outlier-fraction",
+              "0.05", option, value, "--out", tmp_path / "x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError: {field} must be" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("field, value", HOSTILE_SIM_FLOATS)
+def test_bench_grid_with_non_finite_or_huge_float_exits_2_without_outputs(
+        field, value, tmp_path, capsys):
+    # json writes and reads NaN and Infinity as floats
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "mixed", "d": 2, "n": 60, "outlier_fraction": 0.05,
+                       field: float(value)}], 1)
+    rc = run(["bench", "--grid", grid, "--methods", "odin", "--out", tmp_path / "r"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError: {field} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_zero_replicates_exits_2(tmp_path, capsys):
     # 0 is a count, not a missing option: it must not fall back to the grid's 2
     grid = tmp_path / "grid.json"

@@ -25,7 +25,7 @@ from ccdscore.scores import (
 from _oracles import (
     brute_covers,
     brute_knn,
-    first_pass_complete,
+    dist,
     gather_cluster_of,
     keysort_csr,
     keysort_digraph,
@@ -239,29 +239,49 @@ def no_per_point_knn(self, i, k):
 
 
 def batched_table(points, k, dense):
-    """(idx, ids, dists): knn_table(k) built by the chosen source while the
-    per-point knn raises; its complete rows must be those the first pass
-    at k+2 candidates proves."""
+    """(idx, ids, dists, widths): knn_table(k) built by the chosen source
+    while the per-point knn raises, and the width w of each source call."""
     idx = build_index(PointSet(points))
+    widths = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_dense_table", lambda d: dense)
         mp.setattr(dataset.NeighborIndex, "knn", no_per_point_knn)
+        for name in ("_tree_table_candidates", "_dense_table_candidates"):
+            real = getattr(dataset.NeighborIndex, name)
+
+            def recording(self, rows, w, k, real=real):
+                widths.append(w)
+                return real(self, rows, w, k)
+
+            mp.setattr(dataset.NeighborIndex, name, recording)
         ids, dists = idx.knn_table(k)
-    assert np.array_equal(idx.last_table[2], first_pass_complete(idx, k, dense))
-    return idx, ids, dists
+    assert widths[0] == idx.last_table[0].shape[1] == min(k + 1, idx.n - 1)
+    return idx, ids, dists, widths
 
 
 @SETTINGS
 @given(graph_sets(), st.booleans())
 def test_every_table_row_comes_from_the_batched_source(case, dense):
-    # lattice ties and rows copied more than k + 1 times leave rows open
+    # lattice ties and rows copied more than k + 2 times leave rows open
     # after the first pass; they go back to the same source, never to knn
     points, k, _ = case
-    _, ids, dists = batched_table(points, k, dense)
+    _, ids, dists, _ = batched_table(points, k, dense)
     for i in range(len(points)):
         want_ids, want_dists = brute_knn(points, i, k)
         assert np.array_equal(ids[i], want_ids), i
         assert np.array_equal(dists[i], want_dists), i
+
+
+@SETTINGS
+@given(graph_sets(), st.booleans())
+def test_no_point_outside_a_kept_row_lies_closer_than_its_last_distance(case, dense):
+    # the invariant that lets balls read any smaller ball off a kept row
+    points, k, _ = case
+    idx, _, _, _ = batched_table(points, k, dense)
+    ids, dists = idx.last_table
+    for i in range(len(points)):
+        outside = set(range(len(points))) - set(ids[i].tolist()) - {i}
+        assert all(dist(points[j], points[i]) >= dists[i, -1] for j in outside), i
 
 
 def lattice_40():
@@ -270,14 +290,16 @@ def lattice_40():
 
 
 def fourfold_cloud():
-    # every point 4 times: at k = 89 the (k+1)-th and (k+2)-th candidates
-    # of every row fall in one group of equal copies
+    # every point 4 times: at k = 89 the (k+2)-th and (k+3)-th candidates,
+    # the first pass's gap at the kept width k + 1, of every row fall in
+    # one group of equal copies
     return np.repeat(np.random.default_rng(3).random((100, 5)), 4, axis=0)
 
 
 def overflow_line():
-    # -2 x.y reads -inf for the row at 9.5e153 against itself and 1.05e154
-    return np.array([[0.0], [9.45e153], [9.5e153], [1.05e154]])
+    # -2 x.y reads -inf for the row at 9.5e153 against itself and the two
+    # farther points, so that row stays open at k = 1 and 2
+    return np.array([[0.0], [9.45e153], [9.5e153], [1.05e154], [1.1e154]])
 
 
 @pytest.mark.parametrize("points, k, dense", [
@@ -285,8 +307,8 @@ def overflow_line():
     (fourfold_cloud, 89, True), (overflow_line, 1, True), (overflow_line, 2, True)])
 def test_tie_heavy_tables_reask_open_rows_and_equal_the_per_point_reference(
         points, k, dense):
-    idx, ids, dists = batched_table(points(), k, dense)
-    assert not idx.last_table[2].all()
+    _, ids, dists, widths = batched_table(points(), k, dense)
+    assert max(widths) > widths[0]  # a wider pass ran
     want_ids, want_dists = loop_knn_table(build_index(PointSet(points())), k)
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(dists, want_dists)
@@ -351,11 +373,13 @@ def test_balls_answer_prefix_rows_from_the_table_in_any_row_order(case, dense, m
                 got[i] = row.tolist()
     want = brute_covers(ps.points, radii)
     assert got == {i: want[i] for i in rows.tolist()}
-    # only the rows whose ball is not a prefix of a complete table row
-    # reach the dense screen
-    _, dists, complete = idx.last_table
-    prefix = complete[rows] & (radii[rows] <= dists[rows, -1])
-    assert screened == rows[~prefix].tolist()
+    # only the rows whose radius reaches the last distance of their kept
+    # row reach the dense screen, and none once the table holds all n - 1
+    _, dists = idx.last_table
+    screen = radii[rows] >= dists[rows, -1]
+    if dists.shape[1] == ps.n - 1:
+        screen[:] = False
+    assert screened == rows[screen].tolist()
 
 
 def test_index_range_guard_takes_the_int32_limit():
@@ -501,17 +525,18 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
     ps, idx, radii = built
     dg = build_catch_digraph(idx, radii)
     want = gather_cluster_of(dg, ps.points, factor)
-    assert np.array_equal(cluster_digraph(dg, build_index(ps), factor).cluster_of, want)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "ATTACH_FACTOR", factor)
+        assert np.array_equal(cluster_digraph(dg, build_index(ps)).cluster_of, want)
         rows = gathered_rows(mp)
-        got = cluster_digraph(dg, idx, factor).cluster_of
+        got = cluster_digraph(dg, idx).cluster_of
     assert np.array_equal(got, want)
     # the table answers exactly the isolated rows that hold an anchored
     # id; only the others are gathered
     adj = np.zeros((ps.n, ps.n), dtype=bool)
     adj[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
     anchored = (adj & adj.T).any(axis=1)
-    ids, _, _ = idx.last_table
+    ids, _ = idx.last_table
     table = anchored[ids].any(axis=1)
     isolated = np.flatnonzero(~anchored)
     expect = isolated[~table[isolated]].tolist() if anchored.any() else []
@@ -523,8 +548,8 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
 def test_nearest_equals_the_loop_reference(case, dense, positive, data):
     """Against the per-row loop, with a table from either source or none,
     any rows in any order, and among masks from empty to full: a table
-    row holding a hit answers, complete or not, and only the rows without
-    one are gathered."""
+    row holding a hit answers, and only the rows without one are
+    gathered."""
     points, k, _ = case
     n = points.shape[0]
     idx = build_index(PointSet(points))
@@ -543,7 +568,7 @@ def test_nearest_equals_the_loop_reference(case, dense, positive, data):
     assert np.array_equal(dists, want_dists)
     answered = np.zeros(n, dtype=bool)
     if idx.last_table is not None:
-        t_ids, t_dists, _ = idx.last_table
+        t_ids, t_dists = idx.last_table
         hit = among[t_ids] & ((t_dists > 0) | (not positive))
         answered = hit.any(axis=1)
     assert gathered == (rows[~answered[rows]].tolist() if among.any() else [])
@@ -569,7 +594,7 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
     assert np.array_equal(got, loop_positive_floor(points, radii))
     # a table row holding a positive distance answers its zero radius;
     # only the other zero rows are gathered
-    _, dists, _ = idx.last_table
+    _, dists = idx.last_table
     zero = np.flatnonzero(radii == 0)
     assert gathered == zero[~(dists > 0).any(axis=1)[zero]].tolist()
 
@@ -577,15 +602,15 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
 @pytest.mark.parametrize("dense", [True, False])
 def test_positive_floor_of_fourfold_copies_gathers_no_row(dense):
     """Every point 4 times over: every nearest distance is zero, so are all
-    un-approx radii, and the ties between copies leave table rows
-    incomplete. Each row is knn(i, k), so its first positive distance
-    answers the floor and no row is gathered."""
+    un-approx radii, and every table row starts with three zeros. Each row
+    is ordered by (distance, id), so its first positive distance answers
+    the floor and no row is gathered."""
     points = np.repeat(np.random.default_rng(5).random((50, 3)), 4, axis=0)
     idx = build_index(PointSet(points))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_dense_table", lambda d: dense)
         idx.knn_table(6)
-    assert not idx.last_table[2].all()
+    assert (idx.last_table[1][:, :3] == 0).all()
     zero = np.zeros(points.shape[0])
     with pytest.MonkeyPatch.context() as mp:
         gathered = gathered_rows(mp)

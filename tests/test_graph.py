@@ -176,7 +176,9 @@ def test_components_match_brute_union_find():
         ps = PointSet(pts, None)
         idx = build_index(ps)
         dg = build_catch_digraph(idx, radii)
-        cl = cluster_digraph(dg, build_index(ps), attach_factor=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "ATTACH_FACTOR", 0.0)
+            cl = cluster_digraph(dg, build_index(ps))
         labels = brute_components(pts, radii)
         # same partition, allowing for different label names
         for i in range(40):
@@ -205,7 +207,7 @@ def test_build_deterministic_across_fresh_indexes():
 @pytest.mark.parametrize("d, strategy", [(50, un_approx), (10, rk_approx), (50, rk_approx)])
 def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, strategy):
     # planted outliers have no mutual edge, and each of their table rows
-    # is complete and reaches a cluster, so nothing is gathered
+    # reaches a cluster, so nothing is gathered
     ps = simgen.generate(
         simgen.SimConfig(regime="gaussian", d=d, n=400, seed=1, outlier_fraction=0.05)
     )

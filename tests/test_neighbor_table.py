@@ -22,6 +22,7 @@ from ccdscore.scores import cumulative_influence, default_threshold, score_point
 from ccdscore.simgen import REGIMES, SimConfig, generate
 
 from _oracles import (
+    brute_knn,
     loop_break_ties,
     loop_clusters,
     loop_cumulative_influence,
@@ -144,26 +145,49 @@ def assert_table_matches_knn(idx, k):
         assert np.array_equal(dists[i], want_dists), (k, i)
 
 
-def test_table_on_integer_grid_ties():
-    # exact ties at the k-th distance everywhere: rows stay open after the
-    # first pass
+def source_calls(monkeypatch):
+    """Patch both table sources to record (w, rows) of every call."""
+    calls = []
+    for name in ("_tree_table_candidates", "_dense_table_candidates"):
+        real = getattr(dataset.NeighborIndex, name)
+
+        def recording(self, rows, w, k, real=real):
+            calls.append((w, rows.copy()))
+            return real(self, rows, w, k)
+
+        monkeypatch.setattr(dataset.NeighborIndex, name, recording)
+    return calls
+
+
+def reasked_rows(calls, k):
+    """The rows that the table of knn_table(k) asked again at a wider w."""
+    later = [rows for w, rows in calls if w > k + 1]
+    return np.concatenate(later) if later else np.array([], dtype=np.int64)
+
+
+def test_table_on_integer_grid_ties(monkeypatch):
+    # exact ties at the last kept distance everywhere: rows stay open after
+    # the first pass
     idx = build_index(PointSet(grid_points()))
+    calls = source_calls(monkeypatch)
     for k in (1, 4, 8, 12):
+        calls.clear()
         assert_table_matches_knn(idx, k)
-        assert not idx.last_table[2].all()
+        assert reasked_rows(calls, k).size
 
 
-def test_table_with_more_duplicates_than_k():
+def test_table_with_more_duplicates_than_k(monkeypatch):
     # nine copies of each base point: with k < 8 a point can miss its own
     # candidate list
     ps = PointSet(duplicate_points())
     idx = build_index(ps)
     for k in (3, 7, 8, 12):
         assert_table_matches_knn(idx, k)
-    # idx keeps its k=12 table, so the k=3 marks come from a fresh index
-    fresh = build_index(ps)
-    fresh.knn_table(3)
-    assert not fresh.last_table[2][:45].any()
+    # idx keeps its k=12 table, so the k=3 passes come from a fresh index;
+    # every copied row goes back to the source
+    calls = source_calls(monkeypatch)
+    build_index(ps).knn_table(3)
+    assert set(range(45)) <= set(reasked_rows(calls, 3).tolist())
 
 
 @pytest.mark.parametrize("points", [grid_points, duplicate_points])
@@ -196,8 +220,8 @@ def test_rk_z_from_ndtri_equals_norm_ppf():
 def mixed_tie_points(k):
     """An integer grid, random points off to one side and three points
     copied k + 3 times, shuffled so that ids follow no geometry: one chunk
-    of table rows holds tie-free rows, complete rows with tied distances
-    inside them and rows that miss their own point."""
+    of table rows holds tie-free rows, rows the first pass closes with tied
+    distances inside them and rows that miss their own point."""
     rng = np.random.default_rng(21)
     loose = 20.0 + 10.0 * rng.random((60, 2))
     pool = np.repeat(-5.0 - rng.random((3, 2)), k + 3, axis=0)
@@ -208,17 +232,22 @@ def mixed_tie_points(k):
 @pytest.mark.parametrize("dense", [False, True])
 def test_table_orders_tied_rows_by_id_inside_mixed_chunks(dense, monkeypatch):
     # rows are ordered by distance alone unless two distances are equal;
-    # the interior grid rows at k=4 are complete with four neighbors at 1
+    # at k=4 the first pass closes rows on the grid's border, which hold
+    # two or three neighbors at 1
     monkeypatch.setattr(dataset, "_dense_table", lambda d: dense)
+    calls = source_calls(monkeypatch)
     for k in (4, 8):
+        calls.clear()
         idx = build_index(PointSet(mixed_tie_points(k)))
         assert_table_matches_knn(idx, k)
-        _, dists, complete = idx.last_table
+        _, dists = idx.last_table
         tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1)
-        assert not complete.all()
-        assert (complete & ~tied).any()
+        first = np.ones(idx.n, dtype=bool)
+        first[reasked_rows(calls, k)] = False
+        assert not first.all()
+        assert (first & ~tied).any()
         if k == 4:
-            assert (complete & tied).any()
+            assert (first & tied).any()
 
 
 def test_table_without_slack_column():
@@ -239,17 +268,35 @@ def test_table_rejects_the_same_k_as_kth_distances():
 
 
 def test_table_is_cached_and_read_only():
+    # the kept table is one column wider than the widest k asked for, and
+    # every answer is a read-only view of its first k columns
     idx = build_index(PointSet(np.random.default_rng(2).random((50, 3))))
-    ids, dists = idx.knn_table(5)
-    assert idx.knn_table(5)[0] is ids
-    assert not ids.flags.writeable and not dists.flags.writeable
-    assert idx.last_table[0] is ids
-    narrow_ids, narrow_dists = idx.knn_table(4)
-    assert narrow_ids.base is ids and narrow_dists.base is dists
-    assert not narrow_ids.flags.writeable and not narrow_dists.flags.writeable
-    assert idx.last_table[0] is ids and idx.last_table[1] is dists
+    idx.knn_table(5)
+    kept_ids, kept_dists = idx.last_table
+    assert kept_ids.shape == kept_dists.shape == (50, 6)
+    assert not kept_ids.flags.writeable and not kept_dists.flags.writeable
+    for k in (5, 4, 5, 1):
+        ids, dists = idx.knn_table(k)
+        assert ids.shape == (50, k)
+        assert ids.base is kept_ids and dists.base is kept_dists
+        assert not ids.flags.writeable and not dists.flags.writeable
+    assert idx.last_table[0] is kept_ids and idx.last_table[1] is kept_dists
     idx.knn_table(6)
-    assert idx.last_table[0].shape == (50, 6)
+    assert idx.last_table[0].shape == (50, 7)
+
+
+def test_table_widens_to_every_neighbor_after_a_narrow_one():
+    # a narrow kept table must not serve k = n - 1; only a table that
+    # already holds all n - 1 neighbors serves any k
+    pts = np.random.default_rng(3).random((12, 2))
+    idx = build_index(PointSet(pts))
+    idx.knn_table(2)
+    full = idx.kth_distances(11)
+    ids, dists = idx.knn_table(11)
+    for i in range(12):
+        want_ids, want_dists = brute_knn(pts, i, 11)
+        assert np.array_equal(ids[i], want_ids) and np.array_equal(dists[i], want_dists)
+        assert full[i] == want_dists[-1]
 
 
 def random_points():
@@ -264,8 +311,8 @@ def assert_same_digraph(a, b):
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("points", [grid_points, duplicate_points, random_points])
 def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
-    # grid ties and more than k+1 copies leave rows open after the first
-    # pass at some widths and not at others; the prefix must not tell
+    # grid ties and more than K+1 copies leave rows open after the first
+    # pass at some widths K and not at others; the prefix must not tell
     monkeypatch.setattr(dataset, "_dense_table", lambda d: dense)
     ps = PointSet(points())
     wide = build_index(ps)
@@ -281,7 +328,7 @@ def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
         radii = estimate_radii(wide, strategy)
         narrow = build_index(ps)
         assert np.array_equal(estimate_radii(narrow, strategy), radii)
-        assert narrow.last_table[0].shape[1] == 4
+        assert narrow.last_table[0].shape[1] == 5
         want = build_catch_digraph(narrow, radii)
         assert_same_digraph(build_catch_digraph(wide, radii), want)
         assert_same_digraph(build_catch_digraph(build_index(ps), radii), want)
@@ -384,9 +431,11 @@ def test_dense_table_on_ties_and_duplicates(points, monkeypatch):
     # the dense candidate source on exact ties and copies, at any dimension
     monkeypatch.setattr(dataset, "_dense_table", lambda d: True)
     idx = build_index(PointSet(points()))
+    calls = source_calls(monkeypatch)
     for k in (1, 4, 8, 12, 30):
+        calls.clear()
         assert_table_matches_knn(idx, k)
-        assert not idx.last_table[2].all()
+        assert reasked_rows(calls, k).size
 
 
 def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
@@ -411,15 +460,17 @@ def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
 
 def test_dense_table_where_the_product_overflows(monkeypatch):
     # on a line, -2 x.y reads -inf for the row at 9.5e153 against itself
-    # and against 1.05e154, but not against its nearest point 9.45e153:
-    # the -inf sorts the farther point first, so the row must stay open for
-    # a wider pass rather than count as complete
+    # and against the two farther points, but not against its nearest
+    # point 9.45e153: the -inf sorts a farther point first, so the row must
+    # stay open for a wider pass rather than close
     monkeypatch.setattr(dataset, "_dense_table", lambda d: True)
-    pts = np.array([[0.0], [9.45e153], [9.5e153], [1.05e154]])
+    pts = np.array([[0.0], [9.45e153], [9.5e153], [1.05e154], [1.1e154]])
     with np.errstate(over="ignore"):
-        assert np.isinf(-2.0 * pts[2] * pts[[2, 3]]).all()
+        assert np.isinf(-2.0 * pts[2] * pts[[2, 3, 4]]).all()
         assert np.isfinite(-2.0 * pts[2] * pts[1])
     idx = build_index(PointSet(pts))
+    calls = source_calls(monkeypatch)
     for k in (1, 2):
+        calls.clear()
         assert_table_matches_knn(idx, k)
-        assert not idx.last_table[2][2]
+        assert 2 in reasked_rows(calls, k)

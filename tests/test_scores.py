@@ -10,6 +10,7 @@ from _oracles import (
 
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
+from ccdscore import graph
 from ccdscore.graph import Clustering, fixed_k, un_approx
 from ccdscore.scores import (
     _row_sums,
@@ -330,7 +331,7 @@ def test_ios_raw_upper_bound():
         assert np.array_equal(tight, ci == 0.0)
 
 
-def test_oos_ignores_clustering():
+def test_oos_ignores_clustering(monkeypatch):
     rng = np.random.default_rng(5)
     pts = np.vstack(
         [
@@ -342,9 +343,11 @@ def test_oos_ignores_clustering():
     from ccdscore.dataset import PointSet
 
     ps = PointSet(pts)
-    a = score_point_set(ps, fixed_k(k=5), attach_factor=3.0)
-    b = score_point_set(ps, fixed_k(k=5), attach_factor=0.0)
+    a = score_point_set(ps, fixed_k(k=5))
+    monkeypatch.setattr(graph, "ATTACH_FACTOR", 0.0)
+    b = score_point_set(ps, fixed_k(k=5))
     assert np.array_equal(a.oos, b.oos)
+    assert a.params == b.params  # the report writes the package constant
 
 
 def test_scores_scale_invariant_under_fixed_k():

@@ -66,6 +66,30 @@ def test_config_rejects_non_integer_counts(field, value):
     assert SimConfig(**{**raw, field: np.int64(2)}).to_dict()[field] == 2
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, np.float32("nan"),
+                                   True, "0.5"])
+@pytest.mark.parametrize("field", ["parent_intensity", "cluster_radius", "gaussian_scale",
+                                   "correlation", "outlier_fraction",
+                                   "outlier_min_separation"])
+def test_config_rejects_non_finite_floats(field, value):
+    raw = {"regime": "mixed", "d": 2, "n": 60, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        SimConfig(**raw)
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        SimConfig.from_dict(raw)
+
+
+def test_config_caps_parent_intensity_at_n():
+    # numpy's Poisson draw raises above about 9.2e18, and far below that
+    # the parent array and the per-parent loop exhaust memory; the default
+    # stays valid below n = 5
+    assert SimConfig(regime="matern", d=2, n=60, parent_intensity=60).parent_intensity == 60
+    assert SimConfig(regime="matern", d=2, n=3).parent_intensity == 5.0
+    for n, value in ((60, 60.5), (60, 1e19), (60, 2**70), (3, 5.5)):
+        with pytest.raises(ConfigError, match="parent_intensity must be in"):
+            SimConfig(regime="matern", d=2, n=n, parent_intensity=value)
+
+
 @pytest.mark.parametrize("seed", [-1, -(2**63), np.int64(-3)])
 def test_negative_seeds_raise_config_error(seed):
     # numpy's SeedSequence takes only non-negative entropy
