@@ -41,6 +41,9 @@ ALL_METHODS = CCD_METHODS + BASELINE_METHODS
 # to the inbound score only.
 DEFAULT_S_MIN = 0.04
 
+# Fresh datasets per config when a grid does not say how many.
+DEFAULT_REPLICATES = 10
+
 
 @dataclass(frozen=True)
 class Confusion:
@@ -226,7 +229,7 @@ def _usable_cpus() -> int:
 def run_monte_carlo(
     configs: list[SimConfig | dict],
     methods: list[str] | None = None,
-    replicates: int = 10,
+    replicates: int = DEFAULT_REPLICATES,
     master_seed: int = 0,
     workers: int = 1,
     s_min: float = DEFAULT_S_MIN,
@@ -317,7 +320,7 @@ class RankRow:
     method: str
     f2: float
     rank: int
-    top3: bool
+    top3: int  # 1 for the top three ranks, else 0, as ranking.csv writes it
 
 
 def rank_methods(agg: list[AggregateRow]) -> list[RankRow]:
@@ -332,7 +335,7 @@ def rank_methods(agg: list[AggregateRow]) -> list[RankRow]:
         rank_of = {v: i + 1 for i, v in enumerate(distinct)}
         for a in group:
             r = rank_of[a.f2]
-            out.append(RankRow(ci, a.method, a.f2, r, r <= 3))
+            out.append(RankRow(ci, a.method, a.f2, r, int(r <= 3)))
     return out
 
 
@@ -381,8 +384,4 @@ def write_results_json(
 
 
 def write_ranking_csv(ranks: list[RankRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_index", "method", "f2", "rank", "top3"])
-        for r in ranks:
-            writer.writerow([r.config_index, r.method, r.f2, r.rank, int(r.top3)])
+    _write_table(ranks, [f.name for f in fields(RankRow)], path)

@@ -24,6 +24,7 @@ from .bench import (
     ALL_METHODS,
     BASELINE_METHODS,
     BETA,
+    DEFAULT_REPLICATES,
     DEFAULT_S_MIN,
     Confusion,
     aggregate,
@@ -38,25 +39,18 @@ from .bench import (
 )
 from .baselines import lof, odin
 from .dataset import build_index, column_robust_stats, load_csv, robust_normalize, write_csv
-from .errors import (
-    CcdScoreError,
-    ConfigError,
-    BadKError,
-    DegenerateLabelsError,
-)
+from .errors import BadKError, CcdScoreError, ConfigError
 from .graph import FIXED_K, RADIUS_KINDS, RadiusStrategy
 from .scores import (
     CLUSTER_SHAPES,
     SCORE_KINDS,
-    _descending_ranks,
+    descending_ranks,
     dump_json,
-    float_text,
-    int_text,
     json_float,
-    json_floats,
-    write_report_csv,
+    score_point_set,
+    small_cluster_flags,
+    write_baseline_report,
 )
-from .scores import score_point_set
 from .simgen import REGIMES, SimConfig, generate, masking_fixture
 
 # The score options only the CCD scores read, with their defaults; a
@@ -122,26 +116,6 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-def _write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> None:
-    """The scores.csv and scores.json of a LOF or ODIN run."""
-    scores = np.asarray(scores, dtype=np.float64)
-    text = float_text(scores)
-    write_report_csv(f"{prefix}.scores.csv", id=map(str, range(scores.size)),
-                     score=text, flag=int_text(flags), rank=int_text(ranks))
-    dump_json(
-        {
-            "n": scores.size,
-            "method": method,
-            "points": {
-                "score": json_floats(scores, text),
-                "flag": flags.astype(int).tolist(),
-                "rank": ranks.tolist(),
-            },
-        },
-        f"{prefix}.scores.json",
-    )
-
-
 def _sniff_label_column(path: str) -> str | None:
     """Peek at the header row and report a literal "label" column, so
     scoring a generated file does not treat the labels as a coordinate."""
@@ -159,11 +133,10 @@ def _s_min_note(report) -> str | None:
     """A one-line note when the s_min filter alone flags more than half of
     the points, which a fragmented clustering does without any score
     standing out; None otherwise."""
-    sizes = np.bincount(report.cluster_of)
-    small = (sizes / report.n < report.s_min)[report.cluster_of]
-    n_small = int(small.sum())
+    n_small = int(small_cluster_flags(report.cluster_of, report.s_min).sum())
     if 2 * n_small <= report.n:
         return None
+    sizes = np.bincount(report.cluster_of)
     n_score = int((report.ios_std > report.ios_threshold).sum())
     return (
         f"note: s_min {report.s_min} flags {n_small} of {report.n} points as "
@@ -235,12 +208,12 @@ def cmd_score(args) -> int:
         idx = build_index(ps)
         if args.method == "lof":
             scores, flags = lof(idx)
-            ranks = _descending_ranks(scores)
+            ranks = descending_ranks(scores)
         else:
             scores, flags = odin(idx)
-            ranks = _descending_ranks(-scores)
+            ranks = descending_ranks(-scores)
         out = _out_prefix(args.out)
-        _write_baseline_report(out, args.method, scores, flags, ranks)
+        write_baseline_report(out, args.method, scores, flags, ranks)
         n_flagged = int(flags.sum())
     _manifest(f"{out}.manifest.json", args, params)
     print(f"scored {ps.n} points with {args.method}; {n_flagged} flagged")
@@ -257,26 +230,23 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"grid file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(grid, dict) or not isinstance(grid.get("configs"), list):
         raise ConfigError('grid file needs a "configs" list')
+    extra = set(grid) - {"configs", "replicates"}
+    if extra:
+        raise ConfigError(f"unknown grid key(s): {sorted(extra)}; methods and "
+                          "s_min are the --methods and --s-min options")
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
-    methods = args.methods.split(",") if args.methods else grid.get("methods")
-    if methods is not None and (not isinstance(methods, list) or not methods):
-        raise ConfigError('grid "methods" must be a non-empty list of method names')
-    replicates = args.replicates if args.replicates is not None else grid.get("replicates", 10)
-    s_min = args.s_min if args.s_min is not None else grid.get("s_min", DEFAULT_S_MIN)
-    if isinstance(s_min, bool) or not isinstance(s_min, (int, float)):
-        raise ConfigError(f'grid "s_min" must be a number, got {s_min!r}')
-    s_min = float(s_min)
+    methods = args.methods.split(",") if args.methods is not None else list(ALL_METHODS)
+    replicates = grid.get("replicates", DEFAULT_REPLICATES)
     rows = run_monte_carlo(
         configs,
         methods=methods,
         replicates=replicates,
         master_seed=args.seed,
         workers=args.workers,
-        s_min=s_min,
+        s_min=args.s_min,
     )
     os.makedirs(args.out, exist_ok=True)
-    used_methods = methods if methods else list(ALL_METHODS)
-    agg = aggregate(rows, used_methods)
+    agg = aggregate(rows, methods)
     write_raw_csv(rows, os.path.join(args.out, "raw.csv"))
     write_aggregate_csv(agg, os.path.join(args.out, "aggregate.csv"))
     write_ranking_csv(rank_methods(agg), os.path.join(args.out, "ranking.csv"))
@@ -288,11 +258,11 @@ def cmd_bench(args) -> int:
         {
             "grid": args.grid,
             "configs": [c.to_dict() for c in configs],
-            "methods": used_methods,
+            "methods": methods,
             "replicates": replicates,
             "master_seed": args.seed,
             "workers": args.workers,
-            "s_min": s_min,
+            "s_min": args.s_min,
         },
     )
     n_ok = sum(1 for r in rows if not r.error)
@@ -402,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_score)
 
     b = sub.add_parser("bench", help="run the Monte Carlo comparison")
-    b.add_argument("--grid", required=True, help="JSON file with a configs list")
-    b.add_argument("--replicates", type=int, default=None)
+    b.add_argument("--grid", required=True,
+                   help="JSON file with a configs list and, optionally, replicates")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--methods", default=None,
                    help=f"comma-separated subset of {','.join(ALL_METHODS)}")
-    b.add_argument("--s-min", type=float, default=None)
+    b.add_argument("--s-min", type=float, default=DEFAULT_S_MIN)
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=cmd_bench)
 

@@ -356,12 +356,17 @@ def flag_outliers(
     """
     flags = scores > threshold
     if clustering is not None and s_min > 0:
-        c = clustering.cluster_of
-        flags |= (np.bincount(c) / scores.shape[0] < s_min)[c]
+        flags |= small_cluster_flags(clustering.cluster_of, s_min)
     return flags
 
 
-def _descending_ranks(scores: np.ndarray) -> np.ndarray:
+def small_cluster_flags(cluster_of: np.ndarray, s_min: float) -> np.ndarray:
+    """Members of the clusters whose share of the points falls below s_min."""
+    return (np.bincount(cluster_of) / cluster_of.size < s_min)[cluster_of]
+
+
+def descending_ranks(scores: np.ndarray) -> np.ndarray:
+    """Ranks 1..n by descending score, ties to the smaller id."""
     order = np.lexsort((np.arange(scores.size), -scores))
     ranks = np.empty(scores.size, dtype=np.int64)
     ranks[order] = np.arange(1, scores.size + 1)
@@ -455,6 +460,26 @@ def cover_rows(dg: CatchDigraph) -> list[JsonText]:
     ids = np.array(list(map(str, range(dg.n))), dtype=object)[dg.out_ids].tolist()
     ptr = dg.out_ptr.tolist()
     return [JsonText(ids[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> None:
+    """The scores.csv and scores.json of a LOF or ODIN run."""
+    scores = np.asarray(scores, dtype=np.float64)
+    text = float_text(scores)
+    write_report_csv(f"{prefix}.scores.csv", id=map(str, range(scores.size)),
+                     score=text, flag=int_text(flags), rank=int_text(ranks))
+    dump_json(
+        {
+            "n": scores.size,
+            "method": method,
+            "points": {
+                "score": json_floats(scores, text),
+                "flag": flags.astype(int).tolist(),
+                "rank": ranks.tolist(),
+            },
+        },
+        f"{prefix}.scores.json",
+    )
 
 
 @dataclass
@@ -673,8 +698,8 @@ def score_point_set(
         cluster_of=cl.cluster_of,
         oos_flag=flag_outliers(oos_scores, thr_oos),
         ios_flag=flag_outliers(ios_std, thr_ios, clustering=cl, s_min=s_min),
-        oos_rank=_descending_ranks(oos_scores),
-        ios_rank=_descending_ranks(ios_std),
+        oos_rank=descending_ranks(oos_scores),
+        ios_rank=descending_ranks(ios_std),
         oos_threshold=thr_oos,
         ios_threshold=thr_ios,
         s_min=s_min,

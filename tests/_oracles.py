@@ -645,6 +645,14 @@ def loop_write_aggregate_csv(agg, path):
             )
 
 
+def loop_write_ranking_csv(ranks, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["config_index", "method", "f2", "rank", "top3"])
+        for r in ranks:
+            writer.writerow([r.config_index, r.method, repr(r.f2), r.rank, int(r.top3)])
+
+
 def loop_raw_json_dicts(rows):
     return [
         {

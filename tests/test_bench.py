@@ -33,6 +33,7 @@ from _oracles import (
     loop_raw_json_dicts,
     loop_write_aggregate_csv,
     loop_write_json,
+    loop_write_ranking_csv,
     loop_write_raw_csv,
 )
 
@@ -416,7 +417,7 @@ def test_result_files_equal_hand_listed_writers_byte_for_byte(tmp_path):
     write_aggregate_csv(agg, got / "aggregate.csv")
     loop_write_aggregate_csv(ref, want / "aggregate.csv")
     write_ranking_csv(rank_methods(agg), got / "ranking.csv")
-    write_ranking_csv(rank_methods(ref), want / "ranking.csv")
+    loop_write_ranking_csv(rank_methods(ref), want / "ranking.csv")
     write_results_json(rows, agg, got / "results.json")
     loop_write_json({"raw": loop_raw_json_dicts(rows),
                      "aggregate": [asdict(a) for a in ref]},

@@ -276,17 +276,11 @@ def test_bench_grid_with_non_integer_replicates_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("grid_methods, argv", [
-    (None, ["--methods", "odin,odin"]), (None, ["--methods", "ios-fixed,lof,ios-fixed"]),
-    (["odin", "odin"], [])])
-def test_bench_repeated_method_exits_2_without_outputs(tmp_path, capsys,
-                                                       grid_methods, argv):
-    doc = {"configs": [{"regime": "uniform", "d": 2, "n": 60, "outlier_fraction": 0.05}],
-           "replicates": 2}
-    if grid_methods is not None:
-        doc["methods"] = grid_methods
-    (tmp_path / "grid.json").write_text(json.dumps(doc))
-    rc = run(["bench", "--grid", tmp_path / "grid.json", *argv, "--out", tmp_path / "r"])
+@pytest.mark.parametrize("methods", ["odin,odin", "ios-fixed,lof,ios-fixed", "lof,odin,lof"])
+def test_bench_repeated_method_exits_2_without_outputs(tmp_path, capsys, methods):
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60, "outlier_fraction": 0.05}], 2)
+    rc = run(["bench", "--grid", grid, "--methods", methods, "--out", tmp_path / "r"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error [bench] ConfigError" in err and "more than once" in err
@@ -320,6 +314,8 @@ def test_bench_grid_with_non_integer_dimension_or_size_exits_2(tmp_path, capsys)
     (None, ["--workers", "0"]), (None, ["--workers", "-3"]), (True, []), ("0.04", [])])
 def test_bench_bad_s_min_or_workers_exits_2_without_outputs(tmp_path, capsys,
                                                            grid_s_min, argv):
+    # s_min is the --s-min option's alone: a grid's, whatever its value, is
+    # an unknown key
     doc = {"configs": [{"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}],
            "replicates": 1}
     if grid_s_min is not None:
@@ -380,34 +376,49 @@ def test_bench_grid_with_non_finite_or_huge_float_exits_2_without_outputs(
 
 
 def test_bench_zero_replicates_exits_2(tmp_path, capsys):
-    # 0 is a count, not a missing option: it must not fall back to the grid's 2
+    # 0 is a count, not a missing key: it must not fall back to the default
     grid = tmp_path / "grid.json"
-    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], 2)
-    rc = run(["bench", "--grid", grid, "--replicates", "0", "--out", tmp_path / "r"])
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], 0)
+    rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
     assert rc == 2
     assert "replicates" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
 def test_bench_grid_with_non_list_methods_exits_2(tmp_path, capsys):
+    # methods are the --methods option's alone: a grid naming any exits 2
     grid = tmp_path / "grid.json"
     configs = [{"regime": "uniform", "d": 2, "n": 60}]
-    for methods in (5, "ios-un", ["ios-un", 3]):
+    for methods in (5, "ios-un", ["ios-un", 3], ["odin"]):
         grid.write_text(json.dumps({"configs": configs, "methods": methods}))
         rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
         assert rc == 2, methods
-        assert "error [bench]" in capsys.readouterr().err
+        assert "unknown grid key(s): ['methods']" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
-def test_bench_grid_with_empty_methods_exits_2(tmp_path, capsys):
-    # an empty list would run nothing yet record all methods in the manifest
+@pytest.mark.parametrize("extra", [
+    {"s_min": 0.1}, {"replicate": 2}, {"method": ["odin"], "replicate": 1}])
+def test_bench_grid_with_a_key_besides_configs_and_replicates_exits_2(tmp_path, capsys,
+                                                                     extra):
+    # a misspelled key must not fall back to a default in silence
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"configs": [{"regime": "uniform", "d": 2, "n": 60}],
-                                "methods": [], "replicates": 1}))
-    rc = run(["bench", "--grid", grid, "--out", tmp_path / "r"])
+                                "replicates": 1, **extra}))
+    rc = run(["bench", "--grid", grid, "--methods", "odin", "--out", tmp_path / "r"])
     assert rc == 2
-    assert "non-empty" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"ConfigError: unknown grid key(s): {sorted(extra)}" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_bench_empty_methods_exits_2(tmp_path, capsys):
+    # an empty --methods is given, not missing: it names the method ''
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60}], 1)
+    rc = run(["bench", "--grid", grid, "--methods", "", "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "unknown method ''" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -5,6 +5,7 @@ from _oracles import (
     keysort_digraph,
     loop_ios_raw,
     loop_oos,
+    loop_small_cluster_flags,
     loop_standardize_naive,
 )
 
@@ -23,6 +24,7 @@ from ccdscore.scores import (
     nearest_tabulated_dim,
     oos,
     score_point_set,
+    small_cluster_flags,
     standardize_ios,
     standardize_naive,
     vicinity_density,
@@ -301,6 +303,24 @@ def test_flag_outliers_small_cluster_filter():
     # share exactly at the cutoff is kept
     cl4 = Clustering(cluster_of=np.array([0] * 96 + [1] * 4, dtype=np.int64))
     assert flag_outliers(scores, 5.0, clustering=cl4, s_min=0.04).sum() == 0
+
+
+def test_small_cluster_flags_match_the_loop_on_random_partitions():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        n = int(rng.integers(1, 80))
+        labels = rng.integers(0, rng.integers(1, 12), size=n)
+        cluster_of = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+        shares = np.unique(np.bincount(cluster_of)) / n
+        # 0 flags nothing, 1 every cluster short of all the points, and a
+        # share between two cluster sizes splits the clusters
+        s_mins = [0.0, 1.0]
+        if shares.size > 1:
+            i = int(rng.integers(shares.size - 1))
+            s_mins.append(float(shares[i:i + 2].mean()))
+        for s_min in s_mins:
+            got = small_cluster_flags(cluster_of, s_min)
+            assert np.array_equal(got, loop_small_cluster_flags(cluster_of, s_min))
 
 
 def test_pipeline_matches_brute_oracle():

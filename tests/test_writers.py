@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from ccdscore.baselines import lof, odin
 from ccdscore.bench import aggregate, run_monte_carlo, write_results_json
-from ccdscore.cli import _write_baseline_report
 from ccdscore.dataset import PointSet, build_index, write_csv
 from ccdscore.graph import fixed_k, rk_approx, un_approx
 from ccdscore.scores import (
     JsonText,
-    _descending_ranks,
+    descending_ranks,
     float_text,
     iter_json,
     json_floats,
     score_point_set,
+    write_baseline_report,
 )
 from ccdscore.simgen import SimConfig
 
@@ -196,13 +196,13 @@ def test_baseline_writers_match_the_row_loops(tmp_path, method):
         scores, flags = lof(idx)
         assert np.isinf(scores).any()
         scores[-1] = np.nan
-        ranks = _descending_ranks(scores)
+        ranks = descending_ranks(scores)
     else:
         scores, flags = odin(idx)
         assert scores.dtype.kind == "i"
-        ranks = _descending_ranks(-scores)
+        ranks = descending_ranks(-scores)
 
-    _write_baseline_report(str(tmp_path / "a"), method, scores, flags, ranks)
+    write_baseline_report(str(tmp_path / "a"), method, scores, flags, ranks)
     loop_write_baseline_csv(tmp_path / "b.scores.csv", scores, flags, ranks)
     loop_write_json(loop_baseline_json_dict(method, scores, flags, ranks),
                     tmp_path / "b.scores.json")
