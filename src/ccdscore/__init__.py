@@ -1,7 +1,8 @@
 """Outlier scoring on cluster catch digraphs.
 
 Public surface: point-set handling (dataset), covering radii and the
-digraph (graph), the two scores with thresholds (scores), the LOF and
+digraph (graph), the two scores with thresholds (scores, whose
+score_families scores several radius families in one pass), the LOF and
 ODIN baselines (baselines), synthetic scenarios (simgen), and the Monte
 Carlo comparison harness (bench).
 """
@@ -47,6 +48,7 @@ from .scores import (
     flag_outliers,
     ios_raw,
     oos,
+    score_families,
     score_point_set,
     standardize_ios,
     vicinity_density,

@@ -20,14 +20,15 @@ from .baselines import LofParams, OdinParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
-from .scores import SCORE_KINDS, check_s_min, dump_json, score_point_set
+from .scores import SCORE_KINDS, check_s_min, dump_json, score_families, score_point_set
 from .simgen import CLUSTER_SHAPE_OF, SimConfig, check_seed, generate
 
 BETA = 2.0
 
 # Each CCD method, "<score>-<family>", and the score kind, radius family and
-# radius rule it reads. The two scores of a family flag on one shared
-# report, which timings.csv times as method report-<family>.
+# radius rule it reads. A cell scores every family its methods read in one
+# score_families pass, whose reports each serve both scores of a family;
+# timings.csv times that pass as method report-ccd.
 _CCD_TABLE = {
     f"{score}-{family}": (score, family, strategy)
     for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
@@ -140,8 +141,8 @@ class BenchRow:
     f2: float = float("nan")
     error: str = ""
     wall_time: float = 0.0
-    # Seconds spent building the radius family's shared report, when this
-    # row built it; wall_time leaves them out.
+    # Seconds spent on the cell's one CCD scoring pass, when this row ran
+    # it; wall_time leaves them out.
     report_time: float | None = None
 
 
@@ -174,6 +175,26 @@ def _cell_table_k(methods, n: int) -> int:
     return min(max(widths), n - 1)
 
 
+def _cell_reports(ps: PointSet, methods, shape: str, s_min: float,
+                  idx: NeighborIndex) -> dict:
+    """The report of each radius family the cell's CCD methods read, from
+    one score_families pass. Should that pass raise, each family is scored
+    alone, so a family that fails maps to the exception it raised and the
+    others to their reports."""
+    strategies = {_CCD_TABLE[m][1]: _CCD_TABLE[m][2] for m in methods if m in _CCD_TABLE}
+    options = {"cluster_shape": shape, "s_min": s_min, "idx": idx}
+    try:
+        reports = score_families(ps, list(strategies.values()), **options)
+    except Exception:  # noqa: BLE001 - each family's own error goes to its rows
+        reports = []
+        for strategy in strategies.values():
+            try:
+                reports.append(score_point_set(ps, strategy, **options))
+            except Exception as exc:  # noqa: BLE001
+                reports.append(exc)
+    return dict(zip(strategies, reports))
+
+
 def _run_cell(args) -> list[BenchRow]:
     cfg_dict, ci, ri, master_seed, methods, s_min = args
     cfg = SimConfig.from_dict(
@@ -189,20 +210,22 @@ def _run_cell(args) -> list[BenchRow]:
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
     rows = []
-    shape = CLUSTER_SHAPE_OF[cfg.regime]
-    reports: dict[str, object] = {}
+    reports = None
     for m in methods:
         t0 = time.perf_counter()
         report_time = None
         try:
             if m in _CCD_TABLE:
-                score, family, strategy = _CCD_TABLE[m]
-                if family not in reports:
-                    reports[family] = score_point_set(ps, strategy, cluster_shape=shape,
-                                                      s_min=s_min, idx=idx)
+                score, family, _ = _CCD_TABLE[m]
+                if reports is None:
+                    reports = _cell_reports(ps, methods, CLUSTER_SHAPE_OF[cfg.regime],
+                                            s_min, idx)
                     report_time = time.perf_counter() - t0
                     t0 += report_time
-                flags = reports[family].flags_for(score)
+                report = reports[family]
+                if isinstance(report, Exception):
+                    raise report
+                flags = report.flags_for(score)
             else:
                 flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
             conf = Confusion.from_flags(ps.labels, flags)
@@ -259,6 +282,8 @@ def run_monte_carlo(
     for c in configs:
         d = c.to_dict() if isinstance(c, SimConfig) else SimConfig.from_dict(c).to_dict()
         cfg_dicts.append(d)
+    if not cfg_dicts:
+        raise ConfigError("the configs list is empty; a bench needs at least one config")
     tasks = [
         (cfg_dicts[ci], ci, ri, master_seed, methods, s_min)
         for ci in range(len(cfg_dicts))
@@ -351,9 +376,10 @@ def write_raw_csv(rows: list[BenchRow], path) -> None:
 
 
 def write_timings_csv(rows: list[BenchRow], path) -> None:
-    """Wall time per row; a shared CCD report gets its own row, method
-    report-<family>, just before the row that built it. The cell's
-    neighbor index and table are built before its rows and charged to none."""
+    """Wall time per row; the cell's one CCD scoring pass gets its own
+    row, method report-ccd, just before the row of the first CCD method,
+    which ran it. The cell's neighbor index and table are built before its
+    rows and charged to none."""
     # Kept apart from the result files, which must be reproducible byte
     # for byte; wall clock readings are not.
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -361,9 +387,7 @@ def write_timings_csv(rows: list[BenchRow], path) -> None:
         writer.writerow(["config_index", "replicate", "method", "wall_time"])
         for r in rows:
             if r.report_time is not None:
-                family = _CCD_TABLE[r.method][1]
-                writer.writerow([r.config_index, r.replicate, f"report-{family}",
-                                 r.report_time])
+                writer.writerow([r.config_index, r.replicate, "report-ccd", r.report_time])
             writer.writerow([r.config_index, r.replicate, r.method, r.wall_time])
 
 

@@ -169,13 +169,13 @@ def cmd_score(args) -> int:
     )
     norm_report = None
     if not args.no_normalize:
-        med, madn_col, fallback = column_robust_stats(ps.points)
+        stats = med, madn_col, fallback = column_robust_stats(ps.points)
         norm_report = {
             "median": med.tolist(),
             "madn": madn_col.tolist(),
             "centered_only": np.flatnonzero(fallback).tolist(),
         }
-        ps = robust_normalize(ps)
+        ps = robust_normalize(ps, stats=stats)
 
     params = {
         "input": args.input,

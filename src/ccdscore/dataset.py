@@ -223,16 +223,18 @@ def column_robust_stats(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return med, madn_col, madn_col == 0.0
 
 
-def robust_normalize(ps: PointSet) -> PointSet:
+def robust_normalize(ps: PointSet, *, stats: tuple | None = None) -> PointSet:
     """Center each column at its median and scale by its MADN.
 
     Columns with zero MADN are centered only, with a warning; if every
     column is degenerate and all rows are identical the data carries no
-    information and DegenerateDataError is raised.
+    information and DegenerateDataError is raised. stats, when given, is
+    column_robust_stats(ps.points), taken once by a caller that also
+    reports it.
     """
     if ps.n < 2:
         raise DegenerateDataError("normalization needs at least 2 points")
-    med, madn_col, degenerate = column_robust_stats(ps.points)
+    med, madn_col, degenerate = stats or column_robust_stats(ps.points)
     if degenerate.all() and (ps.points == ps.points[0]).all():
         raise DegenerateDataError("all points are identical")
     if degenerate.any():

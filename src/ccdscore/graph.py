@@ -120,7 +120,10 @@ def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     ps = idx.ps
     n, d = ps.n, ps.d
     sides = ps.points.max(axis=0) - ps.points.min(axis=0)
-    volume = float(np.prod(sides))
+    # a box past the largest float reads inf: the expected counts are then
+    # 0 and every candidate passes, the limit of an ever larger box
+    with np.errstate(over="ignore"):
+        volume = float(np.prod(sides))
     vball = unit_ball_volume(d)
     z = float(ndtri(1.0 - RK_SIGNIFICANCE))
     _, cand = idx.knn_table(k)
@@ -170,6 +173,11 @@ class CatchDigraph:
     sources reaching j are in_ids[in_ptr[j]:in_ptr[j + 1]], so the in-CSR
     is the out-CSR transposed. Arithmetic on the ids, such as edge keys,
     must widen them to int64 first.
+
+    A digraph over several radius families of one point set of m points
+    is their disjoint union: vertex f * m + i is point i under family f,
+    no edge joins two families, and family(f) is the digraph of family f
+    alone.
     """
 
     radii: np.ndarray
@@ -178,10 +186,12 @@ class CatchDigraph:
     out_ids: np.ndarray
     in_ptr: np.ndarray
     in_ids: np.ndarray
+    families: int = 1
 
     @classmethod
     def from_csr(
-        cls, radii: np.ndarray, dim: int, out_ptr: np.ndarray, out_ids: np.ndarray
+        cls, radii: np.ndarray, dim: int, out_ptr: np.ndarray, out_ids: np.ndarray,
+        families: int = 1,
     ) -> CatchDigraph:
         """The digraph of the int32 out-CSR (out_ptr, out_ids), ids
         ascending in every row; the in-CSR is its transpose by scipy's
@@ -197,11 +207,28 @@ class CatchDigraph:
             out_ids=out_ids,
             in_ptr=inv.indptr,
             in_ids=inv.indices,
+            families=families,
         )
 
     @property
     def n(self) -> int:
         return self.radii.shape[0]
+
+    def family(self, f: int) -> CatchDigraph:
+        """The digraph of family f, its block of the union with the ids
+        shifted back to 0..m-1; a one-family digraph is its own family 0."""
+        if self.families == 1:
+            return self
+        m = self.n // self.families
+        lo, hi = f * m, (f + 1) * m
+
+        def block(ptr, ids):
+            a, b = ptr[lo], ptr[hi]
+            return ptr[lo : hi + 1] - a, ids[a:b] - lo
+
+        out_ptr, out_ids = block(self.out_ptr, self.out_ids)
+        in_ptr, in_ids = block(self.in_ptr, self.in_ids)
+        return CatchDigraph(self.radii[lo:hi], self.dim, out_ptr, out_ids, in_ptr, in_ids)
 
     @property
     def covered_count(self) -> np.ndarray:
@@ -218,30 +245,39 @@ class CatchDigraph:
 def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
     """The coverage digraph of the closed balls B(x_i, radii[i]) of idx.ps.
 
-    The balls come from one NeighborIndex.balls query. Its blocks are kept
-    as they come, int32 targets with per-row counts, while the running
-    edge count is checked against the int32 limit. The row pointers then
-    follow from the counts, and each block is placed into the one out_ids
-    array: a block whose rows sit side by side in the CSR as one slice
-    copy, any other through the positions of its rows.
+    radii holds one entry per point, or one per point of each of F radius
+    families laid end to end; the digraph is then the disjoint union of the
+    families' digraphs, family f's balls placed at vertex offset f * n.
+    Each family's balls come from one NeighborIndex.balls query. Its blocks
+    are kept as they come, int32 targets with per-row counts, while the
+    running edge count is checked against the int32 limit. The row
+    pointers then follow from the counts, and each block is placed into the
+    one out_ids array: a block whose rows sit side by side in the CSR as
+    one slice copy, any other through the positions of its rows.
     """
     n = idx.ps.n
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.shape != (n,):
-        raise ValueError("radii must have one entry per point")
+    if radii.ndim != 1 or radii.size == 0 or radii.size % n:
+        raise ValueError("radii must have one entry per point of each family")
     if not (radii > 0).all():
         raise ValueError("radii must be positive")
-    check_index_range(n, 0)
+    families = radii.size // n
+    check_index_range(radii.size, 0)
     blocks = []
     edges = 0
-    for block in idx.balls(np.arange(n), radii):
-        edges += block[2].size
-        check_index_range(n, edges)
-        blocks.append(block)
-    counts = np.zeros(n, dtype=np.int64)
+    for f in range(families):
+        lo = f * n
+        for rows, c, targets in idx.balls(np.arange(n), radii[lo : lo + n]):
+            edges += targets.size
+            check_index_range(radii.size, edges)
+            if lo:
+                rows = rows + lo
+                targets += lo
+            blocks.append((rows, c, targets))
+    counts = np.zeros(radii.size, dtype=np.int64)
     for rows, c, _ in blocks:
         counts[rows] = c
-    ptr = np.zeros(n + 1, dtype=np.int64)
+    ptr = np.zeros(radii.size + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     out_ids = np.empty(edges, dtype=np.int32)
     while blocks:
@@ -253,7 +289,7 @@ def build_catch_digraph(idx: NeighborIndex, radii: np.ndarray) -> CatchDigraph:
         else:
             first = np.cumsum(c) - c
             out_ids[np.repeat(ptr[rows] - first, c) + np.arange(targets.size)] = targets
-    return CatchDigraph.from_csr(radii, idx.ps.d, ptr.astype(np.int32), out_ids)
+    return CatchDigraph.from_csr(radii, idx.ps.d, ptr.astype(np.int32), out_ids, families)
 
 
 @dataclass
@@ -261,8 +297,9 @@ class Clustering:
     """Partition of the points: cluster_of[i] gives the cluster id of i.
 
     Ids run 0..n_clusters-1 in decreasing cluster size, ties broken by the
-    smallest member id. Per-cluster statistics come from one sort of this
-    array, the only copy of the partition.
+    smallest member id; over a union of radius families, family by family
+    first. Per-cluster statistics come from one sort of this array, the
+    only copy of the partition.
     """
 
     cluster_of: np.ndarray
@@ -342,17 +379,28 @@ def cluster_digraph(dg: CatchDigraph, idx: NeighborIndex) -> Clustering:
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
     ATTACH_FACTOR times their own radius (NeighborIndex.nearest, ties going
-    to the smallest id); otherwise they stay singletons.
+    to the smallest id); otherwise they stay singletons. Over a union of
+    radius families no component crosses families, a vertex looks for its
+    point only among its own family's vertices, and the cluster ids run
+    family by family.
     """
+    m = idx.ps.n
+    if dg.n != dg.families * m:
+        raise ValueError("dg must be a digraph over the points of idx")
     n_comp, comp = _mutual_components(dg)
     comp_sizes = np.bincount(comp, minlength=n_comp)
 
     labels = comp.copy()
     anchored = comp_sizes[comp] >= 2
     isolated = np.flatnonzero(~anchored)
-    nearest, near = idx.nearest(isolated, anchored)
-    attached = (nearest >= 0) & (near <= ATTACH_FACTOR * dg.radii[isolated])
-    labels[isolated[attached]] = comp[nearest[attached]]
+    attached = np.zeros(isolated.size, dtype=bool)
+    bounds = np.searchsorted(isolated, np.arange(dg.families + 1) * m).tolist()
+    for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        lo = f * m
+        iso = isolated[a:b]
+        nearest, near = idx.nearest(iso - lo, anchored[lo : lo + m])
+        ok = attached[a:b] = (nearest >= 0) & (near <= ATTACH_FACTOR * dg.radii[iso])
+        labels[iso[ok]] = comp[nearest[ok] + lo]
     alone = isolated[~attached]
     labels[alone] = n_comp + np.arange(alone.size)
 
@@ -361,5 +409,5 @@ def cluster_digraph(dg: CatchDigraph, idx: NeighborIndex) -> Clustering:
         labels, return_index=True, return_inverse=True, return_counts=True
     )
     # rank lists the labels in id order, so its inverse maps label to id
-    rank = np.lexsort((first, -sizes))
+    rank = np.lexsort((first, -sizes, first // m))
     return Clustering(cluster_of=np.argsort(rank)[inverse])

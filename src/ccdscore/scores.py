@@ -50,18 +50,22 @@ def vicinity_density(dg: CatchDigraph) -> np.ndarray:
 
     The scores add up to n densities or their reciprocals and square the
     results (the naive SD), so every density must lie in
-    [n / sqrt(M), sqrt(M) / n], M the largest float. Outside that range
-    DegenerateDataError is raised, which covers every density that reads
-    zero, subnormal or infinite (at d=1, balls far below unit scale).
+    [n / sqrt(M), sqrt(M) / n], M the largest float, n the points of one
+    radius family. Outside that range DegenerateDataError is raised, which
+    covers every density that reads zero, subnormal or infinite (at d=1,
+    balls far below unit scale); over a union of families it names the
+    first family that fails, as that family's digraph alone would.
     """
     counts = dg.covered_count.astype(np.float64)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         rho = (counts / dg.radii) ** (1.0 / dg.dim)
-    top = np.sqrt(np.finfo(np.float64).max) / rho.size
+    n = rho.size // dg.families
+    top = np.sqrt(np.finfo(np.float64).max) / n
     bad = ~((rho >= 1.0 / top) & (rho <= top))
     if bad.any():
+        lo = int(np.argmax(bad)) // n * n
         raise DegenerateDataError(
-            f"the ball density of {int(bad.sum())} of {rho.size} points lies "
+            f"the ball density of {int(bad[lo : lo + n].sum())} of {n} points lies "
             f"outside [{1.0 / top:.3g}, {top:.3g}], where the scores' float64 "
             "arithmetic holds; rescale the points"
         )
@@ -490,12 +494,9 @@ class ScoreReport:
     oos: np.ndarray
     ios_raw: np.ndarray
     ios_std: np.ndarray
-    ios_std_naive: np.ndarray
     cluster_of: np.ndarray
     oos_flag: np.ndarray
     ios_flag: np.ndarray
-    oos_rank: np.ndarray
-    ios_rank: np.ndarray
     oos_threshold: float
     ios_threshold: float
     s_min: float
@@ -510,6 +511,21 @@ class ScoreReport:
     @property
     def n(self) -> int:
         return self.rho.shape[0]
+
+    # The comparison column and the ranks are read only by the writers, so
+    # each is computed from the report's own columns on first read.
+
+    @functools.cached_property
+    def ios_std_naive(self) -> np.ndarray:
+        return standardize_naive(Clustering(self.cluster_of), self.ios_raw)
+
+    @functools.cached_property
+    def oos_rank(self) -> np.ndarray:
+        return descending_ranks(self.oos)
+
+    @functools.cached_property
+    def ios_rank(self) -> np.ndarray:
+        return descending_ranks(self.ios_std)
 
     def flags_for(self, score_kind: str) -> np.ndarray:
         return self.ios_flag if score_kind == "ios" else self.oos_flag
@@ -651,6 +667,85 @@ def dump_json(doc, path) -> None:
         fh.write("\n")
 
 
+def score_families(
+    ps: PointSet,
+    strategies: list[RadiusStrategy],
+    *,
+    cluster_shape: str = "uniform",
+    threshold: float | None = None,
+    s_min: float = 0.0,
+    idx: NeighborIndex | None = None,
+) -> list[ScoreReport]:
+    """Run the whole scoring pipeline on one point set under each radius
+    strategy: one report per strategy, from one pass over the disjoint
+    union of their catch digraphs, where vertex f * n + i is point i under
+    strategies[f].
+
+    Radii, digraph, clustering, both scores, standardization with tie
+    separation, threshold resolution, and flags. No edge, cluster or tie
+    run crosses two families, so each stage runs once over the union, and
+    each report takes its family's slice of the columns, its own digraph
+    block and its cluster ids shifted back to start at 0; a lone family's
+    report takes the union's digraph and clustering as they are.
+    threshold, when given, is the cutoff of both scores in place of the
+    tabulated ones; it may be infinite but not NaN. idx, when given, is a
+    neighbor index over this very ps that other callers share; its tables
+    serve the radii and the digraph. Otherwise one is built.
+    """
+    if threshold is not None and np.isnan(threshold):
+        raise ConfigError("threshold must be a number, not NaN")
+    check_s_min(s_min)
+    if not strategies:
+        raise ConfigError("score_families needs at least one radius strategy")
+    if idx is None:
+        idx = build_index(ps)
+    elif idx.ps is not ps:
+        raise ValueError("idx must be a neighbor index built over ps itself")
+    radii = np.concatenate([estimate_radii(idx, s) for s in strategies])
+    dg = build_catch_digraph(idx, radii)
+    cl = cluster_digraph(dg, idx)
+    rho = vicinity_density(dg)
+    oos_scores = oos(dg, rho)
+    ios_scores = ios_raw(dg, cl, rho)
+    ios_std = break_ties(cl, standardize_ios(cl, ios_scores), rho)
+    n = ps.n
+    reports = []
+    for f, strategy in enumerate(strategies):
+        sl = slice(f * n, (f + 1) * n)
+        if dg.families == 1:
+            cl_f = cl
+        else:
+            cluster_of = cl.cluster_of[sl]
+            cl_f = Clustering(cluster_of=cluster_of - cluster_of.min())
+        thr_oos, thr_ios = (
+            default_threshold(kind, strategy.kind, cluster_shape, ps.d)
+            if threshold is None else float(threshold)
+            for kind in ("oos", "ios")
+        )
+        reports.append(ScoreReport(
+            rho=rho[sl],
+            oos=oos_scores[sl],
+            ios_raw=ios_scores[sl],
+            ios_std=ios_std[sl],
+            cluster_of=cl_f.cluster_of,
+            oos_flag=flag_outliers(oos_scores[sl], thr_oos),
+            ios_flag=flag_outliers(ios_std[sl], thr_ios, clustering=cl_f, s_min=s_min),
+            oos_threshold=thr_oos,
+            ios_threshold=thr_ios,
+            s_min=s_min,
+            params={
+                "strategy": strategy.kind,
+                "k": strategy.k,
+                "density_mode": RATIO_ROOT,
+                "cluster_shape": cluster_shape,
+                "attach_factor": ATTACH_FACTOR,
+            },
+            digraph=dg.family(f),
+            clustering=cl_f,
+        ))
+    return reports
+
+
 def score_point_set(
     ps: PointSet,
     strategy: RadiusStrategy | None = None,
@@ -660,56 +755,8 @@ def score_point_set(
     s_min: float = 0.0,
     idx: NeighborIndex | None = None,
 ) -> ScoreReport:
-    """Run the whole scoring pipeline on one point set.
-
-    Radii, digraph, clustering, both scores, standardization with tie
-    separation, threshold resolution, and flags, in one pass. threshold,
-    when given, is the cutoff of both scores in place of the tabulated
-    ones; it may be infinite but not NaN. idx, when given, is a neighbor
-    index over this very ps that other callers share; its tables serve the
-    radii and the digraph. Otherwise one is built.
-    """
-    if threshold is not None and np.isnan(threshold):
-        raise ConfigError("threshold must be a number, not NaN")
-    check_s_min(s_min)
-    if idx is None:
-        idx = build_index(ps)
-    elif idx.ps is not ps:
-        raise ValueError("idx must be a neighbor index built over ps itself")
-    strategy = strategy or fixed_k()
-    radii = estimate_radii(idx, strategy)
-    dg = build_catch_digraph(idx, radii)
-    cl = cluster_digraph(dg, idx)
-    rho = vicinity_density(dg)
-    oos_scores = oos(dg, rho)
-    ios_scores = ios_raw(dg, cl, rho)
-    ios_std = break_ties(cl, standardize_ios(cl, ios_scores), rho)
-    thr_oos, thr_ios = (
-        default_threshold(kind, strategy.kind, cluster_shape, ps.d)
-        if threshold is None else float(threshold)
-        for kind in ("oos", "ios")
-    )
-    return ScoreReport(
-        rho=rho,
-        oos=oos_scores,
-        ios_raw=ios_scores,
-        ios_std=ios_std,
-        ios_std_naive=standardize_naive(cl, ios_scores),
-        cluster_of=cl.cluster_of,
-        oos_flag=flag_outliers(oos_scores, thr_oos),
-        ios_flag=flag_outliers(ios_std, thr_ios, clustering=cl, s_min=s_min),
-        oos_rank=descending_ranks(oos_scores),
-        ios_rank=descending_ranks(ios_std),
-        oos_threshold=thr_oos,
-        ios_threshold=thr_ios,
-        s_min=s_min,
-        params={
-            "strategy": strategy.kind,
-            "k": strategy.k,
-            "density_mode": RATIO_ROOT,
-            "cluster_shape": cluster_shape,
-            "attach_factor": ATTACH_FACTOR,
-        },
-        digraph=dg,
-        clustering=cl,
-    )
+    """The report of ps under one radius strategy, fixed-k when none is
+    given: score_families with that strategy alone, which the reports of
+    any union holding it equal bit for bit."""
+    return score_families(ps, [strategy or fixed_k()], cluster_shape=cluster_shape,
+                          threshold=threshold, s_min=s_min, idx=idx)[0]

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ccdscore import bench, dataset
+from ccdscore import bench, dataset, graph, scores
 from ccdscore.bench import (
     ALL_METHODS,
     BASELINE_METHODS,
@@ -25,7 +25,8 @@ from ccdscore.bench import (
     write_results_json,
     write_timings_csv,
 )
-from ccdscore.errors import ConfigError, DegenerateLabelsError
+from ccdscore.errors import ConfigError, DegenerateDataError, DegenerateLabelsError
+from ccdscore.graph import build_catch_digraph, estimate_radii, fixed_k, un_approx
 from ccdscore.simgen import SimConfig, generate
 
 from _oracles import (
@@ -234,6 +235,117 @@ def test_monte_carlo_validation(monkeypatch):
             run_monte_carlo([CFG_A], ["odin"], replicates=replicates)
 
 
+def test_monte_carlo_rejects_an_empty_config_list(monkeypatch):
+    def no_cell(task):
+        raise AssertionError("a cell ran for an empty config list")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    with pytest.raises(ConfigError, match="configs list is empty"):
+        run_monte_carlo([], ["odin"], replicates=2)
+
+
+# the radius rule of each family, in _CCD_TABLE's order
+FAMILY_STRATEGIES = list(dict.fromkeys(s for _, _, s in bench._CCD_TABLE.values()))
+
+
+def strip_times(rows):
+    return [{k: v for k, v in vars(r).items() if k not in ("wall_time", "report_time")}
+            for r in rows]
+
+
+def cell_data(cfg, master_seed, ci=0, ri=0):
+    """The point set _run_cell generates for that cell, with a fresh index."""
+    ps = generate(SimConfig.from_dict({**cfg, "seed": _derive_seed(master_seed, ci, ri)}))
+    return ps, dataset.build_index(ps)
+
+
+def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
+    # the density check rejects the un-approx family alone, so the cell's
+    # one pass over the union raises and each family is scored apart
+    methods = list(ALL_METHODS)
+    task = (CFG_A, 0, 0, 6, methods, DEFAULT_S_MIN)
+    want = bench._run_cell(task)
+    assert not any(r.error for r in want)
+    ps, idx = cell_data(CFG_A, 6)
+    bad = estimate_radii(idx, un_approx())
+    assert not np.array_equal(bad, estimate_radii(idx, fixed_k()))
+    real = scores.vicinity_density
+    calls = []
+
+    def picky(dg):
+        calls.append(dg.families)
+        m = dg.n // dg.families
+        for f in range(dg.families):
+            if np.array_equal(dg.radii[f * m : (f + 1) * m], bad):
+                raise DegenerateDataError("un-approx densities rejected")
+        return real(dg)
+
+    monkeypatch.setattr(scores, "vicinity_density", picky)
+    got = bench._run_cell(task)
+    assert calls == [3, 1, 1, 1]
+    for g, w in zip(strip_times(got), strip_times(want)):
+        if g["method"].endswith("-un"):
+            assert g["error"] == "un-approx densities rejected"
+        else:
+            assert g == w
+
+
+def test_a_union_past_the_edge_limit_scores_each_family_alone(monkeypatch):
+    # every family fits the int32 limit on its own, their union does not
+    methods = list(ALL_METHODS)
+    task = (CFG_A, 0, 1, 6, methods, DEFAULT_S_MIN)
+    want = bench._run_cell(task)
+    ps, idx = cell_data(CFG_A, 6, ri=1)
+    edges = [build_catch_digraph(idx, estimate_radii(idx, s)).out_ids.size
+             for s in FAMILY_STRATEGIES]
+    assert 3 * ps.n <= max(edges) < sum(edges)
+    monkeypatch.setattr(graph, "INDEX_MAX", max(edges))
+    passes = []
+    real = scores.score_families
+
+    def counted(ps, strategies, **kw):
+        try:
+            return real(ps, strategies, **kw)
+        except DegenerateDataError:
+            passes.append(len(strategies))
+            raise
+
+    monkeypatch.setattr(bench, "score_families", counted)
+    got = bench._run_cell(task)
+    assert passes == [3]
+    assert strip_times(got) == strip_times(want)
+    assert not any(r.error for r in got)
+
+
+def test_bench_reads_no_naive_column_and_no_rank(monkeypatch):
+    # the cached columns are computed on first read, which the bench never
+    # makes; read, they equal the eager functions
+    calls = []
+    for name in ("standardize_naive", "descending_ranks"):
+        real = getattr(scores, name)
+
+        def recording(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(scores, name, recording)
+    rows = run_monte_carlo([CFG_A, CFG_DENSE], list(ALL_METHODS), replicates=2,
+                           master_seed=8)
+    assert not any(r.error for r in rows)
+    assert calls == []
+    ps, idx = cell_data(CFG_DENSE, 8)
+    for rep in scores.score_families(ps, FAMILY_STRATEGIES, cluster_shape="gaussian",
+                                     idx=idx):
+        assert calls == []
+        naive = rep.ios_std_naive
+        assert calls == ["standardize_naive"]
+        assert rep.ios_std_naive is naive
+        assert np.array_equal(naive, scores.standardize_naive(rep.clustering, rep.ios_raw))
+        assert np.array_equal(rep.oos_rank, scores.descending_ranks(rep.oos))
+        assert np.array_equal(rep.ios_rank, scores.descending_ranks(rep.ios_std))
+        calls.clear()
+
+
 def inline_pool(monkeypatch):
     """Replace the bench pool by one that maps in this process; returns the
     list of pool sizes asked for."""
@@ -363,12 +475,14 @@ def test_writers_are_deterministic(tmp_path):
 
 
 def test_timings_give_each_shared_report_its_own_row(tmp_path):
-    methods = ["oos-fixed", "ios-fixed", "ios-rk", "odin"]
+    # one scoring pass per cell serves the reports of both families; it
+    # gets its own row ahead of the first CCD method, which ran it
+    methods = ["odin", "oos-fixed", "ios-fixed", "ios-rk"]
     rows = run_monte_carlo([CFG_A], methods, replicates=2, master_seed=9)
     write_timings_csv(rows, tmp_path / "timings.csv")
     with open(tmp_path / "timings.csv", newline="") as fh:
         timed = list(csv.DictReader(fh))
-    per_cell = ["report-fixed", "oos-fixed", "ios-fixed", "report-rk", "ios-rk", "odin"]
+    per_cell = ["odin", "report-ccd", "oos-fixed", "ios-fixed", "ios-rk"]
     assert [(int(t["replicate"]), t["method"]) for t in timed] == [
         (ri, m) for ri in range(2) for m in per_cell
     ]

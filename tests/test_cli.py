@@ -422,6 +422,17 @@ def test_bench_empty_methods_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_empty_configs_exits_2_without_outputs(tmp_path, capsys):
+    # no cell to run is a configuration error, not a bench whose cells all
+    # failed (exit 4)
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [], 1)
+    rc = run(["bench", "--grid", grid, "--methods", "odin", "--out", tmp_path / "r"])
+    assert rc == 2
+    assert "ConfigError: the configs list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_scores_saved_flags(tmp_path):
     run(["fixture", "--out", tmp_path / "fx"])
     run(["score", "--input", tmp_path / "fx.csv", "--method", "ios",
