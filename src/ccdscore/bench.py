@@ -12,16 +12,16 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import LofParams, OdinParams, lof, odin
-from .dataset import NeighborIndex, PointSet, build_index
+from .dataset import NeighborIndex, PointSet, build_index, index_over
 from .errors import ConfigError, DegenerateLabelsError
 from .graph import default_k, fixed_k, rk_approx, un_approx
 from .scores import SCORE_KINDS, check_s_min, dump_json, score_families, score_point_set
-from .simgen import CLUSTER_SHAPE_OF, SimConfig, check_seed, generate
+from .simgen import CLUSTER_SHAPE_OF, REGIMES, SimConfig, check_seed, generate
 
 BETA = 2.0
 
@@ -96,6 +96,15 @@ def metrics(c: Confusion, beta: float = BETA) -> MetricSet:
     return MetricSet(tpr=tpr, tnr=tnr, ba=ba, f_beta=f_beta)
 
 
+def _check_method(method: str, regime: str | None = None) -> None:
+    """Raise ConfigError unless method is one of ALL_METHODS and regime,
+    when given, one of the simgen regimes."""
+    if method not in ALL_METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    if regime is not None and regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
 def evaluate_method(
     method: str,
     ps: PointSet,
@@ -107,13 +116,10 @@ def evaluate_method(
 
     idx, when given, is a neighbor index over this very ps that the other
     methods of the same cell share; called alone, the method builds its own.
+    Every method checks the regime, which only the CCD methods read.
     """
-    if method not in ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    if idx is None:
-        idx = build_index(ps)
-    elif idx.ps is not ps:
-        raise ValueError("idx must be a neighbor index built over ps itself")
+    _check_method(method, regime)
+    idx = index_over(ps, idx)
     if method == "lof":
         return lof(idx)[1]
     if method == "odin":
@@ -196,10 +202,8 @@ def _cell_reports(ps: PointSet, methods, shape: str, s_min: float,
 
 
 def _run_cell(args) -> list[BenchRow]:
-    cfg_dict, ci, ri, master_seed, methods, s_min = args
-    cfg = SimConfig.from_dict(
-        {**cfg_dict, "seed": _derive_seed(master_seed, ci, ri)}
-    )
+    cfg, ci, ri, master_seed, methods, s_min = args
+    cfg = replace(cfg, seed=_derive_seed(master_seed, ci, ri))
     try:
         ps = generate(cfg)
         # one index and one table serve every method of the cell: each
@@ -266,8 +270,7 @@ def run_monte_carlo(
     """
     methods = list(methods) if methods is not None else list(ALL_METHODS)
     for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+        _check_method(m)
         if methods.count(m) > 1:
             raise ConfigError(f"method {m!r} is listed more than once")
     if isinstance(replicates, bool) or not isinstance(replicates, (int, np.integer)):
@@ -278,15 +281,12 @@ def run_monte_carlo(
         raise ConfigError("workers must be >= 1")
     check_seed(master_seed, "master_seed")
     check_s_min(s_min)
-    cfg_dicts = []
-    for c in configs:
-        d = c.to_dict() if isinstance(c, SimConfig) else SimConfig.from_dict(c).to_dict()
-        cfg_dicts.append(d)
-    if not cfg_dicts:
+    configs = [c if isinstance(c, SimConfig) else SimConfig.from_dict(c) for c in configs]
+    if not configs:
         raise ConfigError("the configs list is empty; a bench needs at least one config")
     tasks = [
-        (cfg_dicts[ci], ci, ri, master_seed, methods, s_min)
-        for ci in range(len(cfg_dicts))
+        (cfg, ci, ri, master_seed, methods, s_min)
+        for ci, cfg in enumerate(configs)
         for ri in range(replicates)
     ]
     workers = min(workers, len(tasks), _usable_cpus())

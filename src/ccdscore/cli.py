@@ -2,7 +2,8 @@
 and evaluate flag files against labeled data.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 unreadable or
-invalid data, 4 bench finished with no successful cell.
+invalid data or an output that cannot be written, 4 bench finished with
+no successful cell.
 """
 
 from __future__ import annotations
@@ -399,12 +400,11 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (ConfigError, BadKError) as exc:
+    except (CcdScoreError, OSError) as exc:
+        # inputs are opened under package errors, so an OSError is an
+        # output that cannot be written
         print(f"error [{args.command}] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CcdScoreError as exc:
-        print(f"error [{args.command}] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ConfigError, BadKError)) else 3
 
 
 if __name__ == "__main__":

@@ -460,7 +460,7 @@ class NeighborIndex:
 
     def _dense_table_candidates(self, rows: np.ndarray, w: int, k: int):
         """(cand, closed): the w+1 smallest g = |x|^2 + |y|^2 - 2 x.y of each
-        point x of rows by the dense screen's block product and argpartition,
+        point x of rows by the block products of _gram_blocks and argpartition,
         and whether some g past the (k+1)-th smallest exceeds the one before
         it by more than twice the screen's band.
 
@@ -475,15 +475,13 @@ class NeighborIndex:
         are among them, with no tie to break against a point outside. A row
         whose g values overflowed (-inf among them, or +inf at g2) never closes.
         """
-        x, sq, slack, floor = self._shifted
+        _, sq, slack, floor = self._shifted
         m = min(w + 2, self.n)
         cand = np.empty((rows.size, w + 1), dtype=np.int64)
         closed = np.ones(rows.size, dtype=bool)  # with m = w+1 every point is a candidate
-        for sl in row_chunks(rows.size, self.n):
+        for sl, g in self._gram_blocks(rows):
             r = rows[sl]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = np.take(x, r, axis=0) @ x.T
-                g *= -2.0
                 g += sq
                 part = np.argpartition(g, m - 1, axis=1)[:, :m]
                 gp = np.take_along_axis(g, part, axis=1)
@@ -612,10 +610,36 @@ class NeighborIndex:
             sq = np.minimum(np.einsum("ij,ij->i", x, x), fi.max)
         return x, sq, _SCREEN_C * (d + 2) * fi.eps, _SCREEN_C * (d + 2) * fi.tiny
 
+    def _gram_blocks(self, rows: np.ndarray):
+        """(slice into rows, g) per block of about GATHER_CHUNK entries: g =
+        -2 x.y by one matrix product, x each shifted point of the block's
+        rows and y every shifted point; the dense table and the dense
+        screen add the squared norms of _shifted.
+
+        Shifted squared norms are at most about the squared spread that
+        __post_init__ found finite, clipped to the largest float. Past
+        about half of it -2 x.y overflows to -inf, and the screen's
+        (1 + slack) r^2 or (1 + slack) |y|^2 to +inf. Both, like the
+        clipping, only lower g or raise the screen's candidate limit, so
+        they add candidates, which the recheck rejects. A pair is sure only
+        when -2 x.y, r^2 and both scaled norms are finite, since an
+        overflowed term proves nothing; NaN from inf - inf only ever fails a
+        test, and the warnings are silenced. Each center is cleared in the
+        hit mask, not by a value written into g: an overflowed r^2 makes the
+        limit +inf, which passes any value. A table row whose g overflowed
+        never closes.
+        """
+        x = self._shifted[0]
+        for sl in row_chunks(rows.size, self.n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = np.take(x, rows[sl], axis=0) @ x.T
+                g *= -2.0
+            yield sl, g
+
     def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
-        """(slice into rows, owner, candidate, sure) per block of rows, from
-        one matrix product per block: j != rows[a] is a candidate of row a
-        when g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
+        """(slice into rows, owner, candidate, sure) per block of _gram_blocks,
+        which covers overflow: j != rows[a] is a candidate of row a when
+        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
         candidates with g <= r^2 - band, which are members for certain.
         Here x = points[rows[a]], y = points[j] and r = radii[a], all after
         shifting the points by their column minima. owner holds positions
@@ -638,23 +662,8 @@ class NeighborIndex:
         smallest normal float, dwarfs the absolute errors of subnormal
         terms. The band's norm terms move to the left side as a factor
         1 -/+ C (d + 2) eps on the squared norms.
-
-        After the shift every squared norm is at most about the squared
-        spread that __post_init__ found finite, and it is clipped to the
-        largest float in case rounding carries it over. The product and the
-        limits can still overflow once the squared spread passes about half
-        the largest float: -2 x.y then reads -inf, and (1 + slack) r^2 or
-        (1 + slack) |y|^2 reads +inf. On the candidate side the first
-        lowers g and the second raises its limit, as does the clipping, so
-        an overflow only adds candidates, which the recheck rejects. On the
-        sure side an overflowed term proves nothing, so a pair is sure only
-        when -2 x.y, r^2 and both scaled norms are finite; NaN from
-        inf - inf only ever fails a test, and the warnings are silenced.
-        Each center is cleared in the hit mask rather than by a value
-        written into g: where r^2 overflows, the limit is +inf and would
-        pass any such value.
         """
-        x, sq, slack, floor = self._shifted
+        _, sq, slack, floor = self._shifted
         with np.errstate(over="ignore", invalid="ignore"):
             sq_lo = (1.0 - slack) * sq
             sq_hi = (1.0 + slack) * sq
@@ -662,11 +671,9 @@ class NeighborIndex:
             hi = (1.0 + slack) * r2 + floor - sq_lo[rows]
             lo = (1.0 - slack) * r2 - floor - sq_hi[rows]
         lo[~np.isfinite(lo)] = -np.inf  # an overflowed r^2 or norm proves nothing
-        for sl in row_chunks(rows.size, self.n):
+        for sl, g in self._gram_blocks(rows):
             r = rows[sl]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = np.take(x, r, axis=0) @ x.T
-                g *= -2.0
                 hit = g + sq_lo <= hi[sl, None]
                 hit[np.arange(r.size), r] = False
                 # one flat index and a division beat a 2-d nonzero 3 to 1
@@ -689,3 +696,12 @@ class NeighborIndex:
 def build_index(ps: PointSet) -> NeighborIndex:
     """Build a NeighborIndex over ps."""
     return NeighborIndex(ps=ps)
+
+
+def index_over(ps: PointSet, idx: NeighborIndex | None) -> NeighborIndex:
+    """idx, which must be an index built over ps itself, or a new one."""
+    if idx is None:
+        return build_index(ps)
+    if idx.ps is not ps:
+        raise ValueError("idx must be a neighbor index built over ps itself")
+    return idx

@@ -21,7 +21,7 @@ from .dataset import (
     MADN_CONSTANT,
     NeighborIndex,
     PointSet,
-    build_index,
+    index_over,
     row_blocks,
     row_chunks,
 )
@@ -486,6 +486,12 @@ def write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> Non
     )
 
 
+# The names of each score kind's (score, flag, rank) columns in a
+# ScoreReport, so that a reader computes only the ranks it reads.
+_KIND_COLUMNS = {"oos": ("oos", "oos_flag", "oos_rank"),
+                 "ios": ("ios_std", "ios_flag", "ios_rank")}
+
+
 @dataclass
 class ScoreReport:
     """Everything the scoring pipeline produced for one point set."""
@@ -502,7 +508,6 @@ class ScoreReport:
     s_min: float
     params: dict = field(default_factory=dict)
     digraph: CatchDigraph | None = field(default=None, repr=False)
-    clustering: Clustering | None = field(default=None, repr=False)
     # float_text of each column written so far, keyed by the column's
     # float64 bytes: scores.csv and scores.json share it, and a column
     # changed since can never meet a stale text
@@ -528,7 +533,7 @@ class ScoreReport:
         return descending_ranks(self.ios_std)
 
     def flags_for(self, score_kind: str) -> np.ndarray:
-        return self.ios_flag if score_kind == "ios" else self.oos_flag
+        return getattr(self, _KIND_COLUMNS[score_kind][1])
 
     def _float_text(self, a: np.ndarray) -> list[str]:
         a = np.asarray(a, dtype=np.float64)
@@ -542,10 +547,7 @@ class ScoreReport:
         return json_floats(a, self._float_text(a))
 
     def write_csv(self, path, method: str = "ios") -> None:
-        score, flag, rank = {
-            "oos": (self.oos, self.oos_flag, self.oos_rank),
-            "ios": (self.ios_std, self.ios_flag, self.ios_rank),
-        }[method]
+        score, flag, rank = (getattr(self, name) for name in _KIND_COLUMNS[method])
         text = self._float_text
         write_report_csv(
             path,
@@ -686,7 +688,7 @@ def score_families(
     run crosses two families, so each stage runs once over the union, and
     each report takes its family's slice of the columns, its own digraph
     block and its cluster ids shifted back to start at 0; a lone family's
-    report takes the union's digraph and clustering as they are.
+    report takes the union's digraph and cluster_of as they are.
     threshold, when given, is the cutoff of both scores in place of the
     tabulated ones; it may be infinite but not NaN. idx, when given, is a
     neighbor index over this very ps that other callers share; its tables
@@ -697,10 +699,7 @@ def score_families(
     check_s_min(s_min)
     if not strategies:
         raise ConfigError("score_families needs at least one radius strategy")
-    if idx is None:
-        idx = build_index(ps)
-    elif idx.ps is not ps:
-        raise ValueError("idx must be a neighbor index built over ps itself")
+    idx = index_over(ps, idx)
     radii = np.concatenate([estimate_radii(idx, s) for s in strategies])
     dg = build_catch_digraph(idx, radii)
     cl = cluster_digraph(dg, idx)
@@ -741,7 +740,6 @@ def score_families(
                 "attach_factor": ATTACH_FACTOR,
             },
             digraph=dg.family(f),
-            clustering=cl_f,
         ))
     return reports
 

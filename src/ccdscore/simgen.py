@@ -266,34 +266,12 @@ def gen_neyman_scott(cfg: SimConfig, return_parts: bool = False):
     raise ConfigError("process produced no points after 100 attempts")
 
 
-_NO_ROOM = (
-    "could not place an outlier at the requested separation; "
-    "lower outlier_min_separation or the cluster extent"
-)
 # Candidates drawn and tested per k-d tree query when placing the singles.
 _OUTLIER_BATCH = 64
 # The tree and np.linalg.norm add the same squares in different orders, a
 # few ulps apart; a tree distance further than this (relative) from the
 # separation decides alone.
 _TREE_MARGIN = 1e-9
-
-
-def _gap(points: np.ndarray, cand: np.ndarray) -> float:
-    """The distance from cand to its nearest point: the value placement
-    decides on."""
-    return np.min(np.linalg.norm(points - cand, axis=1))
-
-
-def _place_one(
-    rng: np.random.Generator, points: np.ndarray, min_dist: float, lo: float, hi: float
-) -> np.ndarray:
-    """The first candidate of rng's uniform stream over [lo, hi)^d whose
-    _gap is at least min_dist, out of _OUTLIER_ATTEMPTS."""
-    for _ in range(_OUTLIER_ATTEMPTS):
-        cand = rng.uniform(lo, hi, size=points.shape[1])
-        if _gap(points, cand) >= min_dist:
-            return cand
-    raise ConfigError(_NO_ROOM)
 
 
 def _place_singles(
@@ -303,15 +281,18 @@ def _place_singles(
     min_dist: float,
     lo: float,
     hi: float,
+    batch: int = _OUTLIER_BATCH,
 ) -> list[np.ndarray]:
-    """What count calls of _place_one take, the ConfigError after
-    _OUTLIER_ATTEMPTS misses in a row included.
+    """The first count candidates of rng's uniform stream over [lo, hi)^d
+    at least min_dist from every point, by np.linalg.norm; ConfigError
+    after _OUTLIER_ATTEMPTS misses in a row.
 
-    Candidates come _OUTLIER_BATCH at a time (one draw of shape (m, d)
-    reads the stream as m draws of d values), and one k-d tree query finds
-    each one's nearest point; only a tree distance within _TREE_MARGIN of
-    min_dist goes to _gap. The stream is read past the last candidate
-    taken, which is harmless: nothing reads it after.
+    Candidates come batch at a time (one draw of shape (m, d) reads the
+    stream as m draws of d values), and one k-d tree query finds each
+    one's nearest point; only a tree distance within _TREE_MARGIN of
+    min_dist takes the norm. The stream is read up to the end of the batch
+    that holds the last candidate taken, so a caller that reads the stream
+    after asks for batch=1.
     """
     placed: list[np.ndarray] = []
     if count == 0:
@@ -319,11 +300,11 @@ def _place_singles(
     tree = cKDTree(points)
     misses = 0
     while True:
-        cands = rng.uniform(lo, hi, size=(_OUTLIER_BATCH, points.shape[1]))
+        cands = rng.uniform(lo, hi, size=(batch, points.shape[1]))
         near = tree.query(cands)[0]
         ok = near > min_dist * (1.0 + _TREE_MARGIN)
         for i in np.flatnonzero(~ok & (near >= min_dist * (1.0 - _TREE_MARGIN))).tolist():
-            ok[i] = _gap(points, cands[i]) >= min_dist
+            ok[i] = np.min(np.linalg.norm(points - cands[i], axis=1)) >= min_dist
         for cand, hit in zip(cands, ok.tolist()):
             if hit:
                 placed.append(cand)
@@ -333,7 +314,10 @@ def _place_singles(
             else:
                 misses += 1
                 if misses == _OUTLIER_ATTEMPTS:
-                    raise ConfigError(_NO_ROOM)
+                    raise ConfigError(
+                        "could not place an outlier at the requested separation; "
+                        "lower outlier_min_separation or the cluster extent"
+                    )
 
 
 def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
@@ -359,7 +343,8 @@ def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
         group_radius = 0.25 * scale
         # the group's points follow its center in this stream, so the center
         # is drawn one candidate at a time
-        center = _place_one(group_rng, ps.points, sep + group_radius, lo, hi)
+        center = _place_singles(group_rng, ps.points, 1, sep + group_radius, lo, hi,
+                                batch=1)[0]
         new_points.extend(
             center + _uniform_ball(group_rng, g, cfg.d, group_radius)
         )

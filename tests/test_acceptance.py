@@ -49,9 +49,9 @@ def test_criterion_01_oracle_equivalence():
         pts = rng.uniform(size=(n, d))
         rep = score_point_set(PointSet(pts), fixed_k(k=min(5, n - 1)))
         rho, o, ci, ir = brute_scores(
-            pts, rep.digraph.radii, rep.clustering.cluster_of, d
+            pts, rep.digraph.radii, Clustering(rep.cluster_of).cluster_of, d
         )
-        got_ci = cumulative_influence(rep.digraph, rep.clustering, rep.rho)
+        got_ci = cumulative_influence(rep.digraph, Clustering(rep.cluster_of), rep.rho)
         fin = np.isfinite(o)
         ok = ok and np.array_equal(np.isfinite(rep.oos), fin)
         ok = ok and np.allclose(rep.oos[fin], o[fin], rtol=1e-12)

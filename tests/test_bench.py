@@ -181,6 +181,14 @@ def test_evaluate_method_rejects_an_index_over_other_points(method):
         evaluate_method(method, ps, "uniform", DEFAULT_S_MIN, dataset.build_index(twin))
 
 
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_evaluate_method_rejects_an_unknown_regime(method):
+    # lof and odin read no regime, but a bogus one is still refused
+    ps = generate(SimConfig.from_dict(CFG_A))
+    with pytest.raises(ConfigError, match="regime must be one of"):
+        evaluate_method(method, ps, "bogus")
+
+
 @pytest.mark.parametrize("cfg, source", [
     (CFG_A, "_tree_table_candidates"),
     (CFG_DENSE, "_dense_table_candidates"),
@@ -263,7 +271,7 @@ def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
     # the density check rejects the un-approx family alone, so the cell's
     # one pass over the union raises and each family is scored apart
     methods = list(ALL_METHODS)
-    task = (CFG_A, 0, 0, 6, methods, DEFAULT_S_MIN)
+    task = (SimConfig.from_dict(CFG_A), 0, 0, 6, methods, DEFAULT_S_MIN)
     want = bench._run_cell(task)
     assert not any(r.error for r in want)
     ps, idx = cell_data(CFG_A, 6)
@@ -293,7 +301,7 @@ def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
 def test_a_union_past_the_edge_limit_scores_each_family_alone(monkeypatch):
     # every family fits the int32 limit on its own, their union does not
     methods = list(ALL_METHODS)
-    task = (CFG_A, 0, 1, 6, methods, DEFAULT_S_MIN)
+    task = (SimConfig.from_dict(CFG_A), 0, 1, 6, methods, DEFAULT_S_MIN)
     want = bench._run_cell(task)
     ps, idx = cell_data(CFG_A, 6, ri=1)
     edges = [build_catch_digraph(idx, estimate_radii(idx, s)).out_ids.size
@@ -340,7 +348,8 @@ def test_bench_reads_no_naive_column_and_no_rank(monkeypatch):
         naive = rep.ios_std_naive
         assert calls == ["standardize_naive"]
         assert rep.ios_std_naive is naive
-        assert np.array_equal(naive, scores.standardize_naive(rep.clustering, rep.ios_raw))
+        assert np.array_equal(
+            naive, scores.standardize_naive(graph.Clustering(rep.cluster_of), rep.ios_raw))
         assert np.array_equal(rep.oos_rank, scores.descending_ranks(rep.oos))
         assert np.array_equal(rep.ios_rank, scores.descending_ranks(rep.ios_std))
         calls.clear()

@@ -204,6 +204,34 @@ def test_score_missing_input_exits_3_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "fixture", "score", "eval", "bench"])
+def test_output_that_cannot_be_written_exits_3_naming_it(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    assert run(["gen", "--regime", "uniform", "--d", "2", "--n", "60",
+                "--outlier-fraction", "0.05", "--out", data]) == 0
+    report = tmp_path / "flags.csv"
+    report.write_text("flag\n" + "0\n" * 59 + "1\n")
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60,
+                       "outlier_fraction": 0.05}], 1)
+    # every command writes below a directory that does not exist, except
+    # bench, whose output directory is an existing file
+    bad = tmp_path / "nodir" / "x"
+    argv = {
+        "gen": ["gen", "--regime", "uniform", "--d", "2", "--n", "60", "--out", bad],
+        "fixture": ["fixture", "--out", bad],
+        "score": ["score", "--input", f"{data}.csv", "--out", bad],
+        "eval": ["eval", "--data", f"{data}.csv", "--out", bad, report],
+        "bench": ["bench", "--grid", grid, "--methods", "odin", "--out", f"{data}.csv"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]")
+    assert str(argv[-1] if command == "bench" else bad) in err
+    assert "Traceback" not in err
+
+
 def test_gen_rejects_unknown_regime(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--regime", "spiral", "--d", "2", "--n", "50",

@@ -12,6 +12,7 @@ from ccdscore import dataset
 from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
 from ccdscore.graph import (
+    Clustering,
     build_catch_digraph,
     estimate_radii,
     fixed_k,
@@ -100,7 +101,7 @@ def test_pipeline_equals_reference_loops(regime, d):
     for name, make in STRATEGIES.items():
         ref = reference_report(ps, make(), s_min=0.02)
         rep = score_point_set(ps, make(), s_min=0.02)
-        dg, cl = rep.digraph, rep.clustering
+        dg, cl = rep.digraph, Clustering(rep.cluster_of)
         where = (regime, d, name)
         assert np.array_equal(dg.radii, ref["radii"]), where
         assert same_rows(dg.covers, ref["covers"]), where

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ccdscore import dataset, scores
 from ccdscore.dataset import PointSet
 from ccdscore.errors import CcdScoreError, ConfigError
-from ccdscore.graph import RADIUS_KINDS, RadiusStrategy, fixed_k, rk_approx
+from ccdscore.graph import RADIUS_KINDS, Clustering, RadiusStrategy, fixed_k, rk_approx
 from ccdscore.scores import score_families, score_point_set
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -55,7 +55,7 @@ def assert_reports_equal(got, want):
         a, b = getattr(got.digraph, name), getattr(want.digraph, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.digraph.dim == want.digraph.dim and got.digraph.families == 1
-    assert got.clustering.cluster_of.tobytes() == got.cluster_of.tobytes()
+    assert Clustering(got.cluster_of).cluster_of.tobytes() == got.cluster_of.tobytes()
     for name in SCALARS:
         assert getattr(got, name) == getattr(want, name), name
 
@@ -102,7 +102,7 @@ def test_one_family_reports_the_union_as_it_is(monkeypatch):
         monkeypatch.setattr(scores, name, recording)
     ps = PointSet(np.random.default_rng(5).random((60, 3)))
     (rep,) = score_families(ps, [rk_approx()])
-    assert built[0] is rep.digraph and built[1] is rep.clustering
+    assert built[0] is rep.digraph and built[1].cluster_of is rep.cluster_of
     two = score_families(ps, [fixed_k(), rk_approx()])
     assert built[2].families == 2 and built[2].n == 2 * ps.n
     assert [r.digraph.families for r in two] == [1, 1]

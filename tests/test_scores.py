@@ -329,7 +329,7 @@ def test_pipeline_matches_brute_oracle():
     from ccdscore.dataset import PointSet
 
     rep = score_point_set(PointSet(pts), fixed_k(k=5))
-    dg, cl = rep.digraph, rep.clustering
+    dg, cl = rep.digraph, Clustering(rep.cluster_of)
     rho, o, ci, ir = brute_scores(pts, dg.radii, cl.cluster_of, 3)
     assert np.allclose(rep.rho, rho, rtol=1e-12)
     finite = np.isfinite(o)
@@ -346,7 +346,7 @@ def test_ios_raw_upper_bound():
         rep = score_point_set(PointSet(pts), fixed_k(k=4))
         bound = 1.0 / rep.rho
         assert np.all(rep.ios_raw <= bound + 1e-12)
-        ci = cumulative_influence(rep.digraph, rep.clustering, rep.rho)
+        ci = cumulative_influence(rep.digraph, Clustering(rep.cluster_of), rep.rho)
         tight = np.isclose(rep.ios_raw, bound, rtol=1e-12)
         assert np.array_equal(tight, ci == 0.0)
 
@@ -381,8 +381,8 @@ def test_scores_scale_invariant_under_fixed_k():
     assert np.array_equal(a.cluster_of, b.cluster_of)
     # the tie-separation pass spreads tied groups by density weights that
     # re-round under scaling, so compare the standardized values before it
-    sa = standardize_ios(a.clustering, a.ios_raw)
-    sb = standardize_ios(b.clustering, b.ios_raw)
+    sa = standardize_ios(Clustering(a.cluster_of), a.ios_raw)
+    sb = standardize_ios(Clustering(b.cluster_of), b.ios_raw)
     assert np.allclose(sa, sb, rtol=1e-9, atol=1e-9)
     assert np.array_equal(a.oos_flag, b.oos_flag)
     assert np.array_equal(a.ios_flag, b.ios_flag)
@@ -484,7 +484,7 @@ def test_high_dimension_un_approx_keeps_outliers_without_nan():
         rep = score_point_set(ps, un_approx(), cluster_shape="gaussian")
         assert not np.isnan(rep.ios_std).any()
         outlier = ps.labels.astype(bool)
-        for c in range(rep.clustering.n_clusters):
+        for c in range(Clustering(rep.cluster_of).n_clusters):
             mem = np.flatnonzero(rep.cluster_of == c)
             out, inl = mem[outlier[mem]], mem[~outlier[mem]]
             if out.size and inl.size:

@@ -311,15 +311,21 @@ def test_generate_equals_the_per_attempt_placement(regime, d, group):
     assert placed >= 18
 
 
-@pytest.mark.parametrize("attempts, separation", [(3, 1.0), (40, 3.0), (100, 3.0)])
-def test_batched_placement_fails_where_the_loop_fails(monkeypatch, attempts, separation):
+@pytest.mark.parametrize("attempts, separation, group", [
+    pytest.param(attempts, separation, group,
+                 id=f"{attempts}-{separation}" + (f"-group{group}" if group else ""))
+    for group in (0, 3) for attempts, separation in [(3, 1.0), (40, 3.0), (100, 3.0)]
+])
+def test_batched_placement_fails_where_the_loop_fails(monkeypatch, attempts, separation,
+                                                      group):
     # few attempts at a wide separation: runs of misses straddle the
-    # batches, and some seeds give up after placing a few singles
+    # batches, and some seeds give up after placing a few singles; with a
+    # group, its center then retries one candidate per batch
     monkeypatch.setattr(simgen, "_OUTLIER_ATTEMPTS", attempts)
     failed = 0
     for seed in range(30):
         cfg = SimConfig("thomas", 2, 200, seed=seed, outlier_fraction=0.1,
-                        outlier_min_separation=separation)
+                        outlier_min_separation=separation, collective_group=group)
         got, want = both_outcomes(cfg)
         assert got == want
         failed += got[0] == "ConfigError"
