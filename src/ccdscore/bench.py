@@ -11,32 +11,57 @@ from __future__ import annotations
 import csv
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .baselines import LofParams, OdinParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index, index_over
 from .errors import ConfigError, DegenerateLabelsError
-from .graph import default_k, fixed_k, rk_approx, un_approx
+from .graph import RadiusStrategy, default_k, fixed_k, rk_approx, un_approx
 from .scores import SCORE_KINDS, check_s_min, dump_json, score_families, score_point_set
 from .simgen import CLUSTER_SHAPE_OF, REGIMES, SimConfig, check_seed, generate
 
 BETA = 2.0
 
-# Each CCD method, "<score>-<family>", and the score kind, radius family and
-# radius rule it reads. A cell scores every family its methods read in one
-# score_families pass, whose reports each serve both scores of a family;
-# timings.csv times that pass as method report-ccd.
-_CCD_TABLE = {
-    f"{score}-{family}": (score, family, strategy)
-    for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
-    for score in SCORE_KINDS
+
+@dataclass(frozen=True)
+class Method:
+    """A detector: the neighbor-table width it reads at n, its flags over a
+    Cell, and a CCD method's radius rule or a baseline's (scores, flags)
+    over an index with the sign under which higher scores are outlying."""
+
+    width: Callable[[int], int]
+    flags: Callable[["Cell"], np.ndarray]
+    strategy: RadiusStrategy | None = None
+    scores: Callable[[NeighborIndex], tuple] | None = None
+    sign: int = 1
+
+
+def _ccd(kind: str, strategy: RadiusStrategy) -> Method:
+    return Method(default_k, lambda cell: cell.report(strategy).flags_for(kind), strategy)
+
+
+def _baseline(width, scores, sign: int = 1) -> Method:
+    return Method(width, lambda cell: scores(cell.idx)[1], scores=scores, sign=sign)
+
+
+# Every method, in the order the bench runs them by default; a CCD method
+# is "<score kind>-<radius family>". lof and odin are looked up by their
+# module names at each call, so a wrapper set on those names sees it.
+METHODS = {
+    **{f"{kind}-{family}": _ccd(kind, strategy)
+       for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
+       for kind in SCORE_KINDS},
+    "lof": _baseline(lambda n: LofParams().k_max, lambda idx: lof(idx)),
+    "odin": _baseline(OdinParams().k_for, lambda idx: odin(idx), sign=-1),  # low in-degree
 }
-CCD_METHODS = tuple(_CCD_TABLE)
-BASELINE_METHODS = ("lof", "odin")
-ALL_METHODS = CCD_METHODS + BASELINE_METHODS
+ALL_METHODS = tuple(METHODS)
+CCD_METHODS = tuple(m for m, e in METHODS.items() if e.strategy is not None)
+BASELINE_METHODS = tuple(m for m, e in METHODS.items() if e.strategy is None)
 
 # Fraction below which a cluster counts as too small to be real; applied
 # to the inbound score only.
@@ -97,37 +122,67 @@ def metrics(c: Confusion, beta: float = BETA) -> MetricSet:
 
 
 def _check_method(method: str, regime: str | None = None) -> None:
-    """Raise ConfigError unless method is one of ALL_METHODS and regime,
-    when given, one of the simgen regimes."""
-    if method not in ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    """Raise ConfigError unless method is in METHODS and regime, when
+    given, one of the simgen regimes."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
     if regime is not None and regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
-def evaluate_method(
-    method: str,
-    ps: PointSet,
-    regime: str,
-    s_min: float = DEFAULT_S_MIN,
-    idx: NeighborIndex | None = None,
-) -> np.ndarray:
-    """Run one named method on a labeled point set; returns boolean flags.
+@dataclass
+class Cell:
+    """A labeled point set as its methods see it: ps, the index over it
+    they share, and the reports of the radius families they read, from
+    one pass made on first use and timed in report_time."""
 
-    idx, when given, is a neighbor index over this very ps that the other
-    methods of the same cell share; called alone, the method builds its own.
-    Every method checks the regime, which only the CCD methods read.
+    ps: PointSet
+    idx: NeighborIndex
+    methods: list[str]
+    regime: str
+    s_min: float
+    report_time: float | None = None
+
+    @cached_property
+    def _reports(self) -> dict:
+        # should the one score_families pass raise over several families,
+        # each is scored alone and one that fails maps to its exception
+        t0 = time.perf_counter()
+        strategies = [s for s in dict.fromkeys(METHODS[m].strategy for m in self.methods)
+                      if s is not None]
+        options = {"cluster_shape": CLUSTER_SHAPE_OF[self.regime], "s_min": self.s_min,
+                   "idx": self.idx}
+        try:
+            reports = score_families(self.ps, strategies, **options)
+        except Exception as exc:  # noqa: BLE001 - each family's own error goes to its rows
+            reports = [exc]
+            if len(strategies) > 1:
+                reports = []
+                for strategy in strategies:
+                    try:
+                        reports.append(score_point_set(self.ps, strategy, **options))
+                    except Exception as err:  # noqa: BLE001
+                        reports.append(err)
+        self.report_time = time.perf_counter() - t0
+        return dict(zip(strategies, reports))
+
+    def report(self, strategy: RadiusStrategy):
+        if isinstance(report := self._reports[strategy], Exception):
+            raise report
+        return report
+
+
+def evaluate_method(method: str, ps: PointSet, regime: str, s_min: float = DEFAULT_S_MIN,
+                    idx: NeighborIndex | None = None) -> np.ndarray:
+    """Run one named method on a labeled point set, in a cell of its own;
+    returns boolean flags.
+
+    idx, when given, is a neighbor index over this very ps that other
+    callers share; called alone, the method builds its own. Every method
+    checks the regime, which only the CCD methods read.
     """
     _check_method(method, regime)
-    idx = index_over(ps, idx)
-    if method == "lof":
-        return lof(idx)[1]
-    if method == "odin":
-        return odin(idx)[1]
-    score, _, strategy = _CCD_TABLE[method]
-    report = score_point_set(ps, strategy, cluster_shape=CLUSTER_SHAPE_OF[regime],
-                             s_min=s_min, idx=idx)
-    return report.flags_for(score)
+    return METHODS[method].flags(Cell(ps, index_over(ps, idx), [method], regime, s_min))
 
 
 @dataclass
@@ -166,82 +221,36 @@ def _derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _cell_table_k(methods, n: int) -> int:
-    """The widest neighbor table the cell's methods read, clipped to
-    [1, n - 1] for n >= 2: LOF's k_max, ODIN's default k and the CCD
-    radii's default_k(n). Built first, it serves every narrower k as a
-    prefix."""
-    widths = [1]
-    if "lof" in methods:
-        widths.append(LofParams().k_max)
-    if "odin" in methods:
-        widths.append(OdinParams().k_for(n))
-    if any(m in CCD_METHODS for m in methods):
-        widths.append(default_k(n))
-    return min(max(widths), n - 1)
-
-
-def _cell_reports(ps: PointSet, methods, shape: str, s_min: float,
-                  idx: NeighborIndex) -> dict:
-    """The report of each radius family the cell's CCD methods read, from
-    one score_families pass. Should that pass raise, each family is scored
-    alone, so a family that fails maps to the exception it raised and the
-    others to their reports."""
-    strategies = {_CCD_TABLE[m][1]: _CCD_TABLE[m][2] for m in methods if m in _CCD_TABLE}
-    options = {"cluster_shape": shape, "s_min": s_min, "idx": idx}
-    try:
-        reports = score_families(ps, list(strategies.values()), **options)
-    except Exception:  # noqa: BLE001 - each family's own error goes to its rows
-        reports = []
-        for strategy in strategies.values():
-            try:
-                reports.append(score_point_set(ps, strategy, **options))
-            except Exception as exc:  # noqa: BLE001
-                reports.append(exc)
-    return dict(zip(strategies, reports))
-
-
 def _run_cell(args) -> list[BenchRow]:
     cfg, ci, ri, master_seed, methods, s_min = args
     cfg = replace(cfg, seed=_derive_seed(master_seed, ci, ri))
     try:
         ps = generate(cfg)
-        # one index and one table serve every method of the cell: each
-        # narrower k reads a prefix of the table
+        # one index, and one table at the widest k the methods read, clipped
+        # to n - 1, serve every method of the cell: each narrower k reads a
+        # prefix. A lone point has no table; its methods fail in their rows.
         idx = build_index(ps)
-        if ps.n > 1:  # a lone point has no table; its methods fail in their rows
-            idx.knn_table(_cell_table_k(methods, ps.n))
+        if ps.n > 1:
+            idx.knn_table(min(max(METHODS[m].width(ps.n) for m in methods), ps.n - 1))
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
+    cell = Cell(ps, idx, methods, cfg.regime, s_min)
     rows = []
-    reports = None
     for m in methods:
+        unscored = cell.report_time is None
         t0 = time.perf_counter()
-        report_time = None
         try:
-            if m in _CCD_TABLE:
-                score, family, _ = _CCD_TABLE[m]
-                if reports is None:
-                    reports = _cell_reports(ps, methods, CLUSTER_SHAPE_OF[cfg.regime],
-                                            s_min, idx)
-                    report_time = time.perf_counter() - t0
-                    t0 += report_time
-                report = reports[family]
-                if isinstance(report, Exception):
-                    raise report
-                flags = report.flags_for(score)
-            else:
-                flags = evaluate_method(m, ps, cfg.regime, s_min, idx)
-            conf = Confusion.from_flags(ps.labels, flags)
+            conf = Confusion.from_flags(ps.labels, METHODS[m].flags(cell))
             ms = metrics(conf)
-            rows.append(BenchRow(ci, ri, m, conf.tp, conf.fp, conf.tn, conf.fn,
-                                 ms.tpr, ms.tnr, ms.ba, ms.f_beta,
-                                 wall_time=time.perf_counter() - t0,
-                                 report_time=report_time))
+            row = BenchRow(ci, ri, m, conf.tp, conf.fp, conf.tn, conf.fn,
+                           ms.tpr, ms.tnr, ms.ba, ms.f_beta)
         except Exception as exc:  # noqa: BLE001
-            rows.append(BenchRow(ci, ri, m, error=str(exc),
-                                 wall_time=time.perf_counter() - t0,
-                                 report_time=report_time))
+            row = BenchRow(ci, ri, m, error=str(exc))
+        # the row whose method made the cell's scoring pass carries its
+        # seconds apart from its own
+        row.report_time = cell.report_time if unscored else None
+        row.wall_time = time.perf_counter() - t0 - (row.report_time or 0.0)
+        rows.append(row)
     return rows
 
 
@@ -268,7 +277,7 @@ def run_monte_carlo(
     starts no more processes than there are cells or CPUs this process
     may run on.
     """
-    methods = list(methods) if methods is not None else list(ALL_METHODS)
+    methods = list(methods) if methods is not None else list(METHODS)
     for m in methods:
         _check_method(m)
         if methods.count(m) > 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import platform
@@ -22,11 +23,11 @@ import scipy
 
 from . import __version__
 from .bench import (
-    ALL_METHODS,
     BASELINE_METHODS,
     BETA,
     DEFAULT_REPLICATES,
     DEFAULT_S_MIN,
+    METHODS,
     Confusion,
     aggregate,
     metrics,
@@ -38,7 +39,6 @@ from .bench import (
     write_results_json,
     write_timings_csv,
 )
-from .baselines import lof, odin
 from .dataset import build_index, column_robust_stats, load_csv, robust_normalize, write_csv
 from .errors import BadKError, CcdScoreError, ConfigError
 from .graph import FIXED_K, RADIUS_KINDS, RadiusStrategy
@@ -148,7 +148,8 @@ def _s_min_note(report) -> str | None:
 
 
 def cmd_score(args) -> int:
-    if args.method in BASELINE_METHODS:
+    baseline = METHODS.get(args.method)  # None for the ios and oos scores
+    if baseline is not None:
         given = [name for name in _CCD_SCORE_OPTIONS if getattr(args, name) is not None]
         if given:
             raise ConfigError(
@@ -163,11 +164,7 @@ def cmd_score(args) -> int:
     label_column = _label_column(args.label_column)
     if label_column is None and not args.no_header:
         label_column = _sniff_label_column(args.input)
-    ps = load_csv(
-        args.input,
-        has_header=not args.no_header,
-        label_column=label_column,
-    )
+    ps = load_csv(args.input, has_header=not args.no_header, label_column=label_column)
     norm_report = None
     if not args.no_normalize:
         stats = med, madn_col, fallback = column_robust_stats(ps.points)
@@ -184,15 +181,11 @@ def cmd_score(args) -> int:
         "normalize": not args.no_normalize,
         "normalization": norm_report,
     }
-    if args.method in SCORE_KINDS:
-        report = score_point_set(
-            ps,
-            RadiusStrategy(args.digraph, args.k),
-            cluster_shape=args.shape,
-            threshold=args.threshold,
-            s_min=args.s_min,
-        )
-        out = _out_prefix(args.out)
+    out = _out_prefix(args.out)
+    if baseline is None:
+        report = score_point_set(ps, RadiusStrategy(args.digraph, args.k),
+                                 cluster_shape=args.shape, threshold=args.threshold,
+                                 s_min=args.s_min)
         report.write_csv(f"{out}.scores.csv", method=args.method)
         report.write_json(f"{out}.scores.json", method=args.method)
         params.update(report.params)
@@ -206,15 +199,9 @@ def cmd_score(args) -> int:
         if note:
             print(note, file=sys.stderr)
     else:
-        idx = build_index(ps)
-        if args.method == "lof":
-            scores, flags = lof(idx)
-            ranks = descending_ranks(scores)
-        else:
-            scores, flags = odin(idx)
-            ranks = descending_ranks(-scores)
-        out = _out_prefix(args.out)
-        write_baseline_report(out, args.method, scores, flags, ranks)
+        scores, flags = baseline.scores(build_index(ps))
+        write_baseline_report(out, args.method, scores, flags,
+                              descending_ranks(baseline.sign * scores))
         n_flagged = int(flags.sum())
     _manifest(f"{out}.manifest.json", args, params)
     print(f"scored {ps.n} points with {args.method}; {n_flagged} flagged")
@@ -236,8 +223,13 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"unknown grid key(s): {sorted(extra)}; methods and "
                           "s_min are the --methods and --s-min options")
     configs = [SimConfig.from_dict(c) for c in grid["configs"]]
-    methods = args.methods.split(",") if args.methods is not None else list(ALL_METHODS)
+    methods = args.methods.split(",") if args.methods is not None else list(METHODS)
     replicates = grid.get("replicates", DEFAULT_REPLICATES)
+    head = args.out  # the nearest existing ancestor must be a directory
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):  # exit 3 before any cell runs
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
     rows = run_monte_carlo(
         configs,
         methods=methods,
@@ -280,11 +272,8 @@ def _flag_cell(report_path, line: int, cell) -> int:
 
 
 def cmd_eval(args) -> int:
-    ps = load_csv(
-        args.data,
-        has_header=not args.no_header,
-        label_column=_label_column(args.label_column),
-    )
+    ps = load_csv(args.data, has_header=not args.no_header,
+                  label_column=_label_column(args.label_column))
     if ps.labels is None:
         raise ConfigError("eval needs a labeled dataset; pass --label-column")
     out_rows = []
@@ -378,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--methods", default=None,
-                   help=f"comma-separated subset of {','.join(ALL_METHODS)}")
+                   help=f"comma-separated subset of {','.join(METHODS)}")
     b.add_argument("--s-min", type=float, default=DEFAULT_S_MIN)
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=cmd_bench)

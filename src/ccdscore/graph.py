@@ -73,8 +73,10 @@ def default_k(n: int) -> int:
     return max(2, int(round(math.sqrt(n))))
 
 
-def unit_ball_volume(d: int) -> float:
-    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
+def log_unit_ball_volume(d: int) -> float:
+    """log V_d of the unit ball in d dimensions, finite at every d: V_d
+    itself underflows to 0.0 from d = 453."""
+    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
 
 
 def _positive_floor(idx: NeighborIndex, radii: np.ndarray) -> np.ndarray:
@@ -124,13 +126,12 @@ def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     # 0 and every candidate passes, the limit of an ever larger box
     with np.errstate(over="ignore"):
         volume = float(np.prod(sides))
-    vball = unit_ball_volume(d)
     z = float(ndtri(1.0 - RK_SIGNIFICANCE))
     _, cand = idx.knn_table(k)
     radii = cand[:, 0].copy()
     if volume <= 0:
         return radii
-    log_lam_ball = math.log(n) - math.log(volume) + math.log(vball)
+    log_lam_ball = math.log(n) - math.log(volume) + log_unit_ball_volume(d)
     observed = np.arange(2, k + 2, dtype=np.float64)
     for sl in row_chunks(n, k):
         c = cand[sl]

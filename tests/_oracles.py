@@ -202,9 +202,10 @@ def loop_nearest(points, rows, among, positive=False):
 
 def loop_radii(ps, idx, strategy):
     """estimate_radii for all three strategies, one point at a time, with
-    the rk significance 0.01 and the un rule's multiplier 2 and quantile
-    0.5 written out rather than read from the package."""
-    from ccdscore.graph import default_k, unit_ball_volume
+    the rk significance 0.01, the log volume of the unit ball and the un
+    rule's multiplier 2 and quantile 0.5 written out rather than read from
+    the package."""
+    from ccdscore.graph import default_k
 
     n, d = ps.n, ps.d
     k = min(strategy.k if strategy.k is not None else default_k(n), n - 1)
@@ -221,10 +222,8 @@ def loop_radii(ps, idx, strategy):
         sides = ps.points.max(axis=0) - ps.points.min(axis=0)
         volume = float(np.prod(sides))
         z = float(norm.ppf(1.0 - 0.01))
-        log_lam_ball = (
-            math.log(n) - math.log(volume) + math.log(unit_ball_volume(d))
-            if volume > 0 else None
-        )
+        log_vball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+        log_lam_ball = math.log(n) - math.log(volume) + log_vball if volume > 0 else None
         for i in range(n):
             _, cand = idx.knn(i, k)
             if log_lam_ball is None:

@@ -1,6 +1,7 @@
 import csv
+import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ccdscore.bench import (
     write_results_json,
     write_timings_csv,
 )
+from ccdscore.cli import main
 from ccdscore.errors import ConfigError, DegenerateDataError, DegenerateLabelsError
 from ccdscore.graph import build_catch_digraph, estimate_radii, fixed_k, un_approx
 from ccdscore.simgen import SimConfig, generate
@@ -210,6 +212,28 @@ def test_cell_builds_one_table_at_its_widest_k(cfg, source, monkeypatch):
     assert calls == [(source, 31), (source, 31)]
 
 
+def test_a_method_added_to_the_table_runs_in_every_caller(tmp_path, monkeypatch):
+    # one table entry, a copy of ODIN under a new name, and no other edit
+    monkeypatch.setitem(bench.METHODS, "odin-copy", replace(bench.METHODS["odin"]))
+    ps = generate(SimConfig.from_dict(CFG_A))
+    assert np.array_equal(evaluate_method("odin-copy", ps, "uniform"),
+                          evaluate_method("odin", ps, "uniform"))
+    rows = run_monte_carlo([CFG_A], ["odin", "odin-copy"], replicates=2, master_seed=3)
+    counts = lambda rows, m: [(r.replicate, r.tp, r.fp, r.tn, r.fn, r.error)
+                              for r in rows if r.method == m]
+    assert counts(rows, "odin-copy") == counts(rows, "odin")
+    assert not any(r.error for r in rows)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"configs": [CFG_A], "replicates": 2}))
+    assert main(["bench", "--grid", str(grid), "--methods", "odin-copy", "--seed", "3",
+                 "--out", str(tmp_path / "b")]) == 0
+    with open(tmp_path / "b" / "raw.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    assert [(int(r["replicate"]), int(r["tp"]), int(r["fp"]), int(r["tn"]), int(r["fn"]),
+             r["error"]) for r in raw if r["method"] == "odin-copy"] == counts(rows, "odin")
+    assert len(raw) == 2
+
+
 @pytest.mark.parametrize("master_seed", [-1, -(2**40), True, 1.5, 2.0, "3", None])
 def test_monte_carlo_rejects_a_bad_master_seed_before_any_cell(master_seed, monkeypatch):
     # numpy's SeedSequence would raise a ValueError inside every cell
@@ -252,8 +276,9 @@ def test_monte_carlo_rejects_an_empty_config_list(monkeypatch):
         run_monte_carlo([], ["odin"], replicates=2)
 
 
-# the radius rule of each family, in _CCD_TABLE's order
-FAMILY_STRATEGIES = list(dict.fromkeys(s for _, _, s in bench._CCD_TABLE.values()))
+# the radius rule of each family, in the method table's order
+FAMILY_STRATEGIES = list(dict.fromkeys(
+    e.strategy for e in bench.METHODS.values() if e.strategy is not None))
 
 
 def strip_times(rows):
@@ -296,6 +321,11 @@ def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
             assert g["error"] == "un-approx densities rejected"
         else:
             assert g == w
+    # a lone family's failed pass is its own error, not scored again
+    calls.clear()
+    alone = bench._run_cell((*task[:4], ["oos-un", "ios-un"], DEFAULT_S_MIN))
+    assert calls == [1]
+    assert [r.error for r in alone] == ["un-approx densities rejected"] * 2
 
 
 def test_a_union_past_the_edge_limit_scores_each_family_alone(monkeypatch):
@@ -507,8 +537,6 @@ def test_results_json_layout(tmp_path):
     agg = aggregate(rows, methods)
     path = tmp_path / "results.json"
     write_results_json(rows, agg, path)
-    import json
-
     got = json.loads(path.read_text())
     assert set(got) == {"raw", "aggregate"}
     assert len(got["raw"]) == 2 and len(got["aggregate"]) == 1

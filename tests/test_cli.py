@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccdscore import cli
 from ccdscore.cli import build_parser, main
 from ccdscore.dataset import PointSet, write_csv
 from ccdscore.simgen import SimConfig
@@ -230,6 +231,23 @@ def test_output_that_cannot_be_written_exits_3_naming_it(tmp_path, capsys, comma
     assert err.startswith(f"error [{command}]")
     assert str(argv[-1] if command == "bench" else bad) in err
     assert "Traceback" not in err
+
+
+def test_bench_out_naming_a_file_exits_3_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("the bench ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_cell)
+    grid = tmp_path / "grid.json"
+    write_grid(grid, [{"regime": "uniform", "d": 2, "n": 60,
+                       "outlier_fraction": 0.05}], 1)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert run(["bench", "--grid", grid, "--methods", "odin", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [bench] NotADirectoryError") and str(taken) in err
+    assert taken.read_text() == ""
 
 
 def test_gen_rejects_unknown_regime(tmp_path, capsys):
@@ -689,16 +707,18 @@ def _hostile_columns(kind, n=300):
     if kind == "plane-in-3d":
         u = rng.random(n)
         return np.column_stack([t, u, t + u])
+    if kind == "wide":  # the volume of the unit ball underflows from d = 453
+        return rng.random((40, 460))
     return np.column_stack([np.full(n, 4.0), rng.standard_normal((n, 2))])
 
 
 @pytest.mark.parametrize("digraph", ["fixed-k", "rk-approx", "un-approx"])
 @pytest.mark.parametrize("kind", ["single-column", "collinear", "plane-in-3d",
-                                  "constant-column"])
+                                  "constant-column", "wide"])
 def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, kind, digraph):
-    # a single column, collinear columns, columns spanning a plane, and a
-    # constant column next to two normal ones: a package error, or a
-    # report without NaN whose ranks are a permutation
+    # a single column, collinear columns, columns spanning a plane, a
+    # constant column next to two normal ones, and 460 columns: a package
+    # error, or a report without NaN whose ranks are a permutation
     pts = _hostile_columns(kind)
     write_csv(PointSet(pts), tmp_path / "x.csv")
     with warnings.catch_warnings():

@@ -10,9 +10,9 @@ from ccdscore.graph import (
     default_k,
     estimate_radii,
     fixed_k,
+    log_unit_ball_volume,
     rk_approx,
     un_approx,
-    unit_ball_volume,
 )
 
 from _oracles import brute_components, brute_covers, gather_cluster_of
@@ -53,9 +53,11 @@ def test_default_k():
 
 
 def test_unit_ball_volume():
-    assert unit_ball_volume(1) == pytest.approx(2.0)
-    assert unit_ball_volume(2) == pytest.approx(np.pi)
-    assert unit_ball_volume(3) == pytest.approx(4.0 / 3.0 * np.pi)
+    assert log_unit_ball_volume(1) == pytest.approx(np.log(2.0))
+    assert log_unit_ball_volume(2) == pytest.approx(np.log(np.pi))
+    assert log_unit_ball_volume(3) == pytest.approx(np.log(4.0 / 3.0 * np.pi))
+    # V_d itself underflows to 0.0 from d = 453
+    assert np.isfinite(log_unit_ball_volume(460))
 
 
 def test_fixed_k_line_radii():
