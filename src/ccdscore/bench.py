@@ -282,12 +282,11 @@ def run_monte_carlo(
         _check_method(m)
         if methods.count(m) > 1:
             raise ConfigError(f"method {m!r} is listed more than once")
-    if isinstance(replicates, bool) or not isinstance(replicates, (int, np.integer)):
-        raise ConfigError(f"replicates must be an integer, got {replicates!r}")
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    for name, value in (("replicates", replicates), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1")
     check_seed(master_seed, "master_seed")
     check_s_min(s_min)
     configs = [c if isinstance(c, SimConfig) else SimConfig.from_dict(c) for c in configs]

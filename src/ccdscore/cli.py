@@ -47,7 +47,7 @@ from .scores import (
     SCORE_KINDS,
     descending_ranks,
     dump_json,
-    json_float,
+    flag_outliers,
     score_point_set,
     small_cluster_flags,
     write_baseline_report,
@@ -138,7 +138,7 @@ def _s_min_note(report) -> str | None:
     if 2 * n_small <= report.n:
         return None
     sizes = np.bincount(report.cluster_of)
-    n_score = int((report.ios_std > report.ios_threshold).sum())
+    n_score = int(flag_outliers(report.ios_std, report.ios_threshold).sum())
     return (
         f"note: s_min {report.s_min} flags {n_small} of {report.n} points as "
         f"members of small clusters, the ios threshold alone {n_score}; the "
@@ -189,10 +189,7 @@ def cmd_score(args) -> int:
         report.write_csv(f"{out}.scores.csv", method=args.method)
         report.write_json(f"{out}.scores.json", method=args.method)
         params.update(report.params)
-        params["thresholds"] = {
-            "oos": json_float(report.oos_threshold),
-            "ios": json_float(report.ios_threshold),
-        }
+        params["thresholds"] = {"oos": report.oos_threshold, "ios": report.ios_threshold}
         params["s_min"] = args.s_min
         n_flagged = int(report.flags_for(args.method).sum())
         note = _s_min_note(report)

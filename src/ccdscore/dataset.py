@@ -125,6 +125,8 @@ def load_csv(
                 raise LabelError(f"label column index {label_idx} out of range")
 
     feature_cols = [c for c in range(ncol) if c != label_idx]
+    if not feature_cols:
+        raise ParseError(f"{path} has no coordinate column besides the label")
     try:
         data, labels = _convert_columns(rows, ncol, feature_cols, label_idx)
     except (ValueError, KeyError):

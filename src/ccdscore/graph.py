@@ -300,7 +300,7 @@ class Clustering:
     Ids run 0..n_clusters-1 in decreasing cluster size, ties broken by the
     smallest member id; over a union of radius families, family by family
     first. Per-cluster statistics come from one sort of this array, the
-    only copy of the partition.
+    only copy of the partition, which the scoring stages take bare.
     """
 
     cluster_of: np.ndarray

@@ -32,7 +32,6 @@ from .graph import (
     RK_APPROX,
     UN_APPROX,
     CatchDigraph,
-    Clustering,
     RadiusStrategy,
     build_catch_digraph,
     cluster_digraph,
@@ -166,31 +165,30 @@ def oos(dg: CatchDigraph, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _same_cluster_sources(dg: CatchDigraph, cl: Clustering):
+def _same_cluster_sources(dg: CatchDigraph, cluster_of: np.ndarray):
     """Per block of rows by target: (rows, src, dst) of the edges into
     those rows that stay inside one cluster, ascending by target, then by
     source, the ids int64."""
-    c = cl.cluster_of
     ptr = dg.in_ptr
     for sl in row_blocks(ptr):
         src = dg.in_ids[ptr[sl.start] : ptr[sl.stop]].astype(np.int64)
         dst = np.repeat(np.arange(sl.start, sl.stop), np.diff(ptr[sl.start : sl.stop + 1]))
-        same = c[src] == c[dst]
+        same = cluster_of[src] == cluster_of[dst]
         yield sl, src[same], dst[same]
 
 
 def cumulative_influence(
-    dg: CatchDigraph, cl: Clustering, rho: np.ndarray
+    dg: CatchDigraph, cluster_of: np.ndarray, rho: np.ndarray
 ) -> np.ndarray:
     """Summed density of the same-cluster points whose balls reach each point."""
     out = np.empty(dg.n, dtype=np.float64)
-    for sl, src, dst in _same_cluster_sources(dg, cl):
+    for sl, src, dst in _same_cluster_sources(dg, cluster_of):
         counts = np.bincount(dst - sl.start, minlength=sl.stop - sl.start)
         out[sl] = _row_sums(rho[src], counts)
     return out
 
 
-def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
+def ios_raw(dg: CatchDigraph, cluster_of: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Inbound outlyingness before standardization: 1 / (influence + own density).
 
     The denominator sums over the in-neighborhood plus the point itself in
@@ -200,7 +198,7 @@ def ios_raw(dg: CatchDigraph, cl: Clustering, rho: np.ndarray) -> np.ndarray:
     """
     n = dg.n
     out = np.empty(n, dtype=np.float64)
-    for sl, src, dst in _same_cluster_sources(dg, cl):
+    for sl, src, dst in _same_cluster_sources(dg, cluster_of):
         own = np.arange(sl.start, sl.stop)
         # the keys ascend already, so each point's own key only needs merging in
         pos = np.searchsorted(dst * n + src, own * (n + 1))
@@ -220,7 +218,7 @@ def _cluster_medians(cluster_of: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.where(sizes % 2 == 1, lo, (lo + hi) / 2)
 
 
-def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:
+def standardize_ios(cluster_of: np.ndarray, ios: np.ndarray) -> np.ndarray:
     """Center each cluster's values at the median and scale by MADN.
 
     A cluster with zero MADN (most of its members tie at the median)
@@ -229,30 +227,28 @@ def standardize_ios(cl: Clustering, ios: np.ndarray) -> np.ndarray:
     a raw value that stands clear of a tied majority stays clear of it.
     Singletons and fully tied clusters map to 0 throughout.
     """
-    c = cl.cluster_of
-    med = _cluster_medians(c, ios)[c]
-    madn = _cluster_medians(c, np.abs(ios - med))[c] / MADN_CONSTANT
+    med = _cluster_medians(cluster_of, ios)[cluster_of]
+    madn = _cluster_medians(cluster_of, np.abs(ios - med))[cluster_of] / MADN_CONSTANT
     out = np.where(ios > med, np.inf, np.where(ios < med, -np.inf, 0.0))
     return np.divide(ios - med, madn, out=out, where=madn > 0)
 
 
-def standardize_naive(cl: Clustering, ios: np.ndarray) -> np.ndarray:
+def standardize_naive(cluster_of: np.ndarray, ios: np.ndarray) -> np.ndarray:
     """Mean/SD standardization per cluster. Comparison output only; the
     robust variant above is what flagging uses.
     """
-    c = cl.cluster_of
     # each cluster's values in ascending id order, as np.mean would see them
-    vals = ios[np.argsort(c, kind="stable")]
-    sizes = np.bincount(c)
+    vals = ios[np.argsort(cluster_of, kind="stable")]
+    sizes = np.bincount(cluster_of)
     # np.mean and np.std take these steps: the sum over the size, then the
     # root of the summed squared deviations over the size
     mean = _row_sums(vals, sizes) / sizes
     dev = vals - np.repeat(mean, sizes)
     sd = np.sqrt(_row_sums(dev * dev, sizes) / sizes)
-    return (ios - mean[c]) / np.where(sd > 0, sd, 1.0)[c]
+    return (ios - mean[cluster_of]) / np.where(sd > 0, sd, 1.0)[cluster_of]
 
 
-def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def break_ties(cluster_of: np.ndarray, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Separate exactly tied standardized values inside each cluster.
 
     A run of m >= 2 equal values is spread between its neighboring
@@ -264,12 +260,11 @@ def break_ties(cl: Clustering, ios_std: np.ndarray, rho: np.ndarray) -> np.ndarr
     missing. Runs of +inf or -inf stay where they are, as do values with no
     exact duplicate, so a NaN-free input gives a NaN-free result.
     """
-    c = cl.cluster_of
-    n = c.size
+    n = cluster_of.size
     # by cluster, then value, then id: a run of equal values in one cluster
     # is contiguous, with its members in ascending id order
-    ids = np.lexsort((np.arange(n), ios_std, c))
-    vals, cs = ios_std[ids], c[ids]
+    ids = np.lexsort((np.arange(n), ios_std, cluster_of))
+    vals, cs = ios_std[ids], cluster_of[ids]
     starts = np.flatnonzero(np.append(True, (vals[1:] != vals[:-1]) | (cs[1:] != cs[:-1])))
     counts = np.diff(np.append(starts, n))
     run_val = vals[starts]
@@ -348,24 +343,14 @@ def check_s_min(s_min: float) -> None:
         raise ConfigError(f"s_min must lie in [0, 1], got {s_min}")
 
 
-def flag_outliers(
-    scores: np.ndarray,
-    threshold: float,
-    clustering: Clustering | None = None,
-    s_min: float = 0.0,
-) -> np.ndarray:
-    """Boolean flags: score above threshold, or membership in a cluster
-    whose share of the points falls below s_min (pass a clustering only
-    for the inbound score, where tiny colluding clusters hide).
-    """
-    flags = scores > threshold
-    if clustering is not None and s_min > 0:
-        flags |= small_cluster_flags(clustering.cluster_of, s_min)
-    return flags
+def flag_outliers(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Boolean flags: score above threshold."""
+    return scores > threshold
 
 
 def small_cluster_flags(cluster_of: np.ndarray, s_min: float) -> np.ndarray:
-    """Members of the clusters whose share of the points falls below s_min."""
+    """Members of the clusters whose share of the points falls below s_min:
+    the inbound score's second flag, as tiny colluding clusters hide."""
     return (np.bincount(cluster_of) / cluster_of.size < s_min)[cluster_of]
 
 
@@ -439,14 +424,6 @@ def float_text(a: np.ndarray) -> list[str]:
 JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
-def json_float(x: float) -> float | str:
-    """x as the JSON encoder should take it: a float when finite, else its
-    repr ("inf", "-inf" or "nan") as a str, which encodes as the quoted
-    text of JSON_NONFINITE."""
-    x = float(x)
-    return x if np.isfinite(x) else repr(x)
-
-
 def json_floats(a: np.ndarray, text: list[str]) -> JsonText:
     """The values of a as a JSON list, from their float_text; inf, -inf
     and nan become the strings "inf", "-inf" and "nan"."""
@@ -506,8 +483,8 @@ class ScoreReport:
     oos_threshold: float
     ios_threshold: float
     s_min: float
-    params: dict = field(default_factory=dict)
-    digraph: CatchDigraph | None = field(default=None, repr=False)
+    params: dict
+    digraph: CatchDigraph = field(repr=False)
     # float_text of each column written so far, keyed by the column's
     # float64 bytes: scores.csv and scores.json share it, and a column
     # changed since can never meet a stale text
@@ -522,7 +499,7 @@ class ScoreReport:
 
     @functools.cached_property
     def ios_std_naive(self) -> np.ndarray:
-        return standardize_naive(Clustering(self.cluster_of), self.ios_raw)
+        return standardize_naive(self.cluster_of, self.ios_raw)
 
     @functools.cached_property
     def oos_rank(self) -> np.ndarray:
@@ -573,10 +550,7 @@ class ScoreReport:
         return {
             "n": self.n,
             "method": method,
-            "thresholds": {
-                "oos": json_float(self.oos_threshold),
-                "ios": json_float(self.ios_threshold),
-            },
+            "thresholds": {"oos": self.oos_threshold, "ios": self.ios_threshold},
             "s_min": self.s_min,
             "params": self.params,
             "cluster_sizes": np.bincount(self.cluster_of).tolist(),
@@ -606,19 +580,27 @@ class ScoreReport:
 # indent run the pure-Python one, token by token. iter_json gives the bytes
 # of indent=2 while sending each list of plain scalars through the C encoder
 # in one call, its item separator carrying the newline and the indent, and
-# joining each JsonText with that same separator.
+# joining each JsonText with that same separator. Both encoders refuse a
+# non-finite float, so every file written stays strict JSON.
 _JSON_SCALARS = frozenset({str, int, float, type(None)})
-_encode_scalar = json.JSONEncoder().encode
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
 @functools.lru_cache(maxsize=32)
 def _scalar_list_encoder(pad: str):
-    return json.JSONEncoder(separators=("," + pad, ": ")).encode
+    return json.JSONEncoder(separators=("," + pad, ": "), allow_nan=False).encode
+
+
+def _quoted_nonfinite(x):
+    """x, or, for a non-finite float, its repr ("nan", "inf" or "-inf") as
+    a str, which encodes as the quoted text of JSON_NONFINITE."""
+    return repr(float(x)) if isinstance(x, float) and not np.isfinite(x) else x
 
 
 def iter_json(obj, indent: str = ""):
     """Yield the text of json.dumps(obj, indent=2) in pieces, a JsonText
-    taken as the list its items encode.
+    taken as the list its items encode and a non-finite float (numpy
+    float64 too) as its quoted repr, encoded again only when refused.
 
     Dicts and lists that hold containers recurse; a list whose items are
     all exactly str, int, float or None is encoded in one C call, so bool,
@@ -635,7 +617,10 @@ def iter_json(obj, indent: str = ""):
         yield "[" + pad + ("," + pad).join(obj) + "\n" + indent + "]"
         return
     if not isinstance(obj, (dict, list, tuple)):
-        yield _encode_scalar(obj)
+        try:
+            yield _encode_scalar(obj)
+        except ValueError:  # a non-finite float
+            yield _encode_scalar(_quoted_nonfinite(obj))
         return
     if not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
@@ -651,7 +636,12 @@ def iter_json(obj, indent: str = ""):
             sep = "," + pad
         yield "\n" + indent + "}"
     elif set(map(type, obj)) <= _JSON_SCALARS:
-        yield "[" + pad + _scalar_list_encoder(pad)(obj)[1:-1] + "\n" + indent + "]"
+        encode = _scalar_list_encoder(pad)
+        try:
+            text = encode(obj)
+        except ValueError:  # a non-finite float among the items
+            text = encode(list(map(_quoted_nonfinite, obj)))
+        yield "[" + pad + text[1:-1] + "\n" + indent + "]"
     else:
         sep = "[" + pad
         for item in obj:
@@ -662,8 +652,8 @@ def iter_json(obj, indent: str = ""):
 
 
 def dump_json(doc, path) -> None:
-    """Write doc as json.dump(doc, fh, indent=2) plus a newline would, piece
-    by piece, so the document is never held as one string."""
+    """Write doc as iter_json lays it out, plus a newline, piece by piece,
+    so the document is never held as one string."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(iter_json(doc))
         fh.write("\n")
@@ -702,20 +692,16 @@ def score_families(
     idx = index_over(ps, idx)
     radii = np.concatenate([estimate_radii(idx, s) for s in strategies])
     dg = build_catch_digraph(idx, radii)
-    cl = cluster_digraph(dg, idx)
+    cluster_of = cluster_digraph(dg, idx).cluster_of
     rho = vicinity_density(dg)
     oos_scores = oos(dg, rho)
-    ios_scores = ios_raw(dg, cl, rho)
-    ios_std = break_ties(cl, standardize_ios(cl, ios_scores), rho)
+    ios_scores = ios_raw(dg, cluster_of, rho)
+    ios_std = break_ties(cluster_of, standardize_ios(cluster_of, ios_scores), rho)
     n = ps.n
     reports = []
     for f, strategy in enumerate(strategies):
         sl = slice(f * n, (f + 1) * n)
-        if dg.families == 1:
-            cl_f = cl
-        else:
-            cluster_of = cl.cluster_of[sl]
-            cl_f = Clustering(cluster_of=cluster_of - cluster_of.min())
+        cluster_f = cluster_of if dg.families == 1 else cluster_of[sl] - cluster_of[sl].min()
         thr_oos, thr_ios = (
             default_threshold(kind, strategy.kind, cluster_shape, ps.d)
             if threshold is None else float(threshold)
@@ -726,9 +712,10 @@ def score_families(
             oos=oos_scores[sl],
             ios_raw=ios_scores[sl],
             ios_std=ios_std[sl],
-            cluster_of=cl_f.cluster_of,
+            cluster_of=cluster_f,
             oos_flag=flag_outliers(oos_scores[sl], thr_oos),
-            ios_flag=flag_outliers(ios_std[sl], thr_ios, clustering=cl_f, s_min=s_min),
+            ios_flag=(flag_outliers(ios_std[sl], thr_ios)
+                      | small_cluster_flags(cluster_f, s_min)),
             oos_threshold=thr_oos,
             ios_threshold=thr_ios,
             s_min=s_min,

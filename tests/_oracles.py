@@ -7,8 +7,9 @@ loops for the package's batched neighbor-table code, the per-cluster
 loops for its group reductions, the per-row report writers, and the bench
 result tables with every column listed by hand; keysort_csr and
 gather_cluster_of are the sorting and gathering forms of its graph layer,
-keysort_digraph builds a digraph from a list of edges, and
-loop_inject_outliers places outliers one candidate at a time.
+keysort_digraph builds a digraph from a list of edges,
+loop_inject_outliers places outliers one candidate at a time, and
+strict_json loads a written file as strict JSON.
 """
 
 import csv
@@ -467,8 +468,17 @@ def loop_small_cluster_flags(cluster_of, s_min):
 # writers.
 
 
-def _loop_json_float(v):
+def loop_json_float(v):
     return float(v) if np.isfinite(v) else repr(float(v))
+
+
+def strict_json(path):
+    """json.load of path that fails on a bare NaN, Infinity or -Infinity."""
+    def reject(name):
+        raise ValueError(f"bare {name} in {path}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def loop_report_json_dict(report, method="ios"):
@@ -480,16 +490,16 @@ def loop_report_json_dict(report, method="ios"):
         "params": report.params,
         "cluster_sizes": np.bincount(report.cluster_of).tolist(),
         "digraph": {
-            "radii": [_loop_json_float(v) for v in report.digraph.radii],
+            "radii": [loop_json_float(v) for v in report.digraph.radii],
             "covers": [c.tolist() for c in report.digraph.covers],
         },
         "points": {
             "cluster": report.cluster_of.tolist(),
-            "rho": [_loop_json_float(v) for v in report.rho],
-            "oos": [_loop_json_float(v) for v in report.oos],
-            "ios_raw": [_loop_json_float(v) for v in report.ios_raw],
-            "ios_std": [_loop_json_float(v) for v in report.ios_std],
-            "ios_std_naive": [_loop_json_float(v) for v in report.ios_std_naive],
+            "rho": [loop_json_float(v) for v in report.rho],
+            "oos": [loop_json_float(v) for v in report.oos],
+            "ios_raw": [loop_json_float(v) for v in report.ios_raw],
+            "ios_std": [loop_json_float(v) for v in report.ios_std],
+            "ios_std_naive": [loop_json_float(v) for v in report.ios_std_naive],
             "oos_flag": report.oos_flag.astype(int).tolist(),
             "ios_flag": report.ios_flag.astype(int).tolist(),
             "oos_rank": report.oos_rank.tolist(),
@@ -552,7 +562,7 @@ def loop_baseline_json_dict(method, scores, flags, ranks):
         "n": len(scores),
         "method": method,
         "points": {
-            "score": [_loop_json_float(v) for v in scores],
+            "score": [loop_json_float(v) for v in scores],
             "flag": flags.astype(int).tolist(),
             "rank": ranks.tolist(),
         },
@@ -659,7 +669,8 @@ def loop_raw_json_dicts(rows):
             "replicate": r.replicate,
             "method": r.method,
             "tp": r.tp, "fp": r.fp, "tn": r.tn, "fn": r.fn,
-            "tpr": r.tpr, "tnr": r.tnr, "ba": r.ba, "f2": r.f2,
+            "tpr": loop_json_float(r.tpr), "tnr": loop_json_float(r.tnr),
+            "ba": loop_json_float(r.ba), "f2": loop_json_float(r.f2),
             "error": r.error,
         }
         for r in rows

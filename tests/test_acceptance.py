@@ -31,8 +31,6 @@ from ccdscore.scores import (
 )
 from ccdscore.simgen import masking_fixture
 
-from ccdscore.graph import Clustering
-
 
 def verdict(num: int, ok: bool, detail: str = "") -> None:
     word = "PASS" if ok else "FAIL"
@@ -48,10 +46,8 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(20, 61))
         pts = rng.uniform(size=(n, d))
         rep = score_point_set(PointSet(pts), fixed_k(k=min(5, n - 1)))
-        rho, o, ci, ir = brute_scores(
-            pts, rep.digraph.radii, Clustering(rep.cluster_of).cluster_of, d
-        )
-        got_ci = cumulative_influence(rep.digraph, Clustering(rep.cluster_of), rep.rho)
+        rho, o, ci, ir = brute_scores(pts, rep.digraph.radii, rep.cluster_of, d)
+        got_ci = cumulative_influence(rep.digraph, rep.cluster_of, rep.rho)
         fin = np.isfinite(o)
         ok = ok and np.array_equal(np.isfinite(rep.oos), fin)
         ok = ok and np.allclose(rep.oos[fin], o[fin], rtol=1e-12)
@@ -109,8 +105,7 @@ def test_criterion_02_invariance_suite():
         vals = np.concatenate([lows, np.full(m, 0.5), highs])
         nn = vals.size
         rho = rng.uniform(0.1, 4.0, size=nn)
-        cl = Clustering(cluster_of=np.zeros(nn, dtype=np.int64))
-        got = break_ties(cl, vals, rho)
+        got = break_ties(np.zeros(nn, dtype=np.int64), vals, rho)
         sl = slice(lows.size, lows.size + m)
         inside = np.all(got[sl] > lows[-1]) and np.all(got[sl] < highs[0])
         order = np.argsort(rho[sl])

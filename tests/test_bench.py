@@ -33,11 +33,13 @@ from ccdscore.simgen import SimConfig, generate
 
 from _oracles import (
     loop_aggregate,
+    loop_json_float,
     loop_raw_json_dicts,
     loop_write_aggregate_csv,
     loop_write_json,
     loop_write_ranking_csv,
     loop_write_raw_csv,
+    strict_json,
 )
 
 CFG_A = {"regime": "uniform", "d": 2, "n": 80, "outlier_fraction": 0.05}
@@ -265,6 +267,9 @@ def test_monte_carlo_validation(monkeypatch):
     for replicates in (2.5, 2.0, True, "2"):
         with pytest.raises(ConfigError, match="must be an integer"):
             run_monte_carlo([CFG_A], ["odin"], replicates=replicates)
+    for workers in (1.5, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ConfigError, match="workers must be an integer"):
+            run_monte_carlo([CFG_A], ["odin"], replicates=2, workers=workers)
 
 
 def test_monte_carlo_rejects_an_empty_config_list(monkeypatch):
@@ -379,7 +384,7 @@ def test_bench_reads_no_naive_column_and_no_rank(monkeypatch):
         assert calls == ["standardize_naive"]
         assert rep.ios_std_naive is naive
         assert np.array_equal(
-            naive, scores.standardize_naive(graph.Clustering(rep.cluster_of), rep.ios_raw))
+            naive, scores.standardize_naive(rep.cluster_of, rep.ios_raw))
         assert np.array_equal(rep.oos_rank, scores.descending_ranks(rep.oos))
         assert np.array_equal(rep.ios_rank, scores.descending_ranks(rep.ios_std))
         calls.clear()
@@ -571,7 +576,10 @@ def test_result_files_equal_hand_listed_writers_byte_for_byte(tmp_path):
     loop_write_ranking_csv(rank_methods(ref), want / "ranking.csv")
     write_results_json(rows, agg, got / "results.json")
     loop_write_json({"raw": loop_raw_json_dicts(rows),
-                     "aggregate": [asdict(a) for a in ref]},
+                     "aggregate": [{k: loop_json_float(v) if isinstance(v, float) else v
+                                    for k, v in asdict(a).items()} for a in ref]},
                     want / "results.json")
     for name in ("raw.csv", "aggregate.csv", "ranking.csv", "results.json"):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    doc = strict_json(got / "results.json")
+    assert "nan" in [row["f2"] for row in doc["aggregate"]]

@@ -16,6 +16,8 @@ from ccdscore.cli import build_parser, main
 from ccdscore.dataset import PointSet, write_csv
 from ccdscore.simgen import SimConfig
 
+from _oracles import strict_json
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -160,14 +162,6 @@ def test_score_infinite_threshold_is_valid(tmp_path, capsys, value, n_flagged):
     assert run(["score", "--input", tmp_path / "fx.csv", f"--threshold={value}",
                 "--out", tmp_path / "s"]) == 0
     assert f"{n_flagged} flagged" in capsys.readouterr().out
-
-
-def strict_json(path):
-    """json.load of path that fails on a bare NaN, Infinity or -Infinity."""
-    def reject(name):
-        raise ValueError(f"bare {name} in {path}")
-
-    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf"])
@@ -600,11 +594,7 @@ def test_baseline_scores_json_is_strict(tmp_path):
     with np.errstate(invalid="ignore"):
         assert run(["score", "--input", tmp_path / "dup.csv", "--method", "lof",
                     "--out", tmp_path / "s"]) == 0
-
-    def reject(name):
-        raise ValueError(f"bare {name} in scores.json")
-
-    doc = json.loads((tmp_path / "s.scores.json").read_text(), parse_constant=reject)
+    doc = strict_json(tmp_path / "s.scores.json")
     scores = doc["points"]["score"]
     text = {v for v in scores if isinstance(v, str)}
     assert text and text <= {"inf", "-inf", "nan"}
@@ -652,9 +642,11 @@ def test_start_up_and_rk_scoring_leave_scipy_stats_unloaded(tmp_path):
 
 NOT_UTF8 = b"x,y,label\n0.1,0.2,0\n0.3,\xff\xfe,0\n"
 HUGE_FIELD = b"x,y,label\n0.1,0.2,0\n0.3," + b"9" * 200_000 + b",0\n"
+LABEL_ONLY = b"label\n0\n1\n0\n"  # no coordinate column once the label is taken
 
 
-@pytest.mark.parametrize("content", [NOT_UTF8, HUGE_FIELD], ids=["not-utf8", "huge-field"])
+@pytest.mark.parametrize("content", [NOT_UTF8, HUGE_FIELD, LABEL_ONLY],
+                         ids=["not-utf8", "huge-field", "label-only"])
 @pytest.mark.parametrize("argv", [
     ["score", "--input", "{data}", "--out", "{tmp}/s"],
     ["score", "--input", "{data}", "--no-header", "--out", "{tmp}/s"],
@@ -664,7 +656,8 @@ def test_hostile_bytes_in_input_data_exit_3(tmp_path, capsys, content, argv):
     (tmp_path / "bad.csv").write_bytes(content)
     rc = run([a.format(data=tmp_path / "bad.csv", tmp=tmp_path) for a in argv])
     assert rc == 3
-    assert "ParseError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [b"id,flag\n0,0\n1,\xff\n", b"id,flag\n0,0\n1," + b"0" * 200_000],
@@ -728,11 +721,7 @@ def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, ki
     if rc in (2, 3):
         return
     assert rc == 0
-
-    def reject(name):
-        raise ValueError(f"bare {name} in scores.json")
-
-    doc = json.loads((tmp_path / "s.scores.json").read_text(), parse_constant=reject)
+    doc = strict_json(tmp_path / "s.scores.json")
     cols = doc["points"]
     for name in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive"):
         assert "nan" not in cols[name], name

@@ -88,6 +88,18 @@ def test_load_csv_header_width_must_match_rows(tmp_path, text):
     assert f"{header.count(',') + 1} cells" in msg and f"rows {row.count(',') + 1}" in msg
 
 
+@pytest.mark.parametrize("text, has_header, label_column", [
+    ("label\n0\n1\n0\n", True, "label"),
+    ("0\n1\n0\n", False, 0),
+])
+def test_load_csv_label_as_the_only_column(tmp_path, text, has_header, label_column):
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_csv(p, has_header=has_header, label_column=label_column)
+    assert str(p) in str(err.value) and "no coordinate column" in str(err.value)
+
+
 def test_load_csv_bad_label_value(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("x,label\n1,2\n")

@@ -14,12 +14,11 @@ from ccdscore import dataset, graph
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import CcdScoreError, DegenerateDataError
 from ccdscore.graph import (
-    Clustering, build_catch_digraph, cluster_digraph, estimate_radii,
-    fixed_k, rk_approx, un_approx,
+    build_catch_digraph, cluster_digraph, estimate_radii, fixed_k, rk_approx, un_approx,
 )
 from ccdscore.scores import (
     break_ties, cumulative_influence, flag_outliers, ios_raw, oos, score_point_set,
-    standardize_ios, standardize_naive, vicinity_density,
+    small_cluster_flags, standardize_ios, standardize_naive, vicinity_density,
 )
 
 from _oracles import (
@@ -457,15 +456,14 @@ def test_ids_past_the_int32_square_root_keep_their_keys():
     # the ten top ids in two clusters, with edges within and across them
     cluster_of = np.full(n, 2)
     cluster_of[top] = np.repeat([0, 1], 5)
-    cl = Clustering(cluster_of=cluster_of)
     rho = np.random.default_rng(3).uniform(0.5, 2.0, n)
     covered_by = [dg.in_ids[a:b] for a, b in zip(dg.in_ptr[:-1], dg.in_ptr[1:])]
     assert np.array_equal(oos(dg, rho), loop_oos(dg.covers, rho))
     assert np.array_equal(
-        cumulative_influence(dg, cl, rho),
+        cumulative_influence(dg, cluster_of, rho),
         loop_cumulative_influence(covered_by, cluster_of, rho),
     )
-    assert np.array_equal(ios_raw(dg, cl, rho), loop_ios_raw(covered_by, cluster_of, rho))
+    assert np.array_equal(ios_raw(dg, cluster_of, rho), loop_ios_raw(covered_by, cluster_of, rho))
 
 
 @SETTINGS
@@ -486,11 +484,11 @@ def test_scores_do_not_depend_on_the_row_blocks(case, dense, make, size):
         rho = None
 
     def run():
-        cl = cluster_digraph(dg, idx)
+        cluster_of = cluster_digraph(dg, idx).cluster_of
         if rho is None:
-            return (cl.cluster_of,)
-        return (cl.cluster_of, oos(dg, rho), ios_raw(dg, cl, rho),
-                cumulative_influence(dg, cl, rho))
+            return (cluster_of,)
+        return (cluster_of, oos(dg, rho), ios_raw(dg, cluster_of, rho),
+                cumulative_influence(dg, cluster_of, rho))
 
     whole = run()
     both = dg.out_ptr.astype(np.int64) + dg.in_ptr
@@ -644,15 +642,14 @@ def partitions(draw):
 @given(partitions(), st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5]))
 def test_cluster_reductions_equal_reference_loops(case, s_min):
     cluster_of, values, ranked, rho = case
-    cl = Clustering(cluster_of=cluster_of)
-    std = standardize_ios(cl, values)
+    std = standardize_ios(cluster_of, values)
     assert np.array_equal(std, loop_standardize_ios(cluster_of, values))
     assert np.array_equal(
-        standardize_naive(cl, values), loop_standardize_naive(cluster_of, values)
+        standardize_naive(cluster_of, values), loop_standardize_naive(cluster_of, values)
     )
     for scores in (std, ranked):
         assert np.array_equal(
-            break_ties(cl, scores, rho), loop_break_ties(cluster_of, scores, rho)
+            break_ties(cluster_of, scores, rho), loop_break_ties(cluster_of, scores, rho)
         )
-    flags = flag_outliers(std, 1.0, clustering=cl, s_min=s_min)
+    flags = flag_outliers(std, 1.0) | small_cluster_flags(cluster_of, s_min)
     assert np.array_equal(flags, (std > 1.0) | loop_small_cluster_flags(cluster_of, s_min))

@@ -12,7 +12,6 @@ from ccdscore import dataset
 from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
 from ccdscore.graph import (
-    Clustering,
     build_catch_digraph,
     estimate_radii,
     fixed_k,
@@ -101,13 +100,13 @@ def test_pipeline_equals_reference_loops(regime, d):
     for name, make in STRATEGIES.items():
         ref = reference_report(ps, make(), s_min=0.02)
         rep = score_point_set(ps, make(), s_min=0.02)
-        dg, cl = rep.digraph, Clustering(rep.cluster_of)
+        dg = rep.digraph
         where = (regime, d, name)
         assert np.array_equal(dg.radii, ref["radii"]), where
         assert same_rows(dg.covers, ref["covers"]), where
         assert same_rows(in_rows(dg), ref["covered_by"]), where
         assert np.array_equal(rep.cluster_of, ref["cluster_of"]), where
-        assert np.array_equal(cumulative_influence(dg, cl, rep.rho), ref["ci"]), where
+        assert np.array_equal(cumulative_influence(dg, rep.cluster_of, rep.rho), ref["ci"]), where
         for key in ("rho", "oos", "ios_raw", "ios_std", "ios_std_naive",
                     "oos_flag", "ios_flag", "oos_rank", "ios_rank"):
             assert np.array_equal(getattr(rep, key), ref[key]), (key, *where)

@@ -7,12 +7,13 @@ from _oracles import (
     loop_oos,
     loop_small_cluster_flags,
     loop_standardize_naive,
+    strict_json,
 )
 
 from ccdscore.dataset import PointSet, build_index
 from ccdscore.errors import ConfigError, DegenerateDataError
 from ccdscore import graph
-from ccdscore.graph import Clustering, fixed_k, un_approx
+from ccdscore.graph import fixed_k, un_approx
 from ccdscore.scores import (
     _row_sums,
     THRESHOLDS,
@@ -39,7 +40,7 @@ def make_dg(radii, covers, dim):
 
 
 def one_cluster(n):
-    return Clustering(cluster_of=np.zeros(n, dtype=np.int64))
+    return np.zeros(n, dtype=np.int64)
 
 
 def test_density_worked_values():
@@ -89,8 +90,8 @@ def test_cumulative_influence_sums_same_cluster_sources():
 def test_cumulative_influence_ignores_other_clusters():
     dg = make_dg([1.0, 1.0, 1.0], [[], [0], [0]], dim=2)
     rho = np.array([5.0, 1.0, 2.0])
-    cl = Clustering(cluster_of=np.array([0, 0, 1], dtype=np.int64))
-    assert cumulative_influence(dg, cl, rho)[0] == pytest.approx(1.0)
+    cluster_of = np.array([0, 0, 1], dtype=np.int64)
+    assert cumulative_influence(dg, cluster_of, rho)[0] == pytest.approx(1.0)
 
 
 def test_ios_raw_worked_values():
@@ -110,8 +111,8 @@ def test_standardize_worked_column():
 
 
 def test_standardize_singleton_and_tied_clusters_zero():
-    cl = Clustering(cluster_of=np.array([0, 0, 0, 1], dtype=np.int64))
-    got = standardize_ios(cl, np.array([4.0, 4.0, 4.0, 9.0]))
+    cluster_of = np.array([0, 0, 0, 1], dtype=np.int64)
+    got = standardize_ios(cluster_of, np.array([4.0, 4.0, 4.0, 9.0]))
     assert np.all(got == 0.0)
 
 
@@ -140,10 +141,9 @@ def test_standardize_naive_mean_sd():
 
 
 def test_break_ties_worked_pair():
-    cl = one_cluster(4)
     vals = np.array([1.0, 1.5, 1.5, 2.0])
     rho = np.array([9.0, 1.0, 3.0, 7.0])
-    got = break_ties(cl, vals, rho)
+    got = break_ties(one_cluster(4), vals, rho)
     assert got[1] == pytest.approx(1.75)
     assert got[2] == pytest.approx(1.25)
     assert got[0] == 1.0 and got[3] == 2.0
@@ -197,9 +197,9 @@ def test_break_ties_infinite_brackets_count_as_missing():
 
 
 def test_break_ties_leaves_other_clusters_alone():
-    cl = Clustering(cluster_of=np.array([0, 0, 0, 1, 1], dtype=np.int64))
+    cluster_of = np.array([0, 0, 0, 1, 1], dtype=np.int64)
     vals = np.array([3.0, 3.0, 5.0, 3.0, 8.0])
-    got = break_ties(cl, vals, np.array([1.0, 2.0, 1.0, 5.0, 5.0]))
+    got = break_ties(cluster_of, vals, np.array([1.0, 2.0, 1.0, 5.0, 5.0]))
     # the duplicate inside cluster 0 separates; the lone 3.0 in cluster 1
     # has no duplicate in its own cluster and stays put
     assert got[0] != got[1]
@@ -295,14 +295,16 @@ def test_flag_outliers_strictly_above():
 def test_flag_outliers_small_cluster_filter():
     n = 100
     scores = np.zeros(n)
-    cl = Clustering(cluster_of=np.array([0] * 97 + [1] * 3, dtype=np.int64))
-    got = flag_outliers(scores, 5.0, clustering=cl, s_min=0.04)
-    assert got[:97].sum() == 0
+    scores[0] = 6.0
+    cluster_of = np.array([0] * 97 + [1] * 3, dtype=np.int64)
+    # the inbound flag: above the threshold, or a member of a small cluster
+    got = flag_outliers(scores, 5.0) | small_cluster_flags(cluster_of, 0.04)
+    assert got[:97].tolist() == [True] + [False] * 96
     assert got[97:].all()
-    assert flag_outliers(scores, 5.0, clustering=cl, s_min=0.0).sum() == 0
+    assert small_cluster_flags(cluster_of, 0.0).sum() == 0
     # share exactly at the cutoff is kept
-    cl4 = Clustering(cluster_of=np.array([0] * 96 + [1] * 4, dtype=np.int64))
-    assert flag_outliers(scores, 5.0, clustering=cl4, s_min=0.04).sum() == 0
+    cluster_of = np.array([0] * 96 + [1] * 4, dtype=np.int64)
+    assert small_cluster_flags(cluster_of, 0.04).sum() == 0
 
 
 def test_small_cluster_flags_match_the_loop_on_random_partitions():
@@ -329,8 +331,7 @@ def test_pipeline_matches_brute_oracle():
     from ccdscore.dataset import PointSet
 
     rep = score_point_set(PointSet(pts), fixed_k(k=5))
-    dg, cl = rep.digraph, Clustering(rep.cluster_of)
-    rho, o, ci, ir = brute_scores(pts, dg.radii, cl.cluster_of, 3)
+    rho, o, ci, ir = brute_scores(pts, rep.digraph.radii, rep.cluster_of, 3)
     assert np.allclose(rep.rho, rho, rtol=1e-12)
     finite = np.isfinite(o)
     assert np.array_equal(np.isfinite(rep.oos), finite)
@@ -346,7 +347,7 @@ def test_ios_raw_upper_bound():
         rep = score_point_set(PointSet(pts), fixed_k(k=4))
         bound = 1.0 / rep.rho
         assert np.all(rep.ios_raw <= bound + 1e-12)
-        ci = cumulative_influence(rep.digraph, Clustering(rep.cluster_of), rep.rho)
+        ci = cumulative_influence(rep.digraph, rep.cluster_of, rep.rho)
         tight = np.isclose(rep.ios_raw, bound, rtol=1e-12)
         assert np.array_equal(tight, ci == 0.0)
 
@@ -381,8 +382,8 @@ def test_scores_scale_invariant_under_fixed_k():
     assert np.array_equal(a.cluster_of, b.cluster_of)
     # the tie-separation pass spreads tied groups by density weights that
     # re-round under scaling, so compare the standardized values before it
-    sa = standardize_ios(Clustering(a.cluster_of), a.ios_raw)
-    sb = standardize_ios(Clustering(b.cluster_of), b.ios_raw)
+    sa = standardize_ios(a.cluster_of, a.ios_raw)
+    sb = standardize_ios(b.cluster_of, b.ios_raw)
     assert np.allclose(sa, sb, rtol=1e-9, atol=1e-9)
     assert np.array_equal(a.oos_flag, b.oos_flag)
     assert np.array_equal(a.ios_flag, b.ios_flag)
@@ -428,7 +429,6 @@ def test_report_serialization_round_trip(tmp_path):
 
 def test_report_round_trips_both_infinities(tmp_path):
     import csv as csvmod
-    import json as jsonmod
     from dataclasses import replace
 
     rng = np.random.default_rng(31)
@@ -450,11 +450,7 @@ def test_report_round_trips_both_infinities(tmp_path):
     assert rows[5]["oos"] == "inf"
     assert np.array_equal([float(r["score"]) for r in rows], ios_std)
     assert np.array_equal([float(r["oos"]) for r in rows], oos_vals)
-
-    def no_constants(name):
-        raise ValueError(f"non-JSON constant {name}")
-
-    got = jsonmod.loads(json_path.read_text(), parse_constant=no_constants)
+    got = strict_json(json_path)
     pts = got["points"]
     assert pts["ios_std"][3] == "inf" and pts["ios_std"][7] == "-inf"
     assert pts["oos"][5] == "inf"
@@ -484,7 +480,7 @@ def test_high_dimension_un_approx_keeps_outliers_without_nan():
         rep = score_point_set(ps, un_approx(), cluster_shape="gaussian")
         assert not np.isnan(rep.ios_std).any()
         outlier = ps.labels.astype(bool)
-        for c in range(Clustering(rep.cluster_of).n_clusters):
+        for c in range(rep.cluster_of.max() + 1):
             mem = np.flatnonzero(rep.cluster_of == c)
             out, inl = mem[outlier[mem]], mem[~outlier[mem]]
             if out.size and inl.size:
@@ -618,27 +614,27 @@ def block_edge_graph(rng):
         for i in range(n)
     ]
     out_graph = make_dg(np.ones(n), covers, dim=2)
-    return in_graph, out_graph, Clustering(cluster_of=cluster_of)
+    return in_graph, out_graph, cluster_of
 
 
 def test_scores_equal_loops_at_pairwise_block_edges():
     rng = np.random.default_rng(6)
-    in_graph, out_graph, cl = block_edge_graph(rng)
-    n = cl.cluster_of.size
+    in_graph, out_graph, cluster_of = block_edge_graph(rng)
+    n = cluster_of.size
     assert set(RUN_LENGTHS) <= set(np.diff(in_graph.in_ptr).tolist())
     assert set(RUN_LENGTHS) <= set(np.diff(out_graph.out_ptr).tolist())
-    assert set(RUN_LENGTHS[1:]) <= set(np.bincount(cl.cluster_of).tolist())
+    assert set(RUN_LENGTHS[1:]) <= set(np.bincount(cluster_of).tolist())
     rho = np.abs(spread_values(rng, n))
     for dg in (in_graph, out_graph):
         covers = dg.covers
         covered_by = [dg.in_ids[a:b] for a, b in zip(dg.in_ptr[:-1], dg.in_ptr[1:])]
         assert np.array_equal(oos(dg, rho), loop_oos(covers, rho))
-        ios = ios_raw(dg, cl, rho)
-        assert np.array_equal(ios, loop_ios_raw(covered_by, cl.cluster_of, rho))
+        ios = ios_raw(dg, cluster_of, rho)
+        assert np.array_equal(ios, loop_ios_raw(covered_by, cluster_of, rho))
         assert np.array_equal(
-            standardize_naive(cl, ios), loop_standardize_naive(cl.cluster_of, ios)
+            standardize_naive(cluster_of, ios), loop_standardize_naive(cluster_of, ios)
         )
     vals = spread_values(rng, n)
     assert np.array_equal(
-        standardize_naive(cl, vals), loop_standardize_naive(cl.cluster_of, vals)
+        standardize_naive(cluster_of, vals), loop_standardize_naive(cluster_of, vals)
     )

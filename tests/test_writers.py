@@ -59,6 +59,18 @@ json_trees = st.recursive(
 )
 
 
+def _strict(tree):
+    """tree with each non-finite float, numpy float64 too, as its repr: the
+    quoted text iter_json writes in place of a bare NaN or Infinity."""
+    if isinstance(tree, dict):
+        return {k: _strict(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_strict(v) for v in tree]
+    if isinstance(tree, float) and not math.isfinite(tree):
+        return repr(float(tree))
+    return tree
+
+
 def _quoted_pair(values):
     a = np.array(values, dtype=np.float64)
     original = [v if math.isfinite(v) else repr(v) for v in values]
@@ -71,11 +83,11 @@ def _unzip(pairs):
 
 # (tree, the same tree with some scalar lists swapped for their JsonText):
 # float lists with their non-finite values quoted, and any scalar list with
-# each item's json.dumps text, empty lists among them
+# each item's strict json.dumps text, empty lists among them
 encoded_pairs = st.one_of(
     st.lists(st.floats(), max_size=8).map(_quoted_pair),
     st.lists(json_scalars, max_size=8).map(
-        lambda v: (v, JsonText([json.dumps(x) for x in v]))),
+        lambda v: (v, JsonText([json.dumps(_strict(x)) for x in v]))),
 )
 json_pair_trees = st.recursive(
     st.one_of(json_scalars.map(lambda x: (x, x)), encoded_pairs),
@@ -92,9 +104,9 @@ json_pair_trees = st.recursive(
 @SETTINGS
 @given(json_trees, json_pair_trees)
 def test_iter_json_is_json_dumps_indent_2(tree, pair):
-    assert "".join(iter_json(tree)) == json.dumps(tree, indent=2)
+    assert "".join(iter_json(tree)) == json.dumps(_strict(tree), indent=2, allow_nan=False)
     original, encoded = pair
-    assert "".join(iter_json(encoded)) == json.dumps(original, indent=2)
+    assert "".join(iter_json(encoded)) == json.dumps(_strict(original), indent=2)
 
 
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"x": 1}, {2.5: 0}]])
