@@ -20,10 +20,10 @@ import numpy as np
 
 from .baselines import LofParams, OdinParams, lof, odin
 from .dataset import NeighborIndex, PointSet, build_index, index_over
-from .errors import ConfigError, DegenerateLabelsError
+from .errors import ConfigError, DegenerateLabelsError, check_int
 from .graph import RadiusStrategy, default_k, fixed_k, rk_approx, un_approx
 from .scores import SCORE_KINDS, check_s_min, dump_json, score_families, score_point_set
-from .simgen import CLUSTER_SHAPE_OF, REGIMES, SimConfig, check_seed, generate
+from .simgen import CLUSTER_SHAPE_OF, REGIMES, SimConfig, generate
 
 BETA = 2.0
 
@@ -282,12 +282,9 @@ def run_monte_carlo(
         _check_method(m)
         if methods.count(m) > 1:
             raise ConfigError(f"method {m!r} is listed more than once")
-    for name, value in (("replicates", replicates), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    check_seed(master_seed, "master_seed")
+    check_int(replicates, "replicates", 1)
+    check_int(workers, "workers", 1)
+    check_int(master_seed, "master_seed", 0)
     check_s_min(s_min)
     configs = [c if isinstance(c, SimConfig) else SimConfig.from_dict(c) for c in configs]
     if not configs:

@@ -109,9 +109,8 @@ def cmd_fixture(args) -> int:
     fx = masking_fixture(seed=args.seed)
     out = _out_prefix(args.out)
     write_csv(fx.ps, f"{out}.csv")
-    with open(f"{out}.roles.json", "w", encoding="utf-8") as fh:
-        json.dump({"roles": fx.roles, "threshold_shape": fx.threshold_shape}, fh)
-        fh.write("\n")
+    dump_json({"roles": fx.roles, "threshold_shape": fx.threshold_shape},
+              f"{out}.roles.json")
     _manifest(f"{out}.manifest.json", args, {"seed": args.seed})
     print(f"wrote fixture ({fx.ps.n} points, 9 outliers) to {out}.csv")
     return 0

@@ -230,7 +230,8 @@ def robust_normalize(ps: PointSet, *, stats: tuple | None = None) -> PointSet:
 
     Columns with zero MADN are centered only, with a warning; if every
     column is degenerate and all rows are identical the data carries no
-    information and DegenerateDataError is raised. stats, when given, is
+    information and DegenerateDataError is raised, as it is when a column's
+    spread over its MADN overflows float64. stats, when given, is
     column_robust_stats(ps.points), taken once by a caller that also
     reports it.
     """
@@ -247,7 +248,15 @@ def robust_normalize(ps: PointSet, *, stats: tuple | None = None) -> PointSet:
             stacklevel=2,
         )
     scale = np.where(degenerate, 1.0, madn_col)
-    out = (ps.points - med) / scale
+    with np.errstate(over="ignore"):
+        out = (ps.points - med) / scale
+    overflow = ~np.isfinite(out).all(axis=0)
+    if overflow.any():
+        cols = np.flatnonzero(overflow).tolist()
+        raise DegenerateDataError(
+            f"column(s) {cols} overflow float64 once divided by their MADN; "
+            "rescale them"
+        )
     return PointSet(points=out, labels=ps.labels, feature_names=ps.feature_names)
 
 
@@ -505,7 +514,7 @@ class NeighborIndex:
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        if np.isscalar(center) or isinstance(center, (int, np.integer)):
+        if np.isscalar(center):
             x = self.ps.points[int(center)]
         else:
             x = np.asarray(center, dtype=np.float64)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numpy as np
 
 
 class CcdScoreError(Exception):
@@ -41,3 +43,12 @@ class ConfigError(CcdScoreError):
 
 class DegenerateLabelsError(CcdScoreError):
     """Evaluation needs at least one positive and one negative label."""
+
+
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer, not a bool, of at
+    least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

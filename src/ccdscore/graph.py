@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 
 from .dataset import NeighborIndex, row_blocks, row_chunks
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, check_int
 
 FIXED_K = "fixed-k"
 RK_APPROX = "rk-approx"
@@ -51,10 +51,7 @@ class RadiusStrategy:
             raise ConfigError(f"unknown radius strategy {self.kind!r}")
         if self.k is None:
             return
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ConfigError("k must be positive")
+        check_int(self.k, "k", 1)
 
 
 def fixed_k(k: int | None = None) -> RadiusStrategy:

@@ -362,7 +362,7 @@ def descending_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-# The report writers format each value once: a float column's repr text
+# The report writers format each value once: a column's column_text
 # serves scores.csv and, with its non-finite tokens quoted, scores.json;
 # the cover rows take their ids from one table of the n id texts.
 
@@ -383,9 +383,14 @@ REPORT_COLUMNS = [
 ]
 
 
-def int_text(a: np.ndarray) -> map:
-    """str of each value of a, an int or bool array."""
-    return map(str, a.astype(np.int64).tolist())
+def column_text(a: np.ndarray) -> list[str]:
+    """The text of each value of a, in scores.csv and scores.json alike:
+    repr of a float, str of an int or a bool as an int64, so flags read 0
+    and 1."""
+    a = np.asarray(a)
+    if a.dtype.kind == "f":
+        return list(map(repr, a.astype(np.float64, copy=False).tolist()))
+    return list(map(str, a.astype(np.int64, copy=False).tolist()))
 
 
 def write_report_csv(path, **columns) -> None:
@@ -406,7 +411,7 @@ def write_report_csv(path, **columns) -> None:
 
 class JsonText:
     """A JSON list whose items are JSON text already. iter_json lays it out
-    as it lays out a list of plain scalars; json.dumps does not take it."""
+    as it lays out any list; json.dumps does not take it."""
 
     __slots__ = ("items",)
 
@@ -414,19 +419,14 @@ class JsonText:
         self.items = items
 
 
-def float_text(a: np.ndarray) -> list[str]:
-    """repr of each value of a: the text scores.csv holds, and, finite, the
-    text the JSON encoder writes."""
-    return list(map(repr, np.asarray(a, dtype=np.float64).tolist()))
-
-
-# repr's non-finite tokens as the JSON strings that keep a report strict JSON
+# repr's non-finite tokens as the JSON strings that keep a file strict JSON
 JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
-def json_floats(a: np.ndarray, text: list[str]) -> JsonText:
-    """The values of a as a JSON list, from their float_text; inf, -inf
-    and nan become the strings "inf", "-inf" and "nan"."""
+def json_column(a: np.ndarray, text: list[str]) -> JsonText:
+    """The values of a as a JSON list, from their column_text: an int's
+    text as it is, a float's inf, -inf and nan as the strings "inf",
+    "-inf" and "nan"."""
     bad = np.flatnonzero(~np.isfinite(a)).tolist()
     if bad:
         text = text.copy()
@@ -445,19 +445,14 @@ def cover_rows(dg: CatchDigraph) -> list[JsonText]:
 
 def write_baseline_report(prefix: str, method: str, scores, flags, ranks) -> None:
     """The scores.csv and scores.json of a LOF or ODIN run."""
-    scores = np.asarray(scores, dtype=np.float64)
-    text = float_text(scores)
-    write_report_csv(f"{prefix}.scores.csv", id=map(str, range(scores.size)),
-                     score=text, flag=int_text(flags), rank=int_text(ranks))
+    columns = {"score": np.asarray(scores, dtype=np.float64), "flag": flags, "rank": ranks}
+    text = {name: column_text(a) for name, a in columns.items()}
+    write_report_csv(f"{prefix}.scores.csv", id=map(str, range(len(scores))), **text)
     dump_json(
         {
-            "n": scores.size,
+            "n": len(scores),
             "method": method,
-            "points": {
-                "score": json_floats(scores, text),
-                "flag": flags.astype(int).tolist(),
-                "rank": ranks.tolist(),
-            },
+            "points": {name: json_column(a, text[name]) for name, a in columns.items()},
         },
         f"{prefix}.scores.json",
     )
@@ -485,9 +480,10 @@ class ScoreReport:
     s_min: float
     params: dict
     digraph: CatchDigraph = field(repr=False)
-    # float_text of each column written so far, keyed by the column's
-    # float64 bytes: scores.csv and scores.json share it, and a column
-    # changed since can never meet a stale text
+    # column_text of each column written so far, keyed by the column's
+    # dtype and bytes: scores.csv and scores.json share it, a column
+    # changed since can never meet a stale text, and an all-zero int
+    # column never meets the text of an all-zero float one
     _text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -512,63 +508,62 @@ class ScoreReport:
     def flags_for(self, score_kind: str) -> np.ndarray:
         return getattr(self, _KIND_COLUMNS[score_kind][1])
 
-    def _float_text(self, a: np.ndarray) -> list[str]:
-        a = np.asarray(a, dtype=np.float64)
-        key = a.tobytes()
+    def _column_text(self, a: np.ndarray) -> list[str]:
+        key = (a.dtype.str, a.tobytes())
         text = self._text.get(key)
         if text is None:
-            text = self._text[key] = float_text(a)
+            text = self._text[key] = column_text(a)
         return text
 
-    def _json_floats(self, a: np.ndarray) -> JsonText:
-        return json_floats(a, self._float_text(a))
+    def _json_column(self, a: np.ndarray) -> JsonText:
+        return json_column(a, self._column_text(a))
 
     def write_csv(self, path, method: str = "ios") -> None:
         score, flag, rank = (getattr(self, name) for name in _KIND_COLUMNS[method])
-        text = self._float_text
+        text = self._column_text
         write_report_csv(
             path,
             id=map(str, range(self.n)),
-            cluster=int_text(self.cluster_of),
+            cluster=text(self.cluster_of),
             rho=text(self.rho),
             oos=text(self.oos),
             ios_raw=text(self.ios_raw),
             ios_std=text(self.ios_std),
-            oos_rank=int_text(self.oos_rank),
-            ios_rank=int_text(self.ios_rank),
-            oos_flag=int_text(self.oos_flag),
-            ios_flag=int_text(self.ios_flag),
+            oos_rank=text(self.oos_rank),
+            ios_rank=text(self.ios_rank),
+            oos_flag=text(self.oos_flag),
+            ios_flag=text(self.ios_flag),
             score=text(score),
-            flag=int_text(flag),
-            rank=int_text(rank),
+            flag=text(flag),
+            rank=text(rank),
         )
 
     def _json_doc(self, method: str) -> dict:
-        """The scores.json document for iter_json, its float columns and
-        cover rows as JsonText."""
-        floats = self._json_floats
+        """The scores.json document for iter_json, every column and cover
+        row as JsonText."""
+        column = self._json_column
         return {
             "n": self.n,
             "method": method,
             "thresholds": {"oos": self.oos_threshold, "ios": self.ios_threshold},
             "s_min": self.s_min,
             "params": self.params,
-            "cluster_sizes": np.bincount(self.cluster_of).tolist(),
+            "cluster_sizes": column(np.bincount(self.cluster_of)),
             "digraph": {
-                "radii": floats(self.digraph.radii),
+                "radii": column(self.digraph.radii),
                 "covers": cover_rows(self.digraph),
             },
             "points": {
-                "cluster": self.cluster_of.tolist(),
-                "rho": floats(self.rho),
-                "oos": floats(self.oos),
-                "ios_raw": floats(self.ios_raw),
-                "ios_std": floats(self.ios_std),
-                "ios_std_naive": floats(self.ios_std_naive),
-                "oos_flag": self.oos_flag.astype(int).tolist(),
-                "ios_flag": self.ios_flag.astype(int).tolist(),
-                "oos_rank": self.oos_rank.tolist(),
-                "ios_rank": self.ios_rank.tolist(),
+                "cluster": column(self.cluster_of),
+                "rho": column(self.rho),
+                "oos": column(self.oos),
+                "ios_raw": column(self.ios_raw),
+                "ios_std": column(self.ios_std),
+                "ios_std_naive": column(self.ios_std_naive),
+                "oos_flag": column(self.oos_flag),
+                "ios_flag": column(self.ios_flag),
+                "oos_rank": column(self.oos_rank),
+                "ios_rank": column(self.ios_rank),
             },
         }
 
@@ -576,57 +571,35 @@ class ScoreReport:
         dump_json(self._json_doc(method), path)
 
 
-# Only json.dumps with indent=None reaches the C encoder; json.dump and any
-# indent run the pure-Python one, token by token. iter_json gives the bytes
-# of indent=2 while sending each list of plain scalars through the C encoder
-# in one call, its item separator carrying the newline and the indent, and
-# joining each JsonText with that same separator. Both encoders refuse a
-# non-finite float, so every file written stays strict JSON.
-_JSON_SCALARS = frozenset({str, int, float, type(None)})
+# iter_json gives the bytes of json.dumps(indent=2) without its per-token
+# Python encoder: each scalar goes through the C encoder, which refuses a
+# non-finite float, so every file written stays strict JSON, and each
+# JsonText's items are joined with the separator that carries the newline
+# and the indent.
 _encode_scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-@functools.lru_cache(maxsize=32)
-def _scalar_list_encoder(pad: str):
-    return json.JSONEncoder(separators=("," + pad, ": "), allow_nan=False).encode
-
-
-def _quoted_nonfinite(x):
-    """x, or, for a non-finite float, its repr ("nan", "inf" or "-inf") as
-    a str, which encodes as the quoted text of JSON_NONFINITE."""
-    return repr(float(x)) if isinstance(x, float) and not np.isfinite(x) else x
 
 
 def iter_json(obj, indent: str = ""):
     """Yield the text of json.dumps(obj, indent=2) in pieces, a JsonText
     taken as the list its items encode and a non-finite float (numpy
-    float64 too) as its quoted repr, encoded again only when refused.
+    float64 too) as its JSON_NONFINITE text.
 
-    Dicts and lists that hold containers recurse; a list whose items are
-    all exactly str, int, float or None is encoded in one C call, so bool,
-    numpy scalars and nested lists take the recursive path. Dict keys must
+    Dicts, lists and tuples recurse down to their scalars. Dict keys must
     be str: json.dumps turns an int, float, bool or None key into a string,
     which this writer does not, so such a key raises TypeError.
     """
+    pad = "\n" + indent + "  "
     if isinstance(obj, JsonText):
-        obj = obj.items
-        if not obj:
-            yield "[]"
-            return
-        pad = "\n" + indent + "  "
-        yield "[" + pad + ("," + pad).join(obj) + "\n" + indent + "]"
-        return
-    if not isinstance(obj, (dict, list, tuple)):
+        items = obj.items
+        yield ("[" + pad + ("," + pad).join(items) + "\n" + indent + "]") if items else "[]"
+    elif not isinstance(obj, (dict, list, tuple)):
         try:
             yield _encode_scalar(obj)
         except ValueError:  # a non-finite float
-            yield _encode_scalar(_quoted_nonfinite(obj))
-        return
-    if not obj:
+            yield JSON_NONFINITE[repr(float(obj))]
+    elif not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
-        return
-    pad = "\n" + indent + "  "
-    if isinstance(obj, dict):
+    elif isinstance(obj, dict):
         sep = "{" + pad
         for key, value in obj.items():
             if not isinstance(key, str):
@@ -635,13 +608,6 @@ def iter_json(obj, indent: str = ""):
             yield from iter_json(value, indent + "  ")
             sep = "," + pad
         yield "\n" + indent + "}"
-    elif set(map(type, obj)) <= _JSON_SCALARS:
-        encode = _scalar_list_encoder(pad)
-        try:
-            text = encode(obj)
-        except ValueError:  # a non-finite float among the items
-            text = encode(list(map(_quoted_nonfinite, obj)))
-        yield "[" + pad + text[1:-1] + "\n" + indent + "]"
     else:
         sep = "[" + pad
         for item in obj:

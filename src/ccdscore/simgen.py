@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .dataset import PointSet
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 # The cluster shape each regime draws: it sets the outlier separation
 # scale here and the threshold table in the bench.
@@ -62,11 +62,9 @@ class SimConfig:
     collective_group: int = 0
 
     def __post_init__(self):
-        for name in ("d", "n", "n_clusters", "collective_group"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        check_seed(self.seed)
+        for name, minimum in (("d", 1), ("n", 2), ("n_clusters", 1),
+                              ("collective_group", 0), ("seed", 0)):
+            check_int(getattr(self, name), name, minimum)
         for name in ("parent_intensity", "cluster_radius", "gaussian_scale",
                      "correlation", "outlier_fraction", "outlier_min_separation"):
             value = getattr(self, name)  # NaN passes the range tests below
@@ -80,12 +78,6 @@ class SimConfig:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
             )
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.n_clusters < 1:
-            raise ConfigError("n_clusters must be >= 1")
         if not 0 < self.parent_intensity <= max(self.n, 5):  # 5, the default, fits any n
             raise ConfigError("parent_intensity must be in (0, max(n, 5)], got "
                               f"{self.parent_intensity}")
@@ -97,8 +89,6 @@ class SimConfig:
             raise ConfigError("outlier_fraction must be in [0, 0.5]")
         if self.outlier_min_separation < 0:
             raise ConfigError("outlier_min_separation must be >= 0")
-        if self.collective_group < 0:
-            raise ConfigError("collective_group must be >= 0")
         if self.outlier_fraction > 0 and round(self.outlier_fraction * self.n) < 1:
             raise ConfigError(
                 "outlier_fraction * n rounds to zero; raise one of them"
@@ -122,15 +112,6 @@ class SimConfig:
             return SimConfig(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def check_seed(seed, name: str = "seed") -> None:
-    """Raise ConfigError unless seed is a non-negative integer, the kind of
-    entropy numpy's SeedSequence takes."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -166,7 +147,8 @@ def _correlated_gaussian(
     # independent one reproduces cov = scale^2 * ((1-corr) I + corr J).
     z = rng.standard_normal((count, d))
     shared = rng.standard_normal((count, 1))
-    return scale * (math.sqrt(1.0 - corr) * z + math.sqrt(corr) * shared)
+    with np.errstate(over="ignore"):  # _inlier_set reports an overflow
+        return scale * (math.sqrt(1.0 - corr) * z + math.sqrt(corr) * shared)
 
 
 def _pick_centers(
@@ -195,6 +177,16 @@ def _pick_centers(
     )
 
 
+def _inlier_set(cfg: SimConfig, chunks: list[np.ndarray]) -> PointSet:
+    """The drawn inlier chunks as one PointSet, labels 0; ConfigError when
+    a gaussian_scale near the largest float overflowed a coordinate."""
+    points = np.vstack(chunks)
+    if not np.isfinite(points).all():
+        raise ConfigError("gaussian_scale must keep every drawn coordinate finite, "
+                          f"got {cfg.gaussian_scale!r}")
+    return PointSet(points=points, labels=np.zeros(len(points), dtype=np.int64))
+
+
 def _split_counts(total: int, parts: int) -> list[int]:
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
@@ -219,8 +211,7 @@ def gen_clusters(cfg: SimConfig) -> PointSet:
                 rng, count, cfg.d, cfg.gaussian_scale, cfg.correlation
             )
         chunks.append(center + offsets)
-    points = np.vstack(chunks)
-    return PointSet(points=points, labels=np.zeros(len(points), dtype=np.int64))
+    return _inlier_set(cfg, chunks)
 
 
 def gen_neyman_scott(cfg: SimConfig, return_parts: bool = False):
@@ -256,10 +247,10 @@ def gen_neyman_scott(cfg: SimConfig, return_parts: bool = False):
             if kinds[j] == 0:
                 offsets = _uniform_ball(rng, counts[j], cfg.d, cfg.cluster_radius)
             else:
-                offsets = cfg.gaussian_scale * rng.standard_normal((counts[j], cfg.d))
+                with np.errstate(over="ignore"):  # _inlier_set reports an overflow
+                    offsets = cfg.gaussian_scale * rng.standard_normal((counts[j], cfg.d))
             chunks.append(parents[j] + offsets)
-        points = np.vstack(chunks)
-        ps = PointSet(points=points, labels=np.zeros(len(points), dtype=np.int64))
+        ps = _inlier_set(cfg, chunks)
         if return_parts:
             return ps, parents, kinds, counts
         return ps
@@ -408,7 +399,7 @@ _FIX_SINGLES = {
 
 
 def masking_fixture(seed: int = 0) -> MaskingFixture:
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     rng = _rng(seed, _S_FIXTURE)
     c1 = np.asarray(_FIX_C1_CENTER) + _uniform_ball(
         rng, _FIX_C1_N, 2, _FIX_C1_RADIUS

@@ -70,7 +70,7 @@ def test_fixture_round_trip(tmp_path):
     assert run(["fixture", "--out", tmp_path / "fx"]) == 0
     assert run(["fixture", "--out", tmp_path / "fx2"]) == 0
     assert (tmp_path / "fx.csv").read_bytes() == (tmp_path / "fx2.csv").read_bytes()
-    roles = json.loads((tmp_path / "fx.roles.json").read_text())
+    roles = strict_json(tmp_path / "fx.roles.json")
     assert len(roles["roles"]) == 199
     assert roles["roles"][-9:] == [f"o{i}" for i in range(1, 10)]
     assert len(read_rows(tmp_path / "fx.csv")) == 199
@@ -401,6 +401,18 @@ def test_gen_non_finite_or_huge_float_exits_2_without_outputs(field, value, tmp_
     assert not list(tmp_path.glob("x*"))
 
 
+@pytest.mark.parametrize("regime", ["thomas", "mixed"])
+def test_gen_whose_gaussian_draw_overflows_exits_2_without_outputs(regime, tmp_path, capsys):
+    # a finite gaussian_scale passes the config's checks, and only the
+    # scaled normal draws overflow float64
+    rc = run(["gen", "--regime", regime, "--d", "2", "--n", "60", "--gaussian-scale", "1e308",
+              "--out", tmp_path / "x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError: gaussian_scale must keep" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x*"))
+
+
 @pytest.mark.parametrize("field, value", HOSTILE_SIM_FLOATS)
 def test_bench_grid_with_non_finite_or_huge_float_exits_2_without_outputs(
         field, value, tmp_path, capsys):
@@ -702,16 +714,19 @@ def _hostile_columns(kind, n=300):
         return np.column_stack([t, u, t + u])
     if kind == "wide":  # the volume of the unit ball underflows from d = 453
         return rng.random((40, 460))
+    if kind == "overflow":  # 1e300 over a MADN near 1e-300 overflows float64
+        return np.column_stack([np.append(np.arange(1, 40) * 1e-300, 1e300), t[:40]])
     return np.column_stack([np.full(n, 4.0), rng.standard_normal((n, 2))])
 
 
 @pytest.mark.parametrize("digraph", ["fixed-k", "rk-approx", "un-approx"])
 @pytest.mark.parametrize("kind", ["single-column", "collinear", "plane-in-3d",
-                                  "constant-column", "wide"])
+                                  "constant-column", "wide", "overflow"])
 def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, kind, digraph):
     # a single column, collinear columns, columns spanning a plane, a
-    # constant column next to two normal ones, and 460 columns: a package
-    # error, or a report without NaN whose ranks are a permutation
+    # constant column next to two normal ones, 460 columns, and a column
+    # whose normalization overflows: a package error, or a report without
+    # NaN whose ranks are a permutation
     pts = _hostile_columns(kind)
     write_csv(PointSet(pts), tmp_path / "x.csv")
     with warnings.catch_warnings():

@@ -161,6 +161,14 @@ def test_normalize_all_identical_rows_degenerate():
         robust_normalize(ps)
 
 
+def test_normalize_overflow_raises_degenerate_data_error():
+    # 1e300 over a MADN near 1e-300 lies past the largest float
+    x = np.append(np.arange(1, 40) * 1e-300, 1e300)
+    ps = PointSet(np.column_stack([x, np.arange(40.0)]), None)
+    with pytest.raises(DegenerateDataError, match=r"column\(s\) \[0\] overflow float64"):
+        robust_normalize(ps)
+
+
 def test_normalize_idempotent():
     rng = np.random.default_rng(8)
     ps = PointSet(rng.standard_normal((60, 3)) * 5 + 2, None)

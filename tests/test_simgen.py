@@ -105,6 +105,14 @@ def test_fixture_rejects_a_non_integer_seed(seed):
         masking_fixture(seed=seed)
 
 
+@pytest.mark.parametrize("regime", ["gaussian", "thomas", "mixed"])
+def test_generate_raises_config_error_when_the_gaussian_draw_overflows(regime):
+    # 1e308 passes the config's checks; the scaled normal draws do not fit
+    cfg = SimConfig(regime=regime, d=2, n=60, n_clusters=1, gaussian_scale=1e308)
+    with pytest.raises(ConfigError, match="gaussian_scale must keep every drawn coordinate"):
+        generate(cfg)
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"regime": "uniform", "d": 2, "n": 50, "sigma": 1.0})

@@ -18,10 +18,10 @@ from ccdscore.dataset import PointSet, build_index, write_csv
 from ccdscore.graph import fixed_k, rk_approx, un_approx
 from ccdscore.scores import (
     JsonText,
+    column_text,
     descending_ranks,
-    float_text,
     iter_json,
-    json_floats,
+    json_column,
     score_point_set,
     write_baseline_report,
 )
@@ -74,7 +74,7 @@ def _strict(tree):
 def _quoted_pair(values):
     a = np.array(values, dtype=np.float64)
     original = [v if math.isfinite(v) else repr(v) for v in values]
-    return original, json_floats(a, float_text(a))
+    return original, json_column(a, column_text(a))
 
 
 def _unzip(pairs):
@@ -204,6 +204,11 @@ def test_report_text_follows_changed_columns(tmp_path):
     # and so does a column changed in place after a write
     rep.rho[:5] = 7.0
     rep.ios_std[5] = -0.0
+    assert_writers_match_the_row_loops(rep, tmp_path, "ios", ("csv", "json"))
+    # an all-zero int column and an all-zero float column hold equal bytes,
+    # and each still writes its own text
+    rep.cluster_of[:] = 0
+    rep.ios_std[:] = 0.0
     assert_writers_match_the_row_loops(rep, tmp_path, "ios", ("csv", "json"))
 
 
