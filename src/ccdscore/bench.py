@@ -14,7 +14,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,34 +30,42 @@ BETA = 2.0
 
 @dataclass(frozen=True)
 class Method:
-    """A detector: the neighbor-table width it reads at n, its flags over a
-    Cell, and a CCD method's radius rule or a baseline's (scores, flags)
-    over an index with the sign under which higher scores are outlying."""
+    """A detector: the neighbor-table width it reads at n, and a CCD
+    method's score kind and radius rule or a baseline's (scores, flags)
+    over an index with the sign under which higher scores are outlying.
+    Its callables pickle, so a bench worker under any start method can
+    run an entry it is given."""
 
     width: Callable[[int], int]
-    flags: Callable[["Cell"], np.ndarray]
+    kind: str | None = None
     strategy: RadiusStrategy | None = None
     scores: Callable[[NeighborIndex], tuple] | None = None
     sign: int = 1
 
+    def flags(self, cell: "Cell") -> np.ndarray:
+        if self.strategy is not None:
+            return cell.report(self.strategy).flags_for(self.kind)
+        return self.scores(cell.idx)[1]
 
-def _ccd(kind: str, strategy: RadiusStrategy) -> Method:
-    return Method(default_k, lambda cell: cell.report(strategy).flags_for(kind), strategy)
+
+def _baseline_scores(name: str, idx: NeighborIndex) -> tuple:
+    # lof or odin, looked up by its name here at each call, so that a
+    # wrapper set on that name sees the call
+    return globals()[name](idx)
 
 
-def _baseline(width, scores, sign: int = 1) -> Method:
-    return Method(width, lambda cell: scores(cell.idx)[1], scores=scores, sign=sign)
+def _lof_width(n: int) -> int:
+    return LofParams().k_max
 
 
 # Every method, in the order the bench runs them by default; a CCD method
-# is "<score kind>-<radius family>". lof and odin are looked up by their
-# module names at each call, so a wrapper set on those names sees it.
+# is "<score kind>-<radius family>".
 METHODS = {
-    **{f"{kind}-{family}": _ccd(kind, strategy)
+    **{f"{kind}-{family}": Method(default_k, kind, strategy)
        for family, strategy in (("fixed", fixed_k()), ("rk", rk_approx()), ("un", un_approx()))
        for kind in SCORE_KINDS},
-    "lof": _baseline(lambda n: LofParams().k_max, lambda idx: lof(idx)),
-    "odin": _baseline(OdinParams().k_for, lambda idx: odin(idx), sign=-1),  # low in-degree
+    "lof": Method(_lof_width, scores=partial(_baseline_scores, "lof")),
+    "odin": Method(OdinParams().k_for, scores=partial(_baseline_scores, "odin"), sign=-1),
 }
 ALL_METHODS = tuple(METHODS)
 CCD_METHODS = tuple(m for m, e in METHODS.items() if e.strategy is not None)
@@ -132,13 +140,13 @@ def _check_method(method: str, regime: str | None = None) -> None:
 
 @dataclass
 class Cell:
-    """A labeled point set as its methods see it: ps, the index over it
-    they share, and the reports of the radius families they read, from
-    one pass made on first use and timed in report_time."""
+    """A labeled point set as its methods (name to entry) see it: ps, the
+    index over it they share, and the reports of the radius families they
+    read, from one pass made on first use and timed in report_time."""
 
     ps: PointSet
     idx: NeighborIndex
-    methods: list[str]
+    methods: dict[str, Method]
     regime: str
     s_min: float
     report_time: float | None = None
@@ -148,7 +156,7 @@ class Cell:
         # should the one score_families pass raise over several families,
         # each is scored alone and one that fails maps to its exception
         t0 = time.perf_counter()
-        strategies = [s for s in dict.fromkeys(METHODS[m].strategy for m in self.methods)
+        strategies = [s for s in dict.fromkeys(e.strategy for e in self.methods.values())
                       if s is not None]
         options = {"cluster_shape": CLUSTER_SHAPE_OF[self.regime], "s_min": self.s_min,
                    "idx": self.idx}
@@ -182,7 +190,8 @@ def evaluate_method(method: str, ps: PointSet, regime: str, s_min: float = DEFAU
     checks the regime, which only the CCD methods read.
     """
     _check_method(method, regime)
-    return METHODS[method].flags(Cell(ps, index_over(ps, idx), [method], regime, s_min))
+    entry = METHODS[method]
+    return entry.flags(Cell(ps, index_over(ps, idx), {method: entry}, regime, s_min))
 
 
 @dataclass
@@ -222,6 +231,7 @@ def _derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
 
 
 def _run_cell(args) -> list[BenchRow]:
+    """The rows of one cell, each method run by the entry args gives it."""
     cfg, ci, ri, master_seed, methods, s_min = args
     cfg = replace(cfg, seed=_derive_seed(master_seed, ci, ri))
     try:
@@ -231,16 +241,16 @@ def _run_cell(args) -> list[BenchRow]:
         # prefix. A lone point has no table; its methods fail in their rows.
         idx = build_index(ps)
         if ps.n > 1:
-            idx.knn_table(min(max(METHODS[m].width(ps.n) for m in methods), ps.n - 1))
+            idx.knn_table(min(max(e.width(ps.n) for e in methods.values()), ps.n - 1))
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the run
         return [BenchRow(ci, ri, m, error=str(exc)) for m in methods]
     cell = Cell(ps, idx, methods, cfg.regime, s_min)
     rows = []
-    for m in methods:
+    for m, entry in methods.items():
         unscored = cell.report_time is None
         t0 = time.perf_counter()
         try:
-            conf = Confusion.from_flags(ps.labels, METHODS[m].flags(cell))
+            conf = Confusion.from_flags(ps.labels, entry.flags(cell))
             ms = metrics(conf)
             row = BenchRow(ci, ri, m, conf.tp, conf.fp, conf.tn, conf.fn,
                            ms.tpr, ms.tnr, ms.ba, ms.f_beta)
@@ -290,7 +300,7 @@ def run_monte_carlo(
     if not configs:
         raise ConfigError("the configs list is empty; a bench needs at least one config")
     tasks = [
-        (cfg, ci, ri, master_seed, methods, s_min)
+        (cfg, ci, ri, master_seed, {m: METHODS[m] for m in methods}, s_min)
         for ci, cfg in enumerate(configs)
         for ri in range(replicates)
     ]

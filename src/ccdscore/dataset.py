@@ -7,6 +7,7 @@ sees the same distance arithmetic and the same deterministic tie rules.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,6 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     BadKError,
+    CcdScoreWarning,
     DataIOError,
     DegenerateDataError,
     LabelError,
@@ -244,7 +246,7 @@ def robust_normalize(ps: PointSet, *, stats: tuple | None = None) -> PointSet:
         cols = np.flatnonzero(degenerate).tolist()
         warnings.warn(
             f"zero MADN in column(s) {cols}; centering those without scaling",
-            RuntimeWarning,
+            CcdScoreWarning,
             stacklevel=2,
         )
     scale = np.where(degenerate, 1.0, madn_col)
@@ -258,12 +260,6 @@ def robust_normalize(ps: PointSet, *, stats: tuple | None = None) -> PointSet:
             "rescale them"
         )
     return PointSet(points=out, labels=ps.labels, feature_names=ps.feature_names)
-
-
-def _distances_to(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # The one distance formula every membership decision goes through.
-    diff = points - x
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 # The generous constant of the dense screen's rounding band; see
@@ -307,13 +303,12 @@ def _dense_table(d: int) -> bool:
 def _row_distances(points: np.ndarray, centers: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Distances from points[centers[r]] to points[cand[r, c]], shape of cand.
 
-    The rows are gathered with np.take along axis 0, which copies whole
-    rows of d floats where the fancy index points[cand] takes numpy's
-    general path; points must be C-contiguous, as a PointSet's are, since
-    np.take first copies a non-contiguous source whole. The centers are
-    subtracted in place. Every row then goes through the _distances_to
-    arithmetic on a reshaped block, so each value equals the per-point
-    call to the last bit.
+    The one distance formula every decision goes through: the einsum sum
+    of squared differences, then its square root. Rows are gathered with
+    np.take along axis 0, which copies whole rows where points[cand]
+    takes numpy's general path; points must be C-contiguous, as a
+    PointSet's are. Each value of the reshaped block equals the formula
+    on one pair to the last bit.
     """
     d = points.shape[1]
     diff = np.take(points, cand, axis=0)
@@ -337,17 +332,16 @@ def pair_distance_blocks(points: np.ndarray, rows: np.ndarray, targets: np.ndarr
 class NeighborIndex:
     """Neighbor queries over a PointSet with deterministic tie handling.
 
-    A k-d tree only gathers candidates; every distance an answer reports
-    or decides on comes from the package's one formula. last_table holds
-    (ids, dists) of the one table knn_table keeps, min(k + 1, n - 1) wide
-    for the widest k asked for, so radii, the digraph and the baselines
-    share one query. Its row i is ordered by (distance, id), so no point outside it
-    lies closer than dists[i, -1], and any ball around i of a smaller
-    radius holds exactly a prefix of the row.
+    Every answer is a row of the batched table or of the ball query. A
+    k-d tree, built on first use and only below d = 8 (_dense_table),
+    only gathers candidates; every distance comes from _row_distances.
+    last_table holds (ids, dists) of the one table knn_table keeps, so
+    radii, the digraph and the baselines share one query. Its row i is
+    ordered by (distance, id), so no point outside it lies closer than
+    dists[i, -1], and a smaller ball around i is a prefix of the row.
     """
 
     ps: PointSet
-    _tree: cKDTree = field(init=False, repr=False)
     last_table: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -365,81 +359,85 @@ class NeighborIndex:
                 "distances lose their precision or read zero; rescale the "
                 "points before building a neighbor index"
             )
-        self._tree = cKDTree(self.ps.points)
 
     @property
     def n(self) -> int:
         return self.ps.n
 
-    def knn(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and distances of the k nearest neighbors of point i.
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.ps.points)
 
-        The query point itself is excluded. Distances sort ascending;
-        exact ties are broken by ascending point id. Asking for more
-        neighbors than exist returns them all (empty for a lone point).
-        The tests compare knn_table against it; the package never calls it.
-        """
-        n = self.n
-        if not 0 <= i < n:
+    def _point_id(self, i) -> int:
+        i = operator.index(i)  # TypeError for a coordinate vector or a float
+        if not 0 <= i < self.n:
             raise IndexError(f"point id {i} out of range")
+        return i
+
+    def knn(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and distances of the k nearest neighbors of point i, itself
+        excluded, by (distance, id); all of them when k exceeds n - 1.
+        It is _table on row i alone, so it equals knn_table(k)[i] to the
+        last bit; the package never calls it."""
+        i = self._point_id(i)
         if k < 1:
             raise BadKError(f"k={k} must be at least 1")
-        k = min(k, n - 1)
+        k = min(k, self.n - 1)
         if k == 0:
-            empty = np.array([], dtype=np.int64)
-            return empty, np.array([], dtype=np.float64)
-        x = self.ps.points[i]
-        qd, _ = self._tree.query(x, k=k + 1)
-        radius = float(np.max(qd)) * (1.0 + 1e-9) + 1e-300
-        cand = np.asarray(self._tree.query_ball_point(x, radius), dtype=np.int64)
-        dists = _distances_to(self.ps.points[cand], x)
-        keep = cand != i
-        cand = cand[keep]
-        dists = dists[keep]
-        order = np.lexsort((cand, dists))[:k]
-        return cand[order], dists[order]
+            return np.array([], dtype=np.int64), np.array([], dtype=np.float64)
+        ids, dists = self._table(np.array([i]), min(k + 1, self.n - 1))
+        return ids[0, :k], dists[0, :k]
 
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of every point's k nearest neighbors, (n, k) each.
 
-        Row i equals knn(i, k) to the last bit. The index keeps one table of
-        width K = min(k + 1, n - 1) and serves any k < K, or any k once
-        K = n - 1, as read-only views of its first k columns, since the first
-        k entries of a row ordered by (distance, id) are knn(i, k); a wider k
-        builds a new table and replaces it. A batched source, the k-d tree
-        below a measured dimension and the dense screen above it (see
-        _dense_table), fetches w + 1 candidates per open row, in pieces of
-        about GATHER_CHUNK. A row closes when it holds the point itself and a
-        gap, at or past candidate K, too wide for a point outside to tie with
-        one inside; it is then sorted by the distance formula, and by id where
-        two distances are equal. The first pass asks for every row at w = K.
-        Ties and more than K+1 exact duplicates leave rows open for a wider w,
-        until w = n - 1 makes every point a candidate.
+        The index keeps one _table of width K = min(k + 1, n - 1) and serves
+        any k < K, or any k once K = n - 1, as read-only views of its first
+        k columns; a wider k builds a new table and replaces it.
         """
-        n, points, d = self.n, self.ps.points, self.ps.d
+        n = self.n
         if not 1 <= k <= n - 1:
             raise BadKError(f"k={k} must be in [1, {n - 1}]")
         width = 0 if self.last_table is None else self.last_table[0].shape[1]
         if k < width or width == n - 1:
             ids, dists = self.last_table
             return ids[:, :k], dists[:, :k]
-        width = min(k + 1, n - 1)
+        ids, dists = self._table(np.arange(n), min(k + 1, n - 1))
+        ids.setflags(write=False)
+        dists.setflags(write=False)
+        self.last_table = (ids, dists)
+        return ids[:, :k], dists[:, :k]
+
+    def _table(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, dists), (rows.size, width) each: the width nearest points
+        of each point of rows by (distance, id), each row on its own.
+
+        The tree or the dense screen (_dense_table) fetches w + 1 candidates
+        per open row, in pieces of about GATHER_CHUNK. A row closes when it
+        holds the point itself and a gap, at or past candidate width, too
+        wide for a point outside to tie with one inside; it is then sorted
+        by distance, and by id among equal distances. Rows left open by
+        ties or copies are asked again at a wider w, up to w = n - 1.
+        """
+        n, points, d = self.n, self.ps.points, self.ps.d
         source = self._dense_table_candidates if _dense_table(d) else self._tree_table_candidates
-        ids = np.empty((n, width), dtype=np.int64)
-        dists = np.empty((n, width), dtype=np.float64)
-        rows, w = np.arange(n), width
-        while rows.size:
+        ids = np.empty((rows.size, width), dtype=np.int64)
+        dists = np.empty((rows.size, width), dtype=np.float64)
+        open_at, w = np.arange(rows.size), width
+        while open_at.size:
             left = []
-            for piece in row_chunks(rows.size, w + 2):
-                r = rows[piece]
+            for piece in row_chunks(open_at.size, w + 2):
+                at = open_at[piece]
+                r = rows[at]
                 cand, closed = source(r, w, width)
                 closed &= (cand == r[:, None]).any(axis=1)
-                left.append(r[~closed])
-                r, cand = r[closed], cand[closed]  # a mask copies only these rows
+                left.append(at[~closed])
+                # a mask copies only these rows
+                at, r, cand = at[closed], r[closed], cand[closed]
                 for sl in row_chunks(r.size, (w + 1) * d):
-                    at, c = r[sl], cand[sl]
-                    dd = _row_distances(points, at, c)
-                    dd[c == at[:, None]] = -1.0  # the point itself sorts first
+                    src, c = r[sl], cand[sl]
+                    dd = _row_distances(points, src, c)
+                    dd[c == src[:, None]] = -1.0  # the point itself sorts first
                     # candidates arrive nearly sorted, and a row without two equal
                     # distances has one order; only tied rows need the id key
                     order = np.argsort(dd, axis=1, kind="stable")
@@ -450,19 +448,16 @@ class NeighborIndex:
                     tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
                     order[tied] = np.lexsort((c[tied], dd[tied]), axis=1) + base[tied, None]
                     order = order[:, 1 : width + 1]
-                    ids[at] = c.take(order)
-                    dists[at] = dd.take(order)
-            rows = np.concatenate(left)
+                    ids[at[sl]] = c.take(order)
+                    dists[at[sl]] = dd.take(order)
+            open_at = np.concatenate(left)
             w = min(w + max(8, w - width), n - 1)
-        ids.setflags(write=False)
-        dists.setflags(write=False)
-        self.last_table = (ids, dists)
-        return ids[:, :k], dists[:, :k]
+        return ids, dists
 
     def _tree_table_candidates(self, rows: np.ndarray, w: int, k: int):
         """(cand, closed): the w+1 nearest points of each of rows by one
-        batched tree query, and whether some tree distance past the
-        (k+1)-th lies outside the margin knn uses around the one before it."""
+        batched tree query, and whether some tree distance past the (k+1)-th
+        exceeds the one before it by more than the tree's rounding."""
         qd, qi = self._tree.query(self.ps.points[rows], k=min(w + 2, self.n))
         if qd.shape[1] == w + 1:
             return qi, np.ones(rows.size, dtype=bool)  # every point is a candidate
@@ -506,35 +501,23 @@ class NeighborIndex:
                     closed[sl] = gaps.any(axis=1) & (gp[:, 0] > -np.inf)
         return cand, closed
 
-    def range_query(self, center, r: float) -> np.ndarray:
-        """Sorted ids of all points within the closed ball B(center, r).
-
-        center is a point id or an explicit coordinate vector; when it is
-        an id, that point is itself a member (distance zero).
-        """
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        if np.isscalar(center):
-            x = self.ps.points[int(center)]
-        else:
-            x = np.asarray(center, dtype=np.float64)
-        cand = np.asarray(
-            self._tree.query_ball_point(x, r * (1.0 + 1e-9) + 1e-300),
-            dtype=np.int64,
-        )
-        if cand.size == 0:
-            return cand
-        dists = _distances_to(self.ps.points[cand], x)
-        return np.sort(cand[dists <= r])
+    def range_query(self, i: int, r: float) -> np.ndarray:
+        """Sorted ids of the points in the closed ball B(x_i, r): i and the
+        targets of balls over row i alone. The package never calls it."""
+        i = self._point_id(i)
+        if not r >= 0:
+            raise ValueError(f"radius must be a non-negative number, got {r!r}")
+        blocks = self.balls(np.array([i]), np.array([r], dtype=np.float64))
+        return np.sort(np.concatenate([[i], *(t for _, _, t in blocks)]).astype(np.int64))
 
     def balls(self, rows: np.ndarray, radii: np.ndarray):
         """Coverage edges of the closed balls B(x_i, radii[a]) for i = rows[a].
 
         Yields (sources, counts, targets) blocks: sources are some of rows,
         counts[q] the number of targets of sources[q], and targets their
-        int32 ids laid end to end, ascending within each source. Each center
-        is left out, so a source's targets equal range_query(rows[a],
-        radii[a]) without rows[a]. Where radii[a] is below the last distance
+        int32 ids laid end to end, ascending within each source: every j
+        other than the center whose distance by the package's formula is at
+        most radii[a]. Where radii[a] is below the last distance
         of the kept table's row i, or that table holds all n - 1 neighbors,
         the ball is a prefix of that row. The other balls,
         which may hold a point outside the row tied with its last distance,
@@ -696,11 +679,8 @@ class NeighborIndex:
             yield sl, a, j, sure
 
     def kth_distances(self, k: int) -> np.ndarray:
-        """Distance from each point to its k-th nearest neighbor (self excluded).
-
-        Read off knn_table(k), so it equals the table's last column to the
-        last bit.
-        """
+        """Distance from each point to its k-th nearest neighbor (self
+        excluded): column k of knn_table(k), to the last bit."""
         return self.knn_table(k)[1][:, k - 1].copy()
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception and warning types of the package, and the one integer rule."""
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class ConfigError(CcdScoreError):
 
 class DegenerateLabelsError(CcdScoreError):
     """Evaluation needs at least one positive and one negative label."""
+
+
+class CcdScoreWarning(UserWarning):
+    """A degenerate input the package handles, such as a zero-MADN column."""
 
 
 def check_int(value, name: str, minimum: int) -> None:

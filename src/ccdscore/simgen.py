@@ -276,7 +276,8 @@ def _place_singles(
 ) -> list[np.ndarray]:
     """The first count candidates of rng's uniform stream over [lo, hi)^d
     at least min_dist from every point, by np.linalg.norm; ConfigError
-    after _OUTLIER_ATTEMPTS misses in a row.
+    after _OUTLIER_ATTEMPTS misses in a row, or on a tree distance that
+    overflows (from about 1e154), since inf would pass any separation.
 
     Candidates come batch at a time (one draw of shape (m, d) reads the
     stream as m draws of d values), and one k-d tree query finds each
@@ -293,6 +294,9 @@ def _place_singles(
     while True:
         cands = rng.uniform(lo, hi, size=(batch, points.shape[1]))
         near = tree.query(cands)[0]
+        if not np.isfinite(near).all():
+            raise ConfigError("outlier distances to the inliers overflow float64; "
+                              "lower gaussian_scale")
         ok = near > min_dist * (1.0 + _TREE_MARGIN)
         for i in np.flatnonzero(~ok & (near >= min_dist * (1.0 - _TREE_MARGIN))).tolist():
             ok[i] = np.min(np.linalg.norm(points - cands[i], axis=1)) >= min_dist

@@ -3,7 +3,8 @@
 The brute_* functions are written straight from the definitions with plain
 loops, deliberately sharing no code with the package, so agreement is
 meaningful. The loop_* functions at the end are the per-point reference
-loops for the package's batched neighbor-table code, the per-cluster
+loops for the package's batched neighbor-table code, on a k-d tree of
+their own, the per-cluster
 loops for its group reductions, the per-row report writers, and the bench
 result tables with every column listed by hand; keysort_csr and
 gather_cluster_of are the sorting and gathering forms of its graph layer,
@@ -19,6 +20,7 @@ import math
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.stats import norm
 
 
@@ -151,10 +153,10 @@ def brute_indegree(points, k):
 
 
 # Per-point loop versions of the package's neighbor-table code, kept as the
-# references the batched implementations must equal bit for bit. They go
-# through the package's own per-point queries (NeighborIndex.knn and
-# range_query) and its distance formula, one point at a time, exactly as the
-# package computed these layers before it switched to one neighbor table.
+# references the batched implementations must equal bit for bit. They query
+# a k-d tree of their own one point at a time and decide with the package's
+# distance formula, exactly as the package computed these layers before it
+# switched to one neighbor table and one ball query.
 
 
 def loop_distances_to(points, x):
@@ -162,12 +164,43 @@ def loop_distances_to(points, x):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def loop_knn_table(idx, k):
-    n = idx.n
+def loop_knn(tree, i, k):
+    """Ids and distances of the k nearest neighbors of point i of
+    tree.data, self excluded, by (distance, id): the tree's k + 1 nearest
+    give a radius, a ball query widened by a relative 1e-9 for the tree's
+    rounding gathers every candidate, and the distance formula decides."""
+    points = tree.data
+    k = min(k, len(points) - 1)
+    if k == 0:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.float64)
+    x = points[i]
+    qd, _ = tree.query(x, k=k + 1)
+    radius = float(np.max(qd)) * (1.0 + 1e-9) + 1e-300
+    cand = np.asarray(tree.query_ball_point(x, radius), dtype=np.int64)
+    dists = loop_distances_to(points[cand], x)
+    keep = cand != i
+    cand, dists = cand[keep], dists[keep]
+    order = np.lexsort((cand, dists))[:k]
+    return cand[order], dists[order]
+
+
+def loop_range_query(tree, i, r):
+    """Sorted ids of the points of tree.data within distance r of point i
+    by the distance formula, i among them; the tree's ball query, widened
+    by a relative 1e-9, only gathers candidates."""
+    points = tree.data
+    x = points[i]
+    cand = np.asarray(tree.query_ball_point(x, r * (1.0 + 1e-9) + 1e-300), dtype=np.int64)
+    return np.sort(cand[loop_distances_to(points[cand], x) <= r])
+
+
+def loop_knn_table(points, k):
+    tree = cKDTree(points)
+    n = len(points)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
     for i in range(n):
-        ids[i], dists[i] = idx.knn(i, k)
+        ids[i], dists[i] = loop_knn(tree, i, k)
     return ids, dists
 
 
@@ -201,7 +234,7 @@ def loop_nearest(points, rows, among, positive=False):
     return ids, dists
 
 
-def loop_radii(ps, idx, strategy):
+def loop_radii(ps, strategy):
     """estimate_radii for all three strategies, one point at a time, with
     the rk significance 0.01, the log volume of the unit ball and the un
     rule's multiplier 2 and quantile 0.5 written out rather than read from
@@ -209,15 +242,16 @@ def loop_radii(ps, idx, strategy):
     from ccdscore.graph import default_k
 
     n, d = ps.n, ps.d
+    tree = cKDTree(ps.points)
     k = min(strategy.k if strategy.k is not None else default_k(n), n - 1)
     radii = np.empty(n, dtype=np.float64)
     if strategy.kind == "fixed-k":
         for i in range(n):
-            radii[i] = idx.knn(i, k)[1][k - 1]
+            radii[i] = loop_knn(tree, i, k)[1][k - 1]
     elif strategy.kind == "un-approx":
-        nnd = np.array([idx.knn(i, 1)[1][0] for i in range(n)])
+        nnd = np.array([loop_knn(tree, i, 1)[1][0] for i in range(n)])
         for i in range(n):
-            ids, _ = idx.knn(i, k)
+            ids, _ = loop_knn(tree, i, k)
             radii[i] = 2.0 * float(np.quantile(nnd[ids], 0.5))
     else:
         sides = ps.points.max(axis=0) - ps.points.min(axis=0)
@@ -226,7 +260,7 @@ def loop_radii(ps, idx, strategy):
         log_vball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
         log_lam_ball = math.log(n) - math.log(volume) + log_vball if volume > 0 else None
         for i in range(n):
-            _, cand = idx.knn(i, k)
+            _, cand = loop_knn(tree, i, k)
             if log_lam_ball is None:
                 radii[i] = cand[0]
                 continue
@@ -240,12 +274,14 @@ def loop_radii(ps, idx, strategy):
     return loop_positive_floor(ps.points, radii)
 
 
-def loop_digraph(ps, idx, radii):
+def loop_digraph(points, radii):
     """(covers, covered_by) from one range query per point."""
+    tree = cKDTree(points)
+    n = len(points)
     covers = []
-    sources = [[] for _ in range(ps.n)]
-    for i in range(ps.n):
-        members = idx.range_query(i, float(radii[i]))
+    sources = [[] for _ in range(n)]
+    for i in range(n):
+        members = loop_range_query(tree, i, float(radii[i]))
         members = members[members != i]
         covers.append(members)
         for j in members:
@@ -369,9 +405,9 @@ def loop_ios_raw(covered_by, cluster_of, rho):
     return out
 
 
-def loop_lof(idx, k_min=11, k_max=30):
-    nbr_ids, nbr_dists = loop_knn_table(idx, k_max)
-    best = np.full(idx.n, -np.inf)
+def loop_lof(points, k_min=11, k_max=30):
+    nbr_ids, nbr_dists = loop_knn_table(points, k_max)
+    best = np.full(len(points), -np.inf)
     for k in range(k_min, k_max + 1):
         ids_k = nbr_ids[:, :k]
         kdist = nbr_dists[:, k - 1]
@@ -382,10 +418,11 @@ def loop_lof(idx, k_min=11, k_max=30):
     return best
 
 
-def loop_odin(idx, k):
-    indeg = np.zeros(idx.n, dtype=np.int64)
-    for i in range(idx.n):
-        ids, _ = idx.knn(i, k)
+def loop_odin(points, k):
+    tree = cKDTree(points)
+    indeg = np.zeros(len(points), dtype=np.int64)
+    for i in range(len(points)):
+        ids, _ = loop_knn(tree, i, k)
         indeg[ids] += 1
     return indeg
 

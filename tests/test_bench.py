@@ -1,7 +1,10 @@
 import csv
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -236,6 +239,23 @@ def test_a_method_added_to_the_table_runs_in_every_caller(tmp_path, monkeypatch)
     assert len(raw) == 2
 
 
+def test_spawned_workers_run_the_method_entries_they_are_given(monkeypatch):
+    # under the spawn start method (macOS and Windows, and forkserver on
+    # Linux from Python 3.14) a worker imports bench afresh, so a method
+    # added at run time reaches it only inside its task
+    monkeypatch.setitem(bench.METHODS, "odin-copy", replace(bench.METHODS["odin"]))
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    rows = run_monte_carlo([CFG_A], ["odin", "odin-copy"], replicates=2, master_seed=3,
+                           workers=2)
+    assert not any(r.error for r in rows)
+    counts = lambda m: [(r.replicate, r.tp, r.fp, r.tn, r.fn) for r in rows if r.method == m]
+    assert counts("odin-copy") == counts("odin")
+    serial = run_monte_carlo([CFG_A], ["odin"], replicates=2, master_seed=3)
+    assert counts("odin") == [(r.replicate, r.tp, r.fp, r.tn, r.fn) for r in serial]
+
+
 @pytest.mark.parametrize("master_seed", [-1, -(2**40), True, 1.5, 2.0, "3", None])
 def test_monte_carlo_rejects_a_bad_master_seed_before_any_cell(master_seed, monkeypatch):
     # numpy's SeedSequence would raise a ValueError inside every cell
@@ -300,8 +320,7 @@ def cell_data(cfg, master_seed, ci=0, ri=0):
 def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
     # the density check rejects the un-approx family alone, so the cell's
     # one pass over the union raises and each family is scored apart
-    methods = list(ALL_METHODS)
-    task = (SimConfig.from_dict(CFG_A), 0, 0, 6, methods, DEFAULT_S_MIN)
+    task = (SimConfig.from_dict(CFG_A), 0, 0, 6, dict(bench.METHODS), DEFAULT_S_MIN)
     want = bench._run_cell(task)
     assert not any(r.error for r in want)
     ps, idx = cell_data(CFG_A, 6)
@@ -328,15 +347,15 @@ def test_a_failing_family_keeps_its_error_on_its_own_rows(monkeypatch):
             assert g == w
     # a lone family's failed pass is its own error, not scored again
     calls.clear()
-    alone = bench._run_cell((*task[:4], ["oos-un", "ios-un"], DEFAULT_S_MIN))
+    un = {m: bench.METHODS[m] for m in ("oos-un", "ios-un")}
+    alone = bench._run_cell((*task[:4], un, DEFAULT_S_MIN))
     assert calls == [1]
     assert [r.error for r in alone] == ["un-approx densities rejected"] * 2
 
 
 def test_a_union_past_the_edge_limit_scores_each_family_alone(monkeypatch):
     # every family fits the int32 limit on its own, their union does not
-    methods = list(ALL_METHODS)
-    task = (SimConfig.from_dict(CFG_A), 0, 1, 6, methods, DEFAULT_S_MIN)
+    task = (SimConfig.from_dict(CFG_A), 0, 1, 6, dict(bench.METHODS), DEFAULT_S_MIN)
     want = bench._run_cell(task)
     ps, idx = cell_data(CFG_A, 6, ri=1)
     edges = [build_catch_digraph(idx, estimate_radii(idx, s)).out_ids.size

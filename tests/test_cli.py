@@ -14,6 +14,7 @@ import pytest
 from ccdscore import cli
 from ccdscore.cli import build_parser, main
 from ccdscore.dataset import PointSet, write_csv
+from ccdscore.errors import CcdScoreWarning
 from ccdscore.simgen import SimConfig
 
 from _oracles import strict_json
@@ -730,7 +731,7 @@ def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, ki
     pts = _hostile_columns(kind)
     write_csv(PointSet(pts), tmp_path / "x.csv")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # zero MADN columns
+        warnings.simplefilter("ignore", CcdScoreWarning)  # zero MADN columns
         rc = run(["score", "--input", tmp_path / "x.csv", "--digraph", digraph,
                   "--out", tmp_path / "s"])
     if rc in (2, 3):

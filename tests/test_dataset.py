@@ -12,6 +12,7 @@ from ccdscore.dataset import (
 )
 from ccdscore.errors import (
     BadKError,
+    CcdScoreWarning,
     DataIOError,
     DegenerateDataError,
     LabelError,
@@ -148,7 +149,7 @@ def test_madn_gaussian_consistency():
 def test_normalize_constant_column_warns():
     pts = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     ps = PointSet(pts, None)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(CcdScoreWarning):
         normed = robust_normalize(ps)
     np.testing.assert_allclose(normed.points[:, 1], 0.0)
     _, _, fallback = column_robust_stats(pts)
@@ -184,16 +185,6 @@ def test_normalize_permutation_equivariant():
     a = robust_normalize(PointSet(pts[perm], None)).points
     b = robust_normalize(PointSet(pts, None)).points[perm]
     np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_range_query_at_coordinates_matches_brute():
-    rng = np.random.default_rng(5)
-    pts = rng.random((100, 2))
-    idx = build_index(PointSet(pts, None))
-    for _ in range(50):
-        c = rng.random(2)
-        r = rng.random() * 0.5
-        assert idx.range_query(c, r).tolist() == brute_range(pts, c, r)
 
 
 def test_knn_line_and_tie_rule():
@@ -240,7 +231,20 @@ def test_range_query_edges():
     idx = build_index(PointSet(pts, None))
     assert idx.range_query(0, 0.0).tolist() == [0]
     assert idx.range_query(0, 1.0).tolist() == [0, 1, 2]
-    assert idx.range_query(np.array([5.0, 5.0]), 0.0).size == 0
+
+
+def test_range_query_takes_a_point_id_and_a_non_negative_radius():
+    idx = build_index(PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    for center in (np.array([5.0, 5.0]), [0.0, 0.0], np.array([1]), 0.5, 1.0):
+        with pytest.raises(TypeError):
+            idx.range_query(center, 1.0)
+    for center in (3, -1):
+        with pytest.raises(IndexError):
+            idx.range_query(center, 1.0)
+    for r in (np.nan, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="non-negative"):
+            idx.range_query(0, r)
+    assert idx.range_query(np.int32(1), np.inf).tolist() == [0, 1, 2]
 
 
 def test_range_matches_brute():

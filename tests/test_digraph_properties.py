@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from ccdscore import dataset, graph
 from ccdscore.dataset import PointSet, build_index
@@ -30,11 +31,14 @@ from _oracles import (
     keysort_digraph,
     loop_break_ties,
     loop_cumulative_influence,
+    loop_distances_to,
     loop_ios_raw,
+    loop_knn,
     loop_knn_table,
     loop_nearest,
     loop_oos,
     loop_positive_floor,
+    loop_range_query,
     loop_small_cluster_flags,
     loop_standardize_ios,
     loop_standardize_naive,
@@ -141,10 +145,9 @@ def test_both_table_sources_match_knn_and_brute_covers(case, dense, make):
             radii = estimate_radii(idx, make(k=k))
         except CcdScoreError:
             radii = None
-    for i in range(ps.n):
-        want_ids, want_dists = idx.knn(i, k)
-        assert np.array_equal(ids[i], want_ids), i
-        assert np.array_equal(dists[i], want_dists), i
+    want_ids, want_dists = loop_knn_table(points, k)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(dists, want_dists)
     if radii is not None:
         dg = build_catch_digraph(idx, radii)
         assert csr_rows(dg.out_ptr, dg.out_ids) == brute_covers(points, radii)
@@ -192,7 +195,7 @@ def test_row_distances_equal_the_per_point_formula(case):
     got = dataset._row_distances(points, centers, cand)
     assert got.shape == cand.shape and got.dtype == np.float64
     for r in range(cand.shape[0]):
-        want = dataset._distances_to(points[cand[r]], points[centers[r]])
+        want = loop_distances_to(points[cand[r]], points[centers[r]])
         assert got[r].tobytes() == want.tobytes()
 
 
@@ -283,6 +286,32 @@ def test_no_point_outside_a_kept_row_lies_closer_than_its_last_distance(case, de
         assert all(dist(points[j], points[i]) >= dists[i, -1] for j in outside), i
 
 
+@SETTINGS
+@given(graph_sets(), st.booleans())
+def test_knn_and_range_query_are_rows_of_the_table_and_the_ball_query(case, dense):
+    # knn(i, k) is the table's loop on row i alone and range_query(i, r) the
+    # ball query on it, with and without a kept table, against per-point
+    # tree queries; the radii include 0, exact pair distances and the next
+    # float below one, so ties with the sphere and copies at distance 0
+    # are decided on both sides
+    points, k, _ = case
+    tree = cKDTree(points)
+    fresh, kept = build_index(PointSet(points)), build_index(PointSet(points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        ids, dists = kept.knn_table(k)
+        for i in range(len(points)):
+            want_ids, want_dists = loop_knn(tree, i, k)
+            got_ids, got_dists = fresh.knn(i, k)
+            assert np.array_equal(got_ids, want_ids) and np.array_equal(ids[i], want_ids), i
+            assert np.array_equal(got_dists, want_dists) and np.array_equal(dists[i], want_dists), i
+            last = dists[i, -1]
+            for r in (0.0, dists[i, 0], last, np.nextafter(last, 0.0)):
+                want = loop_range_query(tree, i, float(r))
+                for idx in (fresh, kept):
+                    assert np.array_equal(idx.range_query(i, r), want), (i, r)
+
+
 def lattice_40():
     xs, ys = np.meshgrid(np.arange(40.0), np.arange(40.0))
     return np.column_stack([xs.ravel(), ys.ravel()])
@@ -308,7 +337,7 @@ def test_tie_heavy_tables_reask_open_rows_and_equal_the_per_point_reference(
         points, k, dense):
     _, ids, dists, widths = batched_table(points(), k, dense)
     assert max(widths) > widths[0]  # a wider pass ran
-    want_ids, want_dists = loop_knn_table(build_index(PointSet(points())), k)
+    want_ids, want_dists = loop_knn_table(points(), k)
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(dists, want_dists)
 

@@ -28,6 +28,7 @@ from _oracles import (
     loop_cumulative_influence,
     loop_digraph,
     loop_ios_raw,
+    loop_knn_table,
     loop_lof,
     loop_odin,
     loop_oos,
@@ -64,9 +65,8 @@ def descending_ranks(scores):
 def reference_report(ps, strategy, s_min):
     """Every array score_point_set reports, from the per-point and
     per-cluster loops."""
-    idx = build_index(ps)
-    radii = loop_radii(ps, idx, strategy)
-    covers, covered_by = loop_digraph(ps, idx, radii)
+    radii = loop_radii(ps, strategy)
+    covers, covered_by = loop_digraph(ps.points, radii)
     cluster_of = loop_clusters(ps.points, radii, covers)
     counts = np.array([c.size + 1 for c in covers], dtype=np.int64)
     rho = (counts / radii) ** (1.0 / ps.d)
@@ -116,9 +116,8 @@ def test_pipeline_equals_reference_loops(regime, d):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_baselines_equal_reference_loops(regime, d):
     ps = scenario(regime, d)
-    ref_idx = build_index(ps)
-    ref_lof = loop_lof(ref_idx)
-    ref_odin = loop_odin(ref_idx, int(round(ps.n**0.5)))
+    ref_lof = loop_lof(ps.points)
+    ref_odin = loop_odin(ps.points, int(round(ps.n**0.5)))
     got_lof, _ = lof(build_index(ps), LofParams())
     got_odin, _ = odin(build_index(ps), OdinParams())
     assert np.array_equal(got_lof, ref_lof, equal_nan=True)
@@ -139,10 +138,9 @@ def duplicate_points():
 def assert_table_matches_knn(idx, k):
     ids, dists = idx.knn_table(k)
     assert ids.shape == dists.shape == (idx.n, k)
-    for i in range(idx.n):
-        want_ids, want_dists = idx.knn(i, k)
-        assert np.array_equal(ids[i], want_ids), (k, i)
-        assert np.array_equal(dists[i], want_dists), (k, i)
+    want_ids, want_dists = loop_knn_table(idx.ps.points, k)
+    assert np.array_equal(ids, want_ids), k
+    assert np.array_equal(dists, want_dists), k
 
 
 def source_calls(monkeypatch):
@@ -194,13 +192,12 @@ def test_table_with_more_duplicates_than_k(monkeypatch):
 def test_pipeline_on_ties_and_duplicates_equals_reference_loops(points):
     # fixed-k radii of the duplicated points are zero and get floored
     ps = PointSet(points())
-    ref_idx = build_index(ps)
     rk = [rk_approx(k=k) for k in (3, 4, 6)]
     for strategy in (fixed_k(k=4), *rk, un_approx(k=4), fixed_k()):
-        radii = loop_radii(ps, ref_idx, strategy)
+        radii = loop_radii(ps, strategy)
         rep = score_point_set(ps, strategy)
         assert np.array_equal(rep.digraph.radii, radii)
-        covers, covered_by = loop_digraph(ps, ref_idx, radii)
+        covers, covered_by = loop_digraph(ps.points, radii)
         assert same_rows(rep.digraph.covers, covers)
         assert same_rows(in_rows(rep.digraph), covered_by)
         cluster_of = loop_clusters(ps.points, radii, covers)
@@ -336,13 +333,33 @@ def test_narrower_table_is_a_prefix_of_the_widest(points, dense, monkeypatch):
 
 def test_digraph_without_a_table_uses_ball_queries():
     ps = scenario("uniform", 5)
-    radii = loop_radii(ps, build_index(ps), fixed_k())
+    radii = loop_radii(ps, fixed_k())
     fresh = build_index(ps)
     assert fresh.last_table is None
     dg = build_catch_digraph(fresh, radii)
-    covers, covered_by = loop_digraph(ps, build_index(ps), radii)
+    covers, covered_by = loop_digraph(ps.points, radii)
     assert same_rows(dg.covers, covers)
     assert same_rows(in_rows(dg), covered_by)
+
+
+@pytest.mark.parametrize("d, tree", [(5, True), (8, False), (50, False)])
+def test_the_tree_is_built_only_below_the_dense_dimension(d, tree):
+    # from d = 8 the table and the balls read the dense screen, so no
+    # stage, baseline or per-point query builds a k-d tree
+    ps = scenario("gaussian", d)
+    idx = build_index(ps)
+    assert "_tree" not in idx.__dict__
+    for make in STRATEGIES.values():
+        score_point_set(ps, make(), idx=idx)
+    lof(idx)
+    odin(idx)
+    idx.knn(3, 5)
+    idx.range_query(3, 1.0)
+    assert ("_tree" in idx.__dict__) == tree
+    lone = build_index(ps)
+    lone.knn(3, 5)
+    lone.range_query(3, 1.0)
+    assert ("_tree" in lone.__dict__) == tree
 
 
 def lattice_points(d=8, n=200, seed=5):
@@ -363,24 +380,24 @@ def dense_duplicates(d=8):
     return np.vstack([np.repeat(base, 20, axis=0), rng.standard_normal((40, d))])
 
 
-def assert_screen_equals_range_queries(ps, radii, monkeypatch):
+def assert_screen_equals_range_queries(ps, radii):
     """The digraph from a fresh index (every row a ball query) against the
-    per-point range queries; the fresh index has no tree, so the balls come
-    from the screen alone."""
+    per-point range queries; the fresh index builds no tree, so the balls
+    come from the screen alone."""
     fresh = build_index(ps)
-    monkeypatch.setattr(fresh, "_tree", None)
     dg = build_catch_digraph(fresh, radii)
-    covers, covered_by = loop_digraph(ps, build_index(ps), radii)
+    assert "_tree" not in fresh.__dict__
+    covers, covered_by = loop_digraph(ps.points, radii)
     assert same_rows(dg.covers, covers)
     assert same_rows(in_rows(dg), covered_by)
     return covers
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
-def test_screen_on_lattice_sphere(offset, monkeypatch):
+def test_screen_on_lattice_sphere(offset):
     ps = PointSet(lattice_points() + offset)
     radii = np.full(ps.n, 2.0)
-    covers = assert_screen_equals_range_queries(ps, radii, monkeypatch)
+    covers = assert_screen_equals_range_queries(ps, radii)
     everyone = np.arange(ps.n)
     dist = _row_distances(ps.points, everyone, np.broadcast_to(everyone, (ps.n, ps.n)))
     # members lie exactly on the sphere, and without the offset some pairs
@@ -390,22 +407,22 @@ def test_screen_on_lattice_sphere(offset, monkeypatch):
         assert ((dist > 2.0) & (dist < 2.0 + 1e-12)).any()
 
 
-def test_screen_with_heavy_duplicates(monkeypatch):
+def test_screen_with_heavy_duplicates():
     ps = PointSet(dense_duplicates())
     for strategy in (fixed_k(k=4), un_approx(k=4)):
-        radii = loop_radii(ps, build_index(ps), strategy)
-        assert_screen_equals_range_queries(ps, radii, monkeypatch)
+        radii = loop_radii(ps, strategy)
+        assert_screen_equals_range_queries(ps, radii)
 
 
 @pytest.mark.parametrize("d, n", [(2, 300), (8, 300), (9, 300), (5, 32), (5, 33), (30, 400)])
-def test_screen_equals_range_queries(d, n, monkeypatch):
+def test_screen_equals_range_queries(d, n):
     # fixed-k radii put each point's k-th neighbor exactly on its sphere
     ps = PointSet(np.random.default_rng(d * 1000 + n).standard_normal((n, d)))
-    radii = loop_radii(ps, build_index(ps), fixed_k())
-    assert_screen_equals_range_queries(ps, radii, monkeypatch)
+    radii = loop_radii(ps, fixed_k())
+    assert_screen_equals_range_queries(ps, radii)
 
 
-def test_screen_where_the_product_overflows(monkeypatch):
+def test_screen_where_the_product_overflows():
     # a squared spread of about 1.3e308 is finite, but -2 x.y for two points
     # near the far corner is not, so those pairs reach the recheck as
     # candidates whatever their distance
@@ -414,9 +431,9 @@ def test_screen_where_the_product_overflows(monkeypatch):
     ps = PointSet(np.vstack([np.zeros((1, 8)), corner]))
     with np.errstate(over="ignore"):
         assert np.isinf(-2.0 * (ps.points @ ps.points.T)).any()
-    radii = loop_radii(ps, build_index(ps), fixed_k())
+    radii = loop_radii(ps, fixed_k())
     assert np.isfinite(radii).all()
-    assert_screen_equals_range_queries(ps, radii, monkeypatch)
+    assert_screen_equals_range_queries(ps, radii)
 
 
 def far_lattice_points():
@@ -438,7 +455,7 @@ def test_dense_table_on_ties_and_duplicates(points, monkeypatch):
         assert reasked_rows(calls, k).size
 
 
-def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
+def test_screen_sure_members_far_from_the_column_minima():
     # points drawn on spheres of radius 2.0 about a few centers, 1e6 from a
     # point at the origin that keeps the column minima at zero: the squared
     # norms are about 8e12, so g rounds by about 1e-3, while the formula's
@@ -451,7 +468,7 @@ def test_screen_sure_members_far_from_the_column_minima(monkeypatch):
     shells = (centers[:, None, :] + 2.0 * dirs).reshape(-1, 8)
     ps = PointSet(np.vstack([np.zeros((1, 8)), centers, shells]))
     radii = np.full(ps.n, 2.0)
-    assert_screen_equals_range_queries(ps, radii, monkeypatch)
+    assert_screen_equals_range_queries(ps, radii)
     everyone = np.arange(ps.n)
     dist = _row_distances(ps.points, everyone, np.broadcast_to(everyone, (ps.n, ps.n)))
     assert ((dist > 2.0) & (dist < 2.0 + 1e-9)).any()

@@ -113,6 +113,18 @@ def test_generate_raises_config_error_when_the_gaussian_draw_overflows(regime):
         generate(cfg)
 
 
+@pytest.mark.parametrize("fraction, collective", [(0.05, 0), (0.0, 4)])
+def test_outliers_whose_distances_to_the_inliers_overflow_raise_config_error(
+        fraction, collective):
+    # inliers near 1e200 draw finite coordinates, but the tree's squared
+    # distances to them overflow to inf, which would pass any separation;
+    # the singles and the collective group's center are placed alike
+    cfg = SimConfig(regime="thomas", d=2, n=60, outlier_fraction=fraction,
+                    gaussian_scale=1e200, collective_group=collective)
+    with pytest.raises(ConfigError, match="distances to the inliers overflow"):
+        generate(cfg)
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"regime": "uniform", "d": 2, "n": 50, "sigma": 1.0})
