@@ -317,17 +317,6 @@ def _row_distances(points: np.ndarray, centers: np.ndarray, cand: np.ndarray) ->
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(cand.shape)
 
 
-def pair_distance_blocks(points: np.ndarray, rows: np.ndarray, targets: np.ndarray):
-    """Yield (slice into rows, block) with block[a, b] the distance from
-    points[rows[a]] to points[targets[b]], in blocks of about GATHER_CHUNK
-    elements, by the same arithmetic as the per-point distances.
-    """
-    d = points.shape[1]
-    for sl in row_chunks(rows.size, targets.size * d):
-        cand = np.broadcast_to(targets, (sl.stop - sl.start, targets.size))
-        yield sl, _row_distances(points, rows[sl], cand)
-
-
 @dataclass
 class NeighborIndex:
     """Neighbor queries over a PointSet with deterministic tie handling.
@@ -557,38 +546,36 @@ class NeighborIndex:
         among[j], only at a positive distance when positive is set, ties
         going to the smallest id; -1 and inf where there is no such point.
 
-        Where the kept table's row i holds such a j, the first one is the
-        answer: every row is ordered by (distance, id), so no point outside
-        it comes before its first hit.
-        The other rows gather their distances to every point of among. Both
-        paths compute distances by _row_distances, so an answer does not
-        depend on which one gave it.
+        Every answer is the first hit of a table row: each row is ordered
+        by (distance, id), so no point outside it comes before its first
+        hit. The kept table's row answers where it holds a hit. The other
+        rows are asked again as _table rows of twice the width (the first
+        of min(8, n - 1) without a kept table), up to n - 1.
         """
         ids = np.full(rows.size, -1, dtype=np.int64)
         dists = np.full(rows.size, np.inf)
         if not among.any():
             return ids, dists
-        gather = np.arange(rows.size)
-        if self.last_table is not None:
-            t_ids, t_dists = self.last_table
-            row_ids = t_ids[rows]
-            hit = among[row_ids] & (t_dists[rows] > 0 if positive else True)
+
+        def first_hits(at, row_ids, row_dists):
+            # answer the rows at whose table rows hold a hit; return the others
+            hit = among[row_ids]
+            if positive:
+                hit &= row_dists > 0
             ok = hit.any(axis=1)
             first = np.argmax(hit[ok], axis=1)
-            ids[ok] = row_ids[ok, first]
-            dists[ok] = t_dists[rows[ok], first]
-            gather = np.flatnonzero(~ok)
-        targets = np.flatnonzero(among)
-        for sl, block in pair_distance_blocks(self.ps.points, rows[gather], targets):
-            off = targets == rows[gather[sl], None]
-            if positive:
-                off |= block <= 0
-            block[off] = np.inf
-            # argmin takes the first, so the smallest id on ties
-            best = np.argmin(block, axis=1)
-            near = block[np.arange(best.size), best]
-            ids[gather[sl]] = np.where(near < np.inf, targets[best], -1)
-            dists[gather[sl]] = near
+            ids[at[ok]] = row_ids[ok, first]
+            dists[at[ok]] = row_dists[ok, first]
+            return at[~ok]
+
+        open_at, w = np.arange(rows.size), 0
+        if self.last_table is not None:
+            t_ids, t_dists = self.last_table
+            open_at, w = first_hits(open_at, t_ids[rows], t_dists[rows]), t_ids.shape[1]
+        while open_at.size and w < self.n - 1:
+            w = min(2 * w, self.n - 1) if w else min(8, self.n - 1)
+            pieces = [open_at[piece] for piece in row_chunks(open_at.size, w)]
+            open_at = np.concatenate([first_hits(at, *self._table(rows[at], w)) for at in pieces])
         return ids, dists
 
     @cached_property

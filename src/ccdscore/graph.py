@@ -114,11 +114,16 @@ def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     local count still reaches the count expected under complete spatial
     randomness, up to a binomial envelope. Falls back to the 1-NN distance
     when nothing passes. Candidates stop at the k-th neighbor so radii stay
-    on the local scale instead of swallowing the whole window.
+    on the local scale instead of swallowing the whole window, the
+    bounding box of the axes along which the points vary.
     """
     ps = idx.ps
-    n, d = ps.n, ps.d
+    n = ps.n
     sides = ps.points.max(axis=0) - ps.points.min(axis=0)
+    # the window spans only the axes that vary: a constant column adds
+    # nothing to a distance, and its zero side would zero the volume
+    sides = sides[sides > 0]
+    d = sides.size
     # a box past the largest float reads inf: the expected counts are then
     # 0 and every candidate passes, the limit of an ever larger box
     with np.errstate(over="ignore"):
@@ -126,7 +131,7 @@ def _rk_radii(idx: NeighborIndex, k: int) -> np.ndarray:
     z = float(ndtri(1.0 - RK_SIGNIFICANCE))
     _, cand = idx.knn_table(k)
     radii = cand[:, 0].copy()
-    if volume <= 0:
+    if volume <= 0 or d == 0:
         return radii
     log_lam_ball = math.log(n) - math.log(volume) + log_unit_ball_volume(d)
     observed = np.arange(2, k + 2, dtype=np.float64)

@@ -272,38 +272,41 @@ def _place_singles(
     min_dist: float,
     lo: float,
     hi: float,
-    batch: int = _OUTLIER_BATCH,
 ) -> list[np.ndarray]:
     """The first count candidates of rng's uniform stream over [lo, hi)^d
     at least min_dist from every point, by np.linalg.norm; ConfigError
     after _OUTLIER_ATTEMPTS misses in a row, or on a tree distance that
     overflows (from about 1e154), since inf would pass any separation.
 
-    Candidates come batch at a time (one draw of shape (m, d) reads the
-    stream as m draws of d values), and one k-d tree query finds each
-    one's nearest point; only a tree distance within _TREE_MARGIN of
-    min_dist takes the norm. The stream is read up to the end of the batch
-    that holds the last candidate taken, so a caller that reads the stream
-    after asks for batch=1.
+    Candidates come _OUTLIER_BATCH at a time (one draw of shape (m, d)
+    reads the stream as m draws of d values), and one k-d tree query finds
+    each one's nearest point; only a tree distance within _TREE_MARGIN of
+    min_dist takes the norm. A batch is drawn ahead and the stream then
+    replayed up to the last candidate taken, so rng is left where drawing
+    one candidate at a time leaves it.
     """
     placed: list[np.ndarray] = []
     if count == 0:
         return placed
     tree = cKDTree(points)
+    d = points.shape[1]
     misses = 0
     while True:
-        cands = rng.uniform(lo, hi, size=(batch, points.shape[1]))
+        state = rng.bit_generator.state
+        cands = rng.uniform(lo, hi, size=(_OUTLIER_BATCH, d))
         near = tree.query(cands)[0]
-        if not np.isfinite(near).all():
-            raise ConfigError("outlier distances to the inliers overflow float64; "
-                              "lower gaussian_scale")
         ok = near > min_dist * (1.0 + _TREE_MARGIN)
         for i in np.flatnonzero(~ok & (near >= min_dist * (1.0 - _TREE_MARGIN))).tolist():
             ok[i] = np.min(np.linalg.norm(points - cands[i], axis=1)) >= min_dist
-        for cand, hit in zip(cands, ok.tolist()):
+        for used, (cand, hit, gap) in enumerate(zip(cands, ok.tolist(), near.tolist()), 1):
+            if not math.isfinite(gap):
+                raise ConfigError("outlier distances to the inliers overflow float64; "
+                                  "lower gaussian_scale")
             if hit:
                 placed.append(cand)
                 if len(placed) == count:
+                    rng.bit_generator.state = state
+                    rng.uniform(lo, hi, size=(used, d))
                     return placed
                 misses = 0
             else:
@@ -336,10 +339,7 @@ def inject_outliers(ps: PointSet, cfg: SimConfig) -> PointSet:
     if g > 0:
         group_rng = _rng(cfg.seed, _S_COLLECTIVE)
         group_radius = 0.25 * scale
-        # the group's points follow its center in this stream, so the center
-        # is drawn one candidate at a time
-        center = _place_singles(group_rng, ps.points, 1, sep + group_radius, lo, hi,
-                                batch=1)[0]
+        center = _place_singles(group_rng, ps.points, 1, sep + group_radius, lo, hi)[0]
         new_points.extend(
             center + _uniform_ball(group_rng, g, cfg.d, group_radius)
         )

@@ -254,11 +254,15 @@ def loop_radii(ps, strategy):
             ids, _ = loop_knn(tree, i, k)
             radii[i] = 2.0 * float(np.quantile(nnd[ids], 0.5))
     else:
+        # the window is the box of the axes along which the points vary
         sides = ps.points.max(axis=0) - ps.points.min(axis=0)
+        sides = sides[sides > 0]
+        d = sides.size
         volume = float(np.prod(sides))
         z = float(norm.ppf(1.0 - 0.01))
         log_vball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-        log_lam_ball = math.log(n) - math.log(volume) + log_vball if volume > 0 else None
+        log_lam_ball = (math.log(n) - math.log(volume) + log_vball
+                        if volume > 0 and d > 0 else None)
         for i in range(n):
             _, cand = loop_knn(tree, i, k)
             if log_lam_ball is None:
@@ -350,10 +354,20 @@ def keysort_digraph(radii, dim, src, dst):
     return CatchDigraph.from_csr(radii, dim, out_ptr.astype(np.int32), out_ids.astype(np.int32))
 
 
+def pair_distance_blocks(points, rows, targets):
+    """Yield (slice into rows, block) with block[a, b] the distance from
+    points[rows[a]] to points[targets[b]], in blocks of about GATHER_CHUNK
+    elements, by the package's distance formula."""
+    from ccdscore.dataset import _row_distances, row_chunks
+
+    d = points.shape[1]
+    for sl in row_chunks(rows.size, targets.size * d):
+        cand = np.broadcast_to(targets, (sl.stop - sl.start, targets.size))
+        yield sl, _row_distances(points, rows[sl], cand)
+
+
 def gather_cluster_of(dg, points, attach_factor=3.0):
     """cluster_of with each isolated vertex attached by a block gather."""
-    from ccdscore.dataset import pair_distance_blocks
-
     n = dg.n
     adj = sparse.csr_matrix(
         (np.ones(dg.out_ids.size, dtype=np.int8), dg.out_ids, dg.out_ptr), shape=(n, n)

@@ -342,17 +342,24 @@ def test_tie_heavy_tables_reask_open_rows_and_equal_the_per_point_reference(
     assert np.array_equal(dists, want_dists)
 
 
-def gathered_rows(mp):
-    """Patch the neighbor index's block gather to record the rows it serves."""
-    rows = []
-    gather = dataset.pair_distance_blocks
+def widened_rows(mp, idx):
+    """Patch idx's table builder to record (width, rows) of each call;
+    once the kept table is built, only nearest calls it, for the rows it
+    widens."""
+    calls = []
+    table = idx._table
 
-    def recording(points, r, targets):
-        rows.extend(r.tolist())
-        return gather(points, r, targets)
+    def recording(rows, width):
+        calls.append((width, rows.tolist()))
+        return table(rows, width)
 
-    mp.setattr(dataset, "pair_distance_blocks", recording)
-    return rows
+    mp.setattr(idx, "_table", recording)
+    return calls
+
+
+def first_widening(calls):
+    """The rows of the first widening pass, in the order nearest asks them."""
+    return [i for w, rows in calls if w == calls[0][0] for i in rows]
 
 
 def edge_arrays(covers):
@@ -555,50 +562,100 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "ATTACH_FACTOR", factor)
         assert np.array_equal(cluster_digraph(dg, build_index(ps)).cluster_of, want)
-        rows = gathered_rows(mp)
+        calls = widened_rows(mp, idx)
         got = cluster_digraph(dg, idx).cluster_of
     assert np.array_equal(got, want)
     # the table answers exactly the isolated rows that hold an anchored
-    # id; only the others are gathered
+    # id; only the others are widened, unless the table is already whole
     adj = np.zeros((ps.n, ps.n), dtype=bool)
     adj[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
     anchored = (adj & adj.T).any(axis=1)
     ids, _ = idx.last_table
     table = anchored[ids].any(axis=1)
     isolated = np.flatnonzero(~anchored)
-    expect = isolated[~table[isolated]].tolist() if anchored.any() else []
-    assert rows == expect
+    whole = ids.shape[1] == ps.n - 1
+    expect = isolated[~table[isolated]].tolist() if anchored.any() and not whole else []
+    assert first_widening(calls) == expect
+
+
+def assert_widening_doubles(calls, width, n):
+    """Each widening pass asks, at twice the width before it (the first
+    at min(8, n - 1) without a kept table) up to n - 1, a subset of the
+    rows the pass before it asked."""
+    widths = sorted({w for w, _ in calls})
+    for w in widths:
+        width = min(2 * width, n - 1) if width else min(8, n - 1)
+        assert w == width
+    passes = [[i for w, rows in calls if w == v for i in rows] for v in widths]
+    for wider, narrower in zip(passes[1:], passes[:-1]):
+        assert set(wider) <= set(narrower)
 
 
 @SETTINGS
 @given(graph_sets(), st.sampled_from([True, False, None]), st.booleans(), st.data())
 def test_nearest_equals_the_loop_reference(case, dense, positive, data):
     """Against the per-row loop, with a table from either source or none,
-    any rows in any order, and among masks from empty to full: a table
-    row holding a hit answers, and only the rows without one are
-    gathered."""
+    any rows in any order, and among masks from empty to full, and then
+    the mask of the points outside the first row's first table row: a
+    table row holding a hit answers, and only the rows without one are
+    widened, from the same source, until they hold one."""
     points, k, _ = case
     n = points.shape[0]
     idx = build_index(PointSet(points))
-    if dense is not None:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataset, "_dense_table", lambda d: dense)
-            idx.knn_table(k)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
     mask = st.lists(st.booleans(), min_size=n, max_size=n)
-    among = np.array(data.draw(mask | st.just([False] * n) | st.just([True] * n)))
+    masks = [np.array(data.draw(mask | st.just([False] * n) | st.just([True] * n)))]
     with pytest.MonkeyPatch.context() as mp:
-        gathered = gathered_rows(mp)
-        ids, dists = idx.nearest(rows, among, positive=positive)
-    want_ids, want_dists = loop_nearest(points, rows, among, positive)
+        width = 0
+        if dense is not None:
+            mp.setattr(dataset, "_dense_table", lambda d: dense)
+            idx.knn_table(k)
+            width = idx.last_table[0].shape[1]
+        if rows.size:
+            # rows[0] finds no hit in its kept table row, or, on an index
+            # that keeps none, in its first widening
+            first = (idx.last_table[0][rows[0]] if width
+                     else brute_knn(points, rows[0], min(8, n - 1))[0])
+            outside = np.ones(n, dtype=bool)
+            outside[first] = outside[rows[0]] = False
+            masks.append(outside)
+        calls = widened_rows(mp, idx)
+        for among in masks:
+            calls.clear()
+            ids, dists = idx.nearest(rows, among, positive=positive)
+            want_ids, want_dists = loop_nearest(points, rows, among, positive)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(dists, want_dists)
+            answered = np.zeros(n, dtype=bool)
+            if width:
+                t_ids, t_dists = idx.last_table
+                answered = (among[t_ids] & ((t_dists > 0) | (not positive))).any(axis=1)
+            widens = among.any() and width < n - 1
+            assert first_widening(calls) == (rows[~answered[rows]].tolist() if widens else [])
+            assert_widening_doubles(calls, width, n)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_positive_nearest_widens_past_copies_wider_than_the_table(dense):
+    """Every point 12 times over with a kept table 3 wide: every table row
+    holds only zeros, so each positive row is widened at 6 and at 12 and
+    answered at 12, where its row reaches past its 11 copies."""
+    points = np.repeat(np.random.default_rng(8).random((20, 4)), 12, axis=0)
+    n = points.shape[0]
+    idx = build_index(PointSet(points))
+    rows = np.random.default_rng(9).permutation(n)[:50]
+    among = np.ones(n, dtype=bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_dense_table", lambda d: dense)
+        idx.knn_table(2)
+        assert (idx.last_table[1] == 0).all()
+        calls = widened_rows(mp, idx)
+        ids, dists = idx.nearest(rows, among, positive=True)
+    assert [w for w, _ in calls] == [6, 12]
+    assert first_widening(calls) == rows.tolist()
+    want_ids, want_dists = loop_nearest(points, rows, among, True)
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(dists, want_dists)
-    answered = np.zeros(n, dtype=bool)
-    if idx.last_table is not None:
-        t_ids, t_dists = idx.last_table
-        hit = among[t_ids] & ((t_dists > 0) | (not positive))
-        answered = hit.any(axis=1)
-    assert gathered == (rows[~answered[rows]].tolist() if among.any() else [])
 
 
 @SETTINGS
@@ -612,7 +669,7 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
         # zero wherever more than the column's rank of copies share a point
         radii = idx.knn_table(k)[1][:, column].copy()
     with pytest.MonkeyPatch.context() as mp:
-        gathered = gathered_rows(mp)
+        calls = widened_rows(mp, idx)
         try:
             got = graph._positive_floor(idx, radii)
         except DegenerateDataError:
@@ -620,10 +677,12 @@ def test_positive_floor_equals_the_loop_reference(case, dense, column):
             return
     assert np.array_equal(got, loop_positive_floor(points, radii))
     # a table row holding a positive distance answers its zero radius;
-    # only the other zero rows are gathered
+    # only the other zero rows are widened, unless the table is whole
     _, dists = idx.last_table
     zero = np.flatnonzero(radii == 0)
-    assert gathered == zero[~(dists > 0).any(axis=1)[zero]].tolist()
+    if dists.shape[1] == ps.n - 1:
+        zero = zero[:0]
+    assert first_widening(calls) == zero[~(dists > 0).any(axis=1)[zero]].tolist()
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -631,7 +690,7 @@ def test_positive_floor_of_fourfold_copies_gathers_no_row(dense):
     """Every point 4 times over: every nearest distance is zero, so are all
     un-approx radii, and every table row starts with three zeros. Each row
     is ordered by (distance, id), so its first positive distance answers
-    the floor and no row is gathered."""
+    the floor and no row is widened."""
     points = np.repeat(np.random.default_rng(5).random((50, 3)), 4, axis=0)
     idx = build_index(PointSet(points))
     with pytest.MonkeyPatch.context() as mp:
@@ -640,9 +699,9 @@ def test_positive_floor_of_fourfold_copies_gathers_no_row(dense):
     assert (idx.last_table[1][:, :3] == 0).all()
     zero = np.zeros(points.shape[0])
     with pytest.MonkeyPatch.context() as mp:
-        gathered = gathered_rows(mp)
+        calls = widened_rows(mp, idx)
         got = graph._positive_floor(idx, zero)
-    assert gathered == []
+    assert calls == []
     assert np.array_equal(got, loop_positive_floor(points, zero))
     assert np.array_equal(got, estimate_radii(idx, un_approx(k=6)))
 

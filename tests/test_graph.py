@@ -14,6 +14,7 @@ from ccdscore.graph import (
     rk_approx,
     un_approx,
 )
+from ccdscore.scores import score_point_set
 
 from _oracles import brute_components, brute_covers, gather_cluster_of
 
@@ -99,6 +100,19 @@ def test_rk_radii_track_uniform_density():
     k = default_k(500)
     target = np.sqrt(k / (500.0 * np.pi))
     assert 0.5 * target <= np.median(radii) <= 2.0 * target
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_rk_window_leaves_out_a_constant_column(d):
+    # the constant column, appended last, moves no distance, and the window
+    # spans only the axes that vary, so the radii keep every bit; a window
+    # of volume 0 gave 1-NN radii, whose clusters all fell below s_min
+    x = np.random.default_rng(21).random((400, d))
+    with_c = np.hstack([x, np.full((400, 1), 0.5)])
+    radii = estimate_radii(build_index(PointSet(x)), rk_approx())
+    assert np.array_equal(estimate_radii(build_index(PointSet(with_c)), rk_approx()), radii)
+    flags = score_point_set(PointSet(with_c), rk_approx(), s_min=0.04).ios_flag
+    assert 0 < flags.sum() < flags.size
 
 
 def test_digraph_line_adjacency():
@@ -206,30 +220,33 @@ def test_build_deterministic_across_fresh_indexes():
     np.testing.assert_array_equal(results[0][2], results[1][2])
 
 
-@pytest.mark.parametrize("d, strategy", [(50, un_approx), (10, rk_approx), (50, rk_approx)])
+@pytest.mark.parametrize("d, strategy", [
+    (d, strategy) for d in (10, 50) for strategy in (fixed_k, rk_approx, un_approx)
+])
 def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, strategy):
     # planted outliers have no mutual edge, and each of their table rows
-    # reaches a cluster, so nothing is gathered
+    # reaches a cluster, so nearest widens no row
     ps = simgen.generate(
         simgen.SimConfig(regime="gaussian", d=d, n=400, seed=1, outlier_fraction=0.05)
     )
     idx = build_index(ps)
     dg = build_catch_digraph(idx, estimate_radii(idx, strategy()))
     want = gather_cluster_of(dg, ps.points)
-    gathered = []
-    gather = dataset.pair_distance_blocks
+    widened = []
+    table = idx._table
 
-    def recording(points, rows, targets):
-        gathered.append(rows.size)
-        return gather(points, rows, targets)
+    def recording(rows, width):
+        widened.append(rows.size)
+        return table(rows, width)
 
-    monkeypatch.setattr(dataset, "pair_distance_blocks", recording)
+    monkeypatch.setattr(idx, "_table", recording)
     cl = cluster_digraph(dg, idx)
     assert np.array_equal(cl.cluster_of, want)
-    assert sum(gathered) == 0
+    assert widened == []
     mutual = np.zeros((ps.n, ps.n), dtype=bool)
     mutual[np.repeat(np.arange(ps.n), np.diff(dg.out_ptr)), dg.out_ids] = True
-    assert (~(mutual & mutual.T).any(axis=1)).sum() >= 16
+    # many isolated rows ask nearest: 11 to 29 of them across the cases
+    assert (~(mutual & mutual.T).any(axis=1)).sum() >= (10 if strategy is fixed_k else 16)
 
 
 @pytest.mark.parametrize("strategy", [fixed_k, rk_approx, un_approx])

@@ -26,9 +26,10 @@ PEAK_BYTES_PER_EDGE = 15
 # the held 8 and the transpose's int8 data; 10.2 and 10.1 measured.
 BUILD_RISE_BYTES_PER_EDGE = 13
 # The clustering and ios_raw walk row blocks of about GATHER_CHUNK / 4
-# entries, and the clustering's distance gather holds GATHER_CHUNK
-# floats, so neither rise grows with the edge count: 2.0 and 1.8 MiB
-# measured for the clustering, 3.2 and 3.3 MiB for ios_raw.
+# entries, and the rows the clustering's nearest widens come in pieces
+# of about GATHER_CHUNK table entries, so neither rise grows with the edge
+# count: 2.0 and 1.8 MiB measured for the clustering, 3.2 and 3.3 MiB for
+# ios_raw.
 CLUSTER_RISE_BYTES = int(2.5 * MIB)
 IOS_RAW_RISE_BYTES = int(4.25 * MIB)
 STAGES = ("build_catch_digraph", "cluster_digraph", "ios_raw")
