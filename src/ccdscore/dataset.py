@@ -374,7 +374,7 @@ class NeighborIndex:
         k = min(k, self.n - 1)
         if k == 0:
             return np.array([], dtype=np.int64), np.array([], dtype=np.float64)
-        ids, dists = self._table(np.array([i]), min(k + 1, self.n - 1))
+        ids, dists, _ = self._table(np.array([i]), min(k + 1, self.n - 1))
         return ids[0, :k], dists[0, :k]
 
     def knn_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,15 +391,16 @@ class NeighborIndex:
         if k < width or width == n - 1:
             ids, dists = self.last_table
             return ids[:, :k], dists[:, :k]
-        ids, dists = self._table(np.arange(n), min(k + 1, n - 1))
+        ids, dists, _ = self._table(np.arange(n), min(k + 1, n - 1))
         ids.setflags(write=False)
         dists.setflags(write=False)
         self.last_table = (ids, dists)
         return ids[:, :k], dists[:, :k]
 
-    def _table(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, dists), (rows.size, width) each: the width nearest points
-        of each point of rows by (distance, id), each row on its own.
+    def _table(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, dists, reach): the width nearest points of each of rows by
+        (distance, id), (rows.size, width) each and each row on its own,
+        and the candidate width w at which each row closed.
 
         The tree or the dense screen (_dense_table) fetches w + 1 candidates
         per open row, in pieces of about GATHER_CHUNK. A row closes when it
@@ -412,6 +413,7 @@ class NeighborIndex:
         source = self._dense_table_candidates if _dense_table(d) else self._tree_table_candidates
         ids = np.empty((rows.size, width), dtype=np.int64)
         dists = np.empty((rows.size, width), dtype=np.float64)
+        reach = np.empty(rows.size, dtype=np.int64)
         open_at, w = np.arange(rows.size), width
         while open_at.size:
             left = []
@@ -423,6 +425,7 @@ class NeighborIndex:
                 left.append(at[~closed])
                 # a mask copies only these rows
                 at, r, cand = at[closed], r[closed], cand[closed]
+                reach[at] = w
                 for sl in row_chunks(r.size, (w + 1) * d):
                     src, c = r[sl], cand[sl]
                     dd = _row_distances(points, src, c)
@@ -441,7 +444,7 @@ class NeighborIndex:
                     dists[at[sl]] = dd.take(order)
             open_at = np.concatenate(left)
             w = min(w + max(8, w - width), n - 1)
-        return ids, dists
+        return ids, dists, reach
 
     def _tree_table_candidates(self, rows: np.ndarray, w: int, k: int):
         """(cand, closed): the w+1 nearest points of each of rows by one
@@ -549,8 +552,10 @@ class NeighborIndex:
         Every answer is the first hit of a table row: each row is ordered
         by (distance, id), so no point outside it comes before its first
         hit. The kept table's row answers where it holds a hit. The other
-        rows are asked again as _table rows of twice the width (the first
-        of min(8, n - 1) without a kept table), up to n - 1.
+        rows are asked again as _table rows up to n - 1, each pass at twice
+        the width before it (min(8, n - 1) first without a kept table) or at
+        the widest w at which _table closed a row still open, which lies
+        past the row's run of copies, if that is wider.
         """
         ids = np.full(rows.size, -1, dtype=np.int64)
         dists = np.full(rows.size, np.inf)
@@ -558,7 +563,7 @@ class NeighborIndex:
             return ids, dists
 
         def first_hits(at, row_ids, row_dists):
-            # answer the rows at whose table rows hold a hit; return the others
+            # answer the rows at whose table rows hold a hit; mark the others
             hit = among[row_ids]
             if positive:
                 hit &= row_dists > 0
@@ -566,16 +571,23 @@ class NeighborIndex:
             first = np.argmax(hit[ok], axis=1)
             ids[at[ok]] = row_ids[ok, first]
             dists[at[ok]] = row_dists[ok, first]
-            return at[~ok]
+            return ~ok
 
-        open_at, w = np.arange(rows.size), 0
+        open_at, w, reach = np.arange(rows.size), 0, 0
         if self.last_table is not None:
             t_ids, t_dists = self.last_table
-            open_at, w = first_hits(open_at, t_ids[rows], t_dists[rows]), t_ids.shape[1]
+            open_at = open_at[first_hits(open_at, t_ids[rows], t_dists[rows])]
+            w = t_ids.shape[1]
         while open_at.size and w < self.n - 1:
-            w = min(2 * w, self.n - 1) if w else min(8, self.n - 1)
-            pieces = [open_at[piece] for piece in row_chunks(open_at.size, w)]
-            open_at = np.concatenate([first_hits(at, *self._table(rows[at], w)) for at in pieces])
+            w = min(max(2 * w, reach), self.n - 1) if w else min(8, self.n - 1)
+            left, reach = [], 0
+            for piece in row_chunks(open_at.size, w):
+                at = open_at[piece]
+                row_ids, row_dists, closed_at = self._table(rows[at], w)
+                miss = first_hits(at, row_ids, row_dists)
+                left.append(at[miss])
+                reach = max(reach, int(closed_at[miss].max(initial=0)))
+            open_at = np.concatenate(left)
         return ids, dists
 
     @cached_property

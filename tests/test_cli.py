@@ -15,7 +15,7 @@ from ccdscore import cli
 from ccdscore.cli import build_parser, main
 from ccdscore.dataset import PointSet, write_csv
 from ccdscore.errors import CcdScoreWarning
-from ccdscore.simgen import SimConfig
+from ccdscore.simgen import SimConfig, generate
 
 from _oracles import strict_json
 
@@ -281,12 +281,22 @@ def test_bench_outputs_and_reruns_identically(tmp_path):
 
 
 def test_bench_exit_4_when_nothing_succeeds(tmp_path, capsys):
+    # lof needs n > 30, so at n=25 every lof row fails: alone it exits 4;
+    # beside odin the bench exits 0 and writes the lof rows' NaN metrics
+    # as strict JSON
     grid = tmp_path / "grid.json"
     write_grid(grid, [{"regime": "uniform", "d": 2, "n": 25,
                        "outlier_fraction": 0.08}], 2)
     rc = run(["bench", "--grid", grid, "--methods", "lof",
               "--out", tmp_path / "r"])
     assert rc == 4
+    assert run(["bench", "--grid", grid, "--methods", "lof,odin",
+                "--out", tmp_path / "both"]) == 0
+    raw = strict_json(tmp_path / "both" / "results.json")["raw"]
+    assert strict_json(tmp_path / "both" / "manifest.json")["command"] == "bench"
+    lof_rows = [r for r in raw if r["method"] == "lof"]
+    assert len(lof_rows) == 2 and all(r["error"] and r["f2"] == "nan" for r in lof_rows)
+    assert not any(r["error"] for r in raw if r["method"] == "odin")
 
 
 def test_bench_unknown_method_exits_2(tmp_path, capsys):
@@ -402,15 +412,22 @@ def test_gen_non_finite_or_huge_float_exits_2_without_outputs(field, value, tmp_
     assert not list(tmp_path.glob("x*"))
 
 
-@pytest.mark.parametrize("regime", ["thomas", "mixed"])
-def test_gen_whose_gaussian_draw_overflows_exits_2_without_outputs(regime, tmp_path, capsys):
+@pytest.mark.parametrize("regime, argv, message", [
+    ("thomas", ["--gaussian-scale", "1e308"], "gaussian_scale must keep"),
+    ("mixed", ["--gaussian-scale", "1e308"], "gaussian_scale must keep"),
+    ("thomas", ["--gaussian-scale", "1e200", "--outlier-fraction", "0.05"],
+     "outlier distances to the inliers overflow"),
+], ids=["thomas", "mixed", "thomas-outlier-distances"])
+def test_gen_whose_gaussian_draw_overflows_exits_2_without_outputs(regime, argv, message,
+                                                                   tmp_path, capsys):
     # a finite gaussian_scale passes the config's checks, and only the
-    # scaled normal draws overflow float64
-    rc = run(["gen", "--regime", regime, "--d", "2", "--n", "60", "--gaussian-scale", "1e308",
+    # scaled normal draws overflow float64, or at 1e200 the squared
+    # distances from an outlier candidate to the inliers
+    rc = run(["gen", "--regime", regime, "--d", "2", "--n", "60", *argv,
               "--out", tmp_path / "x"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "ConfigError: gaussian_scale must keep" in err and "Traceback" not in err
+    assert f"ConfigError: {message}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("x*"))
 
 
@@ -717,24 +734,34 @@ def _hostile_columns(kind, n=300):
         return rng.random((40, 460))
     if kind == "overflow":  # 1e300 over a MADN near 1e-300 overflows float64
         return np.column_stack([np.append(np.arange(1, 40) * 1e-300, 1e300), t[:40]])
+    if kind == "lattice":  # ties leave most table rows open after the first pass
+        return np.array([(i, j) for i in range(40) for j in range(40)], dtype=np.float64)
+    if kind == "copies":  # all un-approx radii are zero, so the radius floor runs
+        cfg = SimConfig(regime="uniform", d=2, n=200, outlier_fraction=0.05)
+        return np.repeat(generate(cfg).points, 4, axis=0)
     return np.column_stack([np.full(n, 4.0), rng.standard_normal((n, 2))])
 
 
 @pytest.mark.parametrize("digraph", ["fixed-k", "rk-approx", "un-approx"])
 @pytest.mark.parametrize("kind", ["single-column", "collinear", "plane-in-3d",
-                                  "constant-column", "wide", "overflow"])
+                                  "constant-column", "wide", "overflow", "lattice",
+                                  "copies"])
 def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, kind, digraph):
     # a single column, collinear columns, columns spanning a plane, a
-    # constant column next to two normal ones, 460 columns, and a column
-    # whose normalization overflows: a package error, or a report without
-    # NaN whose ranks are a permutation
+    # constant column next to two normal ones, 460 columns (the unit
+    # ball's volume underflows from d = 453), a 40x40 integer lattice and
+    # a gen file with every row 4 times give a report without NaN whose
+    # ranks are a permutation; a column whose normalization overflows
+    # exits 3
     pts = _hostile_columns(kind)
     write_csv(PointSet(pts), tmp_path / "x.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CcdScoreWarning)  # zero MADN columns
         rc = run(["score", "--input", tmp_path / "x.csv", "--digraph", digraph,
                   "--out", tmp_path / "s"])
-    if rc in (2, 3):
+    if kind == "overflow":
+        assert rc == 3
+        assert not list(tmp_path.glob("s.*"))
         return
     assert rc == 0
     doc = strict_json(tmp_path / "s.scores.json")
@@ -748,6 +775,9 @@ def test_score_degenerate_geometry_exits_2_3_or_reports_without_nan(tmp_path, ki
     rows = read_rows(tmp_path / "s.scores.csv")
     assert len(rows) == len(pts)
     assert not any("nan" in v for r in rows for v in r.values())
+    if (kind, digraph) == ("constant-column", "rk-approx"):
+        # the rk window spans only the axes that vary
+        assert 0 < sum(r["flag"] == "1" for r in rows) < len(pts)
 
 
 def test_score_notes_when_s_min_flags_most_points(tmp_path, capsys):

@@ -343,15 +343,16 @@ def test_tie_heavy_tables_reask_open_rows_and_equal_the_per_point_reference(
 
 
 def widened_rows(mp, idx):
-    """Patch idx's table builder to record (width, rows) of each call;
-    once the kept table is built, only nearest calls it, for the rows it
-    widens."""
+    """Patch idx's table builder to record (width, rows, reach) of each
+    call; once the kept table is built, only nearest calls it, for the
+    rows it widens."""
     calls = []
     table = idx._table
 
     def recording(rows, width):
-        calls.append((width, rows.tolist()))
-        return table(rows, width)
+        ids, dists, reach = table(rows, width)
+        calls.append((width, rows.tolist(), reach.tolist()))
+        return ids, dists, reach
 
     mp.setattr(idx, "_table", recording)
     return calls
@@ -359,7 +360,7 @@ def widened_rows(mp, idx):
 
 def first_widening(calls):
     """The rows of the first widening pass, in the order nearest asks them."""
-    return [i for w, rows in calls if w == calls[0][0] for i in rows]
+    return [i for w, rows, _ in calls if w == calls[0][0] for i in rows]
 
 
 def edge_arrays(covers):
@@ -579,14 +580,21 @@ def test_clustering_equals_the_gather_reference_with_and_without_the_table(
 
 
 def assert_widening_doubles(calls, width, n):
-    """Each widening pass asks, at twice the width before it (the first
-    at min(8, n - 1) without a kept table) up to n - 1, a subset of the
-    rows the pass before it asked."""
-    widths = sorted({w for w, _ in calls})
-    for w in widths:
-        width = min(2 * width, n - 1) if width else min(8, n - 1)
-        assert w == width
-    passes = [[i for w, rows in calls if w == v for i in rows] for v in widths]
+    """Each widening pass asks a subset of the rows the pass before it
+    asked, up to n - 1, at twice the width before it (the first at
+    min(8, n - 1) without a kept table), or at the widest w at which the
+    pass before closed one of its rows, if that is wider."""
+    widths = sorted({w for w, _, _ in calls})
+    passes = [[i for w, rows, _ in calls if w == v for i in rows] for v in widths]
+    reach = [{i: c for w, rows, closed in calls if w == v for i, c in zip(rows, closed)}
+             for v in widths]
+    for p, w in enumerate(widths):
+        if p:
+            width = max([2 * width, *(reach[p - 1][i] for i in passes[p])])
+        else:
+            width = 2 * width if width else 8
+        assert w == min(width, n - 1)
+        width = w
     for wider, narrower in zip(passes[1:], passes[:-1]):
         assert set(wider) <= set(narrower)
 
@@ -638,8 +646,9 @@ def test_nearest_equals_the_loop_reference(case, dense, positive, data):
 @pytest.mark.parametrize("dense", [True, False])
 def test_positive_nearest_widens_past_copies_wider_than_the_table(dense):
     """Every point 12 times over with a kept table 3 wide: every table row
-    holds only zeros, so each positive row is widened at 6 and at 12 and
-    answered at 12, where its row reaches past its 11 copies."""
+    holds only zeros, so each positive row is widened at 6, where the table
+    closes it only at 14, past its 11 copies, and answered by the next pass,
+    which starts there."""
     points = np.repeat(np.random.default_rng(8).random((20, 4)), 12, axis=0)
     n = points.shape[0]
     idx = build_index(PointSet(points))
@@ -651,7 +660,7 @@ def test_positive_nearest_widens_past_copies_wider_than_the_table(dense):
         assert (idx.last_table[1] == 0).all()
         calls = widened_rows(mp, idx)
         ids, dists = idx.nearest(rows, among, positive=True)
-    assert [w for w, _ in calls] == [6, 12]
+    assert [(w, set(reach)) for w, _, reach in calls] == [(6, {14}), (14, {30})]
     assert first_widening(calls) == rows.tolist()
     want_ids, want_dists = loop_nearest(points, rows, among, True)
     assert np.array_equal(ids, want_ids)

@@ -13,6 +13,7 @@ from ccdscore.dataset import PointSet, _row_distances, build_index
 from ccdscore.errors import BadKError
 from ccdscore.graph import (
     build_catch_digraph,
+    default_k,
     estimate_radii,
     fixed_k,
     rk_approx,
@@ -32,6 +33,7 @@ from _oracles import (
     loop_lof,
     loop_odin,
     loop_oos,
+    loop_positive_floor,
     loop_radii,
     loop_small_cluster_flags,
     loop_standardize_ios,
@@ -186,6 +188,29 @@ def test_table_with_more_duplicates_than_k(monkeypatch):
     calls = source_calls(monkeypatch)
     build_index(ps).knn_table(3)
     assert set(range(45)) <= set(reasked_rows(calls, 3).tolist())
+
+
+def test_positive_floor_in_a_copy_run_widens_once_past_the_run(monkeypatch):
+    # 2,000 copies of one point among 10 others: each copy's table row
+    # closes only past its 1,999 copies, so the floor's second pass starts
+    # there and answers every copy. Rows asked: the kept table's 2,010 and
+    # two passes over the 2,000 zero radii, not one per doubling of the width
+    rng = np.random.default_rng(0)
+    points = np.vstack([np.repeat(rng.standard_normal((1, 3)), 2000, axis=0),
+                        rng.standard_normal((10, 3))])
+    asked = []
+    table = dataset.NeighborIndex._table
+
+    def counting(self, rows, width):
+        asked.append(rows.size)
+        return table(self, rows, width)
+
+    monkeypatch.setattr(dataset.NeighborIndex, "_table", counting)
+    idx = build_index(PointSet(points))
+    radii = estimate_radii(idx, fixed_k())
+    assert sum(asked) == 2010 + 2 * 2000
+    kth = idx.kth_distances(default_k(idx.n))
+    assert np.array_equal(radii, loop_positive_floor(points, kth))
 
 
 @pytest.mark.parametrize("points", [grid_points, duplicate_points])
