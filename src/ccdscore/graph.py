@@ -93,6 +93,8 @@ def estimate_radii(idx: NeighborIndex, strategy: RadiusStrategy) -> np.ndarray:
     n = idx.ps.n
     if n < 2:
         raise DegenerateDataError("radius estimation needs at least 2 points")
+    if (idx.ps.points == idx.ps.points[0]).all():
+        raise DegenerateDataError("all points coincide; radii are undefined")
     k = strategy.k if strategy.k is not None else default_k(n)
     k = min(k, n - 1)
 
@@ -321,17 +323,16 @@ def _csr_rows(ptr: np.ndarray, ids: np.ndarray, rows: slice, n: int) -> sparse.c
     )
 
 
-def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
-    """(count, comp): the connected components of the mutual graph of dg,
-    comp[i] in [0, count) the component of i, some ids possibly unused.
+def _mutual_components(dg: CatchDigraph) -> np.ndarray:
+    """The connected components of the mutual graph of dg: comp[i] is the
+    component of i, some ids possibly unused.
 
     The graph is read one row block at a time: the block's out-rows
     multiplied elementwise by its in-rows are its mutual edges. The
-    components of the first block's edges seed a label array (when that
-    block holds every row, its labels are the answer); each later
-    block merges into it. A mutual edge shows up in the rows of both
-    ends, so only the ones with i < j count, and only those whose labels
-    still differ go to connected_components, on the labels.
+    components of the first block's edges, padded to n x n, seed a label
+    array; each later block merges into it. A mutual edge shows up in the
+    rows of both ends, so only the ones with i < j count, and only those
+    whose labels still differ go to connected_components, on the labels.
     """
     n = dg.n
     label = None
@@ -342,15 +343,6 @@ def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
         mutual = _csr_rows(dg.out_ptr, dg.out_ids, sl, n).multiply(
             _csr_rows(dg.in_ptr, dg.in_ids, sl, n)
         ).tocsr()
-        if label is None and sl.stop == n:
-            # one block holds the whole mutual graph, which is symmetric, so
-            # its strong components are its components; the directed search
-            # on float64 data skips scipy's retyping and transpose
-            seed = sparse.csr_matrix(
-                (np.ones(mutual.nnz), mutual.indices, mutual.indptr), shape=(n, n)
-            )
-            _, label = connected_components(seed, directed=True, connection="strong")
-            continue
         if label is None:
             # the first block starts at row 0; padded to n x n, no row
             # after it holds an edge
@@ -373,7 +365,7 @@ def _mutual_components(dg: CatchDigraph) -> tuple[int, np.ndarray]:
         )
         _, merged = connected_components(merge, directed=False)
         label = merged[label]
-    return int(label.max()) + 1, label
+    return label
 
 
 def cluster_digraph(dg: CatchDigraph, idx: NeighborIndex) -> Clustering:
@@ -382,34 +374,29 @@ def cluster_digraph(dg: CatchDigraph, idx: NeighborIndex) -> Clustering:
     Vertices with no mutual edge join the cluster of their nearest point
     that sits in a component of size >= 2, provided that point lies within
     ATTACH_FACTOR times their own radius (NeighborIndex.nearest, ties going
-    to the smallest id); otherwise they stay singletons. Over a union of
-    radius families no component crosses families, a vertex looks for its
-    point only among its own family's vertices, and the cluster ids run
-    family by family.
+    to the smallest id); otherwise they keep their own one-point
+    component. Over a union of radius families no component crosses
+    families, a vertex looks for its point only among its own family's
+    vertices, and the cluster ids run family by family.
     """
     m = idx.ps.n
     if dg.n != dg.families * m:
         raise ValueError("dg must be a digraph over the points of idx")
-    n_comp, comp = _mutual_components(dg)
-    comp_sizes = np.bincount(comp, minlength=n_comp)
-
-    labels = comp.copy()
-    anchored = comp_sizes[comp] >= 2
+    comp = _mutual_components(dg)
+    anchored = np.bincount(comp)[comp] >= 2
     isolated = np.flatnonzero(~anchored)
-    attached = np.zeros(isolated.size, dtype=bool)
     bounds = np.searchsorted(isolated, np.arange(dg.families + 1) * m).tolist()
     for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         lo = f * m
         iso = isolated[a:b]
         nearest, near = idx.nearest(iso - lo, anchored[lo : lo + m])
-        ok = attached[a:b] = (nearest >= 0) & (near <= ATTACH_FACTOR * dg.radii[iso])
-        labels[iso[ok]] = comp[nearest[ok] + lo]
-    alone = isolated[~attached]
-    labels[alone] = n_comp + np.arange(alone.size)
+        ok = (nearest >= 0) & (near <= ATTACH_FACTOR * dg.radii[iso])
+        # an attach reads only anchored labels, which no attach rewrites
+        comp[iso[ok]] = comp[nearest[ok] + lo]
 
     # first holds each label's smallest member id
     _, first, inverse, sizes = np.unique(
-        labels, return_index=True, return_inverse=True, return_counts=True
+        comp, return_index=True, return_inverse=True, return_counts=True
     )
     # rank lists the labels in id order, so its inverse maps label to id
     rank = np.lexsort((first, -sizes, first // m))

@@ -261,9 +261,9 @@ def break_ties(cluster_of: np.ndarray, ios_std: np.ndarray, rho: np.ndarray) -> 
     exact duplicate, so a NaN-free input gives a NaN-free result.
     """
     n = cluster_of.size
-    # by cluster, then value, then id: a run of equal values in one cluster
-    # is contiguous, with its members in ascending id order
-    ids = np.lexsort((np.arange(n), ios_std, cluster_of))
+    # by cluster, then value; the sort is stable, so a run of equal values
+    # in one cluster is contiguous, with its members in ascending id order
+    ids = np.lexsort((ios_std, cluster_of))
     vals, cs = ios_std[ids], cluster_of[ids]
     starts = np.flatnonzero(np.append(True, (vals[1:] != vals[:-1]) | (cs[1:] != cs[:-1])))
     counts = np.diff(np.append(starts, n))
@@ -356,9 +356,8 @@ def small_cluster_flags(cluster_of: np.ndarray, s_min: float) -> np.ndarray:
 
 def descending_ranks(scores: np.ndarray) -> np.ndarray:
     """Ranks 1..n by descending score, ties to the smaller id."""
-    order = np.lexsort((np.arange(scores.size), -scores))
     ranks = np.empty(scores.size, dtype=np.int64)
-    ranks[order] = np.arange(1, scores.size + 1)
+    ranks[np.argsort(-scores, kind="stable")] = np.arange(1, scores.size + 1)
     return ranks
 
 

@@ -82,6 +82,22 @@ def test_all_coincident_degenerate():
         estimate_radii(idx, fixed_k(k=1))
 
 
+@pytest.mark.parametrize("kind", graph.RADIUS_KINDS)
+def test_all_coincident_rejected_before_any_table(kind, monkeypatch):
+    # rejected before any neighbor table: a table over n copies of one
+    # point keeps every row open up to width n - 1
+    ps, idx = make(np.full((3000, 2), 0.25))
+    rows = []
+    table = dataset.NeighborIndex._table
+    monkeypatch.setattr(
+        dataset.NeighborIndex, "_table",
+        lambda self, r, width: rows.append(r.size) or table(self, r, width),
+    )
+    with pytest.raises(DegenerateDataError, match="all points coincide; radii are undefined"):
+        estimate_radii(idx, graph.RadiusStrategy(kind))
+    assert rows == []
+
+
 def test_radii_positive_for_every_strategy():
     rng = np.random.default_rng(21)
     for trial in range(10):
@@ -251,9 +267,8 @@ def test_table_answers_every_isolated_row_on_clustered_data(monkeypatch, d, stra
 
 @pytest.mark.parametrize("strategy", [fixed_k, rk_approx, un_approx])
 def test_one_block_clustering_equals_the_blocked_run_and_the_gather(strategy):
-    # a bench cell's graph fits one row block, so its components come from
-    # one strong search; cut into blocks it takes the undirected seed and
-    # the merges
+    # a bench cell's graph fits one row block, so the seed alone holds its
+    # components; cut into blocks it takes the merges as well
     ps = simgen.generate(simgen.SimConfig(
         regime="mixed", d=2, n=400, seed=4, outlier_fraction=0.05,
         gaussian_scale=0.05, outlier_min_separation=1.5,
