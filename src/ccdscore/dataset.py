@@ -533,16 +533,18 @@ class NeighborIndex:
                 sub.sort(axis=1)
                 yield rows[a], inside.sum(axis=1), sub[inside].astype(np.int32)
         rows, radii = rows[screen], radii[screen]
-        for sl, owner, cand, inside in self._screen_candidates(rows, radii):
+        for sl, counts, owner, cand, inside in self._screen_candidates(rows, radii):
             src = rows[sl]
             check = np.flatnonzero(~inside)
-            for part in row_chunks(check.size, self.ps.d):
-                c = check[part]
-                o = owner[c]
-                dd = _row_distances(points, src[o], cand[c, None])[:, 0]
-                inside[c] = dd <= radii[sl][o]
-            counts = np.bincount(owner[inside], minlength=src.size)
-            yield src, counts, cand[inside].astype(np.int32)
+            if check.size:  # a block with no candidate in the band keeps them all
+                for part in row_chunks(check.size, self.ps.d):
+                    c = check[part]
+                    o = owner[c]
+                    dd = _row_distances(points, src[o], cand[c, None])[:, 0]
+                    inside[c] = dd <= radii[sl][o]
+                counts = np.bincount(owner[inside], minlength=src.size)
+                cand = cand[inside]
+            yield src, counts, cand.astype(np.int32)
 
     def nearest(self, rows: np.ndarray, among: np.ndarray, positive: bool = False):
         """(ids, dists): for each i = rows[a], the nearest point j != i with
@@ -630,13 +632,15 @@ class NeighborIndex:
             yield sl, g
 
     def _screen_candidates(self, rows: np.ndarray, radii: np.ndarray):
-        """(slice into rows, owner, candidate, sure) per block of _gram_blocks,
-        which covers overflow: j != rows[a] is a candidate of row a when
-        g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c] marks the
-        candidates with g <= r^2 - band, which are members for certain.
+        """(slice into rows, counts, owner, candidate, sure) per block of
+        _gram_blocks, which covers overflow: j != rows[a] is a candidate of
+        row a when g = |x|^2 + |y|^2 - 2 x.y <= r^2 + band, and sure[c]
+        marks the candidates with g <= r^2 - band, which are members for
+        certain.
         Here x = points[rows[a]], y = points[j] and r = radii[a], all after
         shifting the points by their column minima. owner holds positions
-        in the block, and the pairs ascend by owner, then by candidate.
+        in the block, counts[a] the number of candidates of row a, and the
+        pairs ascend by owner, then by candidate.
 
         The band bounds the rounding, so every pair the distance formula
         accepts is a candidate, and every pair it rejects is not sure.
@@ -669,13 +673,14 @@ class NeighborIndex:
             with np.errstate(over="ignore", invalid="ignore"):
                 hit = g + sq_lo <= hi[sl, None]
                 hit[np.arange(r.size), r] = False
-                # one flat index and a division beat a 2-d nonzero 3 to 1
+                # one flat index and the per-row counts beat a 2-d nonzero
+                counts = np.count_nonzero(hit, axis=1)
+                a = np.repeat(np.arange(r.size), counts)
                 hit = np.flatnonzero(hit)
-                a = hit // self.n
                 j = hit - a * self.n
                 g = g.ravel()[hit] + sq_hi[j]
                 sure = (g <= lo[sl][a]) & (g > -np.inf)
-            yield sl, a, j, sure
+            yield sl, counts, a, j, sure
 
     def kth_distances(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self

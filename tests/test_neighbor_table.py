@@ -4,6 +4,7 @@ the last bit, not merely close."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -35,6 +36,7 @@ from _oracles import (
     loop_oos,
     loop_positive_floor,
     loop_radii,
+    loop_range_query,
     loop_small_cluster_flags,
     loop_standardize_ios,
     loop_standardize_naive,
@@ -430,6 +432,32 @@ def test_screen_on_lattice_sphere(offset):
     assert any((dist[i, c] == 2.0).any() for i, c in enumerate(covers))
     if offset == 0.0:
         assert ((dist > 2.0) & (dist < 2.0 + 1e-12)).any()
+
+
+def test_screen_blocks_with_and_without_band_candidates(monkeypatch):
+    # 10 rows to a screen block: radius 2.0, a lattice distance, puts
+    # members in the rounding band, while no squared lattice distance lies
+    # near 1.6**2, so those blocks hold sure members alone and skip the
+    # recheck
+    ps = PointSet(lattice_points())
+    idx = build_index(ps)
+    radii = np.where(np.arange(ps.n) < 110, 2.0, 1.6)
+    all_sure = []
+    screen = idx._screen_candidates
+
+    def recording(rows, r):
+        for block in screen(rows, r):
+            all_sure.append(bool(block[-1].all()))
+            yield block
+
+    monkeypatch.setattr(dataset, "GATHER_CHUNK", 10 * ps.n)
+    monkeypatch.setattr(idx, "_screen_candidates", recording)
+    tree = cKDTree(ps.points)
+    for src, counts, targets in idx.balls(np.arange(ps.n), radii):
+        for i, row in zip(src.tolist(), np.split(targets, np.cumsum(counts)[:-1])):
+            want = loop_range_query(tree, i, float(radii[i]))
+            assert np.array_equal(row, want[want != i]), i
+    assert len(all_sure) == 22 and all_sure.count(True) == 11
 
 
 def test_screen_with_heavy_duplicates():
